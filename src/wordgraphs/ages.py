@@ -2,12 +2,28 @@
 Jónsson-style desk check for prime members.
 
 An age approximation holds, per size up to ``k_max``, the exact isomorphism
-classes of induced subgraphs of one finite source graph.  Enumeration works
-by one-vertex extension: every member of size k+1 contains a member of size
-k, so attaching a new vertex with every possible neighborhood to each class
-of level k and filtering by an embedding search into the source is complete.
-The same candidate pool drives bound enumeration, since a minimal non-member
-has all its one-vertex deletions inside the age.
+classes of induced subgraphs of one finite source graph.  There are two
+routes to it.
+
+Word graphs (``word_age``) take the pattern route, with no search.  In the
+prefix graph, vertex -1 sits at index 0 and the letter at label t - 1 sits
+at index t; a pair is decided by the letter at its larger index and by
+whether the two indices are consecutive.  Chosen indices t1 < ... < tk can
+only be consecutive as neighbours in that order, so the induced subgraph is
+fixed by the letters at t2..tk and the k - 1 flags "t(i+1) = t(i) + 1".
+Level by level, each such gapped-factor pattern keeps the bitmask of indices
+where it can end; appending letter c is an adjacent move (ends shifted by
+one, intersected with the indices of c) or a gap move (indices of c at
+least two past the lowest end).  A pattern occurs iff its mask is nonzero,
+so the levels are exact; patterns with equal graphs merge their masks.
+
+Generic sources (``age_enumerate``) take the extension route: every member
+of size k+1 contains a member of size k, so attaching a new vertex with
+every possible neighborhood to each class of level k and filtering by an
+embedding search into the source is complete.  It is also the independent
+oracle that the tests hold the pattern route to.  Bound enumeration draws
+on the same candidate pool, since a minimal non-member has all its
+one-vertex deletions inside the age.
 
 Everything about an infinite age is reported at a finite scale and says so:
 a bound certificate records the prefix length at which the non-membership
@@ -129,6 +145,62 @@ def age_includes(a: AgeApprox, b: AgeApprox) -> InclusionResult:
     return InclusionResult(True, a.k_max)
 
 
+# -- word-graph ages by gapped-factor patterns ----------------------------------
+
+
+def _extend_patterns(states: dict[tuple[int, ...], int], k: int,
+                     pos: tuple[int, int]) -> dict[tuple[int, ...], int]:
+    """Append one letter to every k-vertex pattern, by an adjacent or a gap move.
+
+    The new vertex k, with letter c, sees an earlier vertex p as a neighbour
+    iff (c == 1) == (p == k - 1 and the move is adjacent).
+    """
+    full, last = (1 << k) - 1, 1 << (k - 1)
+    nxt: dict[tuple[int, ...], int] = {}
+    for rows, ends in states.items():
+        above_gap = ~(((ends & -ends) << 2) - 1)  # indices >= lowest end + 2
+        for base, letter_pos in ((full, pos[0]), (0, pos[1])):
+            for nbrs, reach in ((base ^ last, (ends << 1) & letter_pos),
+                                (base, letter_pos & above_gap)):
+                if reach:
+                    grown = tuple(r | (((nbrs >> i) & 1) << k)
+                                  for i, r in enumerate(rows)) + (nbrs,)
+                    nxt[grown] = nxt.get(grown, 0) | reach
+    return nxt
+
+
+def word_age(w: Word, L: int, k_max: int) -> AgeApprox:
+    """Age of the word graph at prefix ``L``, enumerated without any search.
+
+    States of level k map a k-vertex pattern graph (its vertices in position
+    order) to the bitmask of source indices where the pattern can end.
+    """
+    source = graph_of_word(w, L)
+    if k_max > source.n:
+        raise GraphError("k_max exceeds the source order")
+    # pos[c]: the indices t >= 1 whose letter is c; the letter at t is 1
+    # exactly when the consecutive vertices t - 1 and t are adjacent
+    ones = 0
+    for t in range(1, source.n):
+        ones |= ((source.rows[t] >> (t - 1)) & 1) << t
+    pos = (((1 << source.n) - 2) ^ ones, ones)
+    empty = Graph(0, ())
+    levels: dict[int, dict[CanonKey, Graph]] = {0: {canonical_key(empty): empty}}
+    states = {(0,): (1 << source.n) - 1}  # one vertex ends anywhere in 0..L
+    for k in range(1, k_max + 1):
+        if k > 1:
+            states = _extend_patterns(states, k - 1, pos)
+        found: dict[CanonKey, Graph] = {}
+        for rows in states:
+            g = Graph(k, rows)
+            key = canonical_key(g)
+            if key not in found:
+                found[key] = canonical_form(g)
+        levels[k] = {key: found[key] for key in sorted(found)}
+    return AgeApprox(source=source, source_desc=json.dumps({"word_prefix": L}),
+                     k_max=k_max, levels=levels)
+
+
 # -- bounds ---------------------------------------------------------------------
 
 
@@ -150,8 +222,7 @@ def bounds_enumerate(w: Word, L: int, k_max: int) -> list[BoundCertificate]:
     """
     if L < k_max:
         raise GraphError("prefix length must be at least k_max")
-    source = graph_of_word(w, L)
-    age = age_enumerate(source, k_max, source_desc=f"word graph at L={L}")
+    age = word_age(w, L, k_max)
     certificates: list[BoundCertificate] = []
     seen: set[CanonKey] = set()
     for k in range(1, k_max + 1):
@@ -356,8 +427,3 @@ def jonsson_to_json(report: JonssonReport) -> dict:
         "degenerate": report.degenerate,
         "note": report.note,
     }
-
-
-def word_age(w: Word, L: int, k_max: int) -> AgeApprox:
-    return age_enumerate(graph_of_word(w, L), k_max,
-                         source_desc=json.dumps({"word_prefix": L}))

@@ -3,9 +3,11 @@ age/bound/cofinality tables, realizers, catalogue export, verification.
 
 Plain subcommands for batch scripting; no interactive mode.  Exit codes:
 0 success, 1 internal invariant violation (a bug tripwire fired), 2 user or
-configuration error.  A JSON config file can pre-set any flag (explicit
-flags win).  The environment variable ``WORDGRAPHS_OUTDIR`` supplies a
-default directory for relative output paths.
+configuration error, or a resource limit such as the recursion limit.  A
+JSON config file can pre-set any flag of the chosen subcommand (explicit
+flags win; a key naming no such flag is an error).  The environment
+variable ``WORDGRAPHS_OUTDIR`` supplies a default directory for relative
+output paths.
 """
 
 from __future__ import annotations
@@ -417,6 +419,11 @@ def _configure(argv: list[str]) -> ExperimentConfig:
         defaults = json.loads(Path(probe.config).read_text())
         if not isinstance(defaults, dict):
             raise WordError("config file must hold a JSON object of flags")
+        known = {a.dest for a in subparsers[probe.command]._actions}
+        unknown = sorted(set(defaults) - known)
+        if unknown:
+            raise WordError(f"unknown config keys for {probe.command!r}: "
+                            + ", ".join(unknown))
         subparsers[probe.command].set_defaults(**defaults)
     args = parser.parse_args(argv)
 
@@ -489,6 +496,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return _RUNNERS[cfg.command](cfg)
+    except RecursionError as exc:  # a RuntimeError, but not a broken invariant
+        print(f"error: resource limit: {exc}", file=sys.stderr)
+        return 2
     except (AssertionError, RuntimeError) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 1

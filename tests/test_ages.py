@@ -1,9 +1,12 @@
 """Age enumeration, inclusion, bound certificates, antichains, desk checks."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import graphs
+from conftest import bit_words, graphs
 from wordgraphs.ages import (
     age_csv,
     age_enumerate,
@@ -30,8 +33,8 @@ from wordgraphs.graphs import (
     path,
 )
 from wordgraphs.wordgraph import graph_of_word
-from wordgraphs.words import (ContinuedFraction, factors, fibonacci_word,
-                              mechanical_word, periodic_word)
+from wordgraphs.words import (ContinuedFraction, explicit_word, factors,
+                              fibonacci_word, mechanical_word, periodic_word)
 
 
 def test_age_of_p5_to_size_three():
@@ -64,6 +67,41 @@ def test_word_graph_age_matches_subset_oracle():
     slow = age_enumerate_exhaustive(g, 4)
     for size in range(5):
         assert fast.keys(size) == slow.keys(size)
+
+
+def _assert_same_as_extension_route(w, L, k):
+    """The pattern route equals the extension route, representatives included."""
+    fast = word_age(w, L, k)
+    slow = age_enumerate(graph_of_word(w, L), k,
+                         source_desc=json.dumps({"word_prefix": L}))
+    assert fast == slow
+    assert list(fast.levels) == list(slow.levels)
+    for size in slow.levels:
+        assert list(fast.levels[size].items()) == list(slow.levels[size].items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(bit_words, st.data())
+def test_word_age_matches_extension_route(bits, data):
+    k = data.draw(st.integers(min_value=0, max_value=min(5, len(bits) + 1)))
+    _assert_same_as_extension_route(explicit_word(bits), len(bits), k)
+
+
+@pytest.mark.parametrize("w, L, k", [
+    (periodic_word("1"), 60, 6),
+    (periodic_word("011"), 60, 6),
+    (mechanical_word(ContinuedFraction((2,), (1,)), "slope"), 60, 6),
+    (mechanical_word(ContinuedFraction((3,), (1,)), "slope"), 60, 6),
+    (fibonacci_word(), 60, 7),
+], ids=["ones", "011", "cf-2-(1)", "cf-3-(1)", "fibonacci"])
+def test_word_age_matches_extension_route_fixed(w, L, k):
+    _assert_same_as_extension_route(w, L, k)
+
+
+def test_word_age_rejects_k_max_beyond_source():
+    word_age(explicit_word("0110"), 4, 5)  # k_max = L + 1 is the whole graph
+    with pytest.raises(GraphError, match="k_max exceeds the source order"):
+        word_age(explicit_word("0110"), 4, 6)
 
 
 @settings(max_examples=20, deadline=None)

@@ -2,6 +2,7 @@
 
 import json
 
+from wordgraphs import cli
 from wordgraphs.cli import main
 from wordgraphs.graph6 import from_graph6, to_graph6
 from wordgraphs.graphs import are_isomorphic, path
@@ -97,6 +98,30 @@ def test_config_file_defaults_and_flag_priority(capsys, tmp_path):
     assert code == 0 and out.strip() == "101010"
     code, out = run(capsys, "word", "--config", str(conf), "--length", "4")
     assert code == 0 and out.strip() == "1010"  # explicit flag wins
+
+
+def test_config_rejects_unknown_keys(capsys, tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"lenght": 5}))
+    code = main(["word", "--fib", "--length", "8", "--config", str(conf)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "lenght" in captured.err
+    # a flag of another subcommand is foreign to this one
+    conf.write_text(json.dumps({"k_max": 3}))
+    assert main(["word", "--fib", "--config", str(conf)]) == 2
+    assert "k_max" in capsys.readouterr().err
+
+
+def test_recursion_error_is_a_resource_limit(capsys, monkeypatch):
+    def deep(cfg):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setitem(cli._RUNNERS, "word", deep)
+    assert main(["word", "--fib", "--length", "8"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: resource limit: maximum recursion depth")
+    assert "invariant" not in err
 
 
 def test_outdir_environment_variable(capsys, tmp_path, monkeypatch):
