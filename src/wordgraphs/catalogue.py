@@ -82,10 +82,10 @@ def chain_word_prime(n: int, word: Word | None = None) -> ChainWordPrime:
     w = word if word is not None else fibonacci_word()
     bits = w.prefix(n)
     g = graph_of_word(w, n)
-    witness = find_nontrivial_module(g)
+    prime = is_prime(g)
+    witness = None if prime else find_nontrivial_module(g)
     return ChainWordPrime(
-        graph=g, word_prefix=bits,
-        prime=witness is None or g.n <= 2,
+        graph=g, word_prefix=bits, prime=prime,
         module_witness=witness.vertices if witness else None)
 
 

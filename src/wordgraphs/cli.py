@@ -37,6 +37,7 @@ from .graphs import Graph
 from .primes import (
     find_nontrivial_module,
     is_critically_prime,
+    is_prime,
     schmerl_trotter_pair,
 )
 from .realizers import realizer_for_word_graph, realizer_to_json
@@ -221,8 +222,8 @@ def _cmd_graph(cfg: ExperimentConfig) -> int:
 
 def _cmd_prime(cfg: ExperimentConfig) -> int:
     g = cfg.extras["graph"]
-    witness = find_nontrivial_module(g)
-    prime = g.n <= 2 or witness is None
+    prime = is_prime(g)
+    witness = None if prime else find_nontrivial_module(g)
     doc = {
         "order": g.n,
         "prime": prime,

@@ -6,10 +6,24 @@ counted as prime here, which makes the height arithmetic come out right
 (h of a single edge is 2, sitting at level 2 above the one- and zero-vertex
 graphs).  That convention lives in :func:`is_prime` only.
 
-Module search grows the smallest module containing each vertex pair by
-splitter closure; the exhaustive-subset method stays available to tests as
-an oracle.  Heights are computed by dynamic programming over canonical keys;
-the memo table is shared and idempotent (all writers compute equal values).
+The primality test needs only n - 1 pair closures.  It grows the smallest
+module containing {0, x} by splitter closure for every other vertex x; a
+proper closure is a nontrivial module through 0.  If none is proper, it
+refines V - {0} into the maximal modules that avoid 0: start from the
+neighbours and non-neighbours of 0, split a part whenever an outside vertex
+sees some but not all of it, and recheck only the new pieces.  A module
+avoiding 0 is never split, and every final part is a module, so a final
+part of two or more vertices exists exactly when such a module does
+(Ehrenfeucht, Gabow, McConnell & Sullivan, J. Algorithms 1994).
+
+A witness comes from the lexicographic scan over all n(n-1)/2 pair
+closures, which is complete because a nontrivial module contains the
+closure of any pair inside it.  That scan runs only once the fast test has
+found a module; it is also the fast test's independent oracle, and the
+exhaustive-subset method checks both in the tests.
+
+Heights are computed by dynamic programming over canonical keys; the memo
+table is shared and idempotent (all writers compute equal values).
 """
 
 from __future__ import annotations
@@ -20,6 +34,7 @@ from .graphs import (
     CanonKey,
     Graph,
     GraphError,
+    _bits,
     canonical_key,
     enumerate_graphs,
     induced_subgraph,
@@ -78,7 +93,45 @@ def _pair_closure(g: Graph, u: int, v: int) -> int:
             return mask
 
 
-def find_nontrivial_module(g: Graph) -> ModuleWitness | None:
+def _splits_uniform(g: Graph, part: int, outside: int) -> list[int]:
+    """Pieces of ``part`` on which every vertex of ``outside`` is uniform."""
+    pieces = [part]
+    for x in _bits(outside):
+        row = g.rows[x]
+        refined = []
+        for piece in pieces:
+            seen = piece & row
+            if seen and seen != piece:
+                refined += (seen, piece ^ seen)
+            else:
+                refined.append(piece)
+        pieces = refined
+    return pieces
+
+
+def _has_nontrivial_module(g: Graph) -> bool:
+    """Some module with 2 <= size < n; see the module docstring."""
+    if g.n < 3:
+        return False
+    full = (1 << g.n) - 1
+    if any(_pair_closure(g, 0, x) != full for x in range(1, g.n)):
+        return True
+    rest = full ^ 1
+    # invariant: every vertex outside a queued part but not in its pending
+    # mask sees all of the part or none of it (vertex 0 starts that way)
+    work = [(part, rest ^ part) for part in (g.rows[0], rest ^ g.rows[0])]
+    while work:
+        part, pending = work.pop()
+        if part & (part - 1) == 0:
+            continue  # fewer than two vertices
+        pieces = _splits_uniform(g, part, pending)
+        if len(pieces) == 1:
+            return True
+        work += [(piece, part ^ piece) for piece in pieces]
+    return False
+
+
+def _pair_scan(g: Graph) -> int | None:
     """First proper pair closure in lexicographic pair order, or None.
 
     A nontrivial module contains some pair, and the minimal module over that
@@ -89,15 +142,26 @@ def find_nontrivial_module(g: Graph) -> ModuleWitness | None:
         for v in range(u + 1, g.n):
             mask = _pair_closure(g, u, v)
             if mask != full:
-                return ModuleWitness(tuple(i for i in range(g.n) if (mask >> i) & 1))
+                return mask
     return None
+
+
+def find_nontrivial_module(g: Graph) -> ModuleWitness | None:
+    """First proper pair closure in lexicographic pair order, or None.
+
+    The pair scan runs only once the fast test has found a module.
+    """
+    if not _has_nontrivial_module(g):
+        return None
+    mask = _pair_scan(g)
+    if mask is None:
+        raise AssertionError("a module was found but no pair closure is proper")
+    return ModuleWitness(tuple(i for i in range(g.n) if (mask >> i) & 1))
 
 
 def is_prime(g: Graph) -> bool:
     """No nontrivial module; order <= 2 is prime by convention."""
-    if g.n <= 2:
-        return True
-    return find_nontrivial_module(g) is None
+    return g.n <= 2 or not _has_nontrivial_module(g)
 
 
 def is_critically_prime(g: Graph) -> bool:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Graph, GraphError, from_edges
+from .graphs import Graph, GraphError, _bits, from_edges
 from .wordgraph import graph_of_word
 
 LinearOrder = tuple[int, ...]
@@ -70,13 +70,6 @@ class Poset:
     def less(self, a: int, b: int) -> bool:
         i, j = self.elements.index(a), self.elements.index(b)
         return bool((self.above[i] >> j) & 1)
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 # -- incremental construction -------------------------------------------------

@@ -315,25 +315,45 @@ def _descriptor(w: Word) -> dict:
     raise WordError(f"unknown word kind {w.kind!r}")
 
 
+def _field(data: dict, name: str, kinds: type | tuple[type, ...]):
+    if name not in data:
+        raise WordError(f"{data['kind']} word descriptor lacks {name!r}")
+    value = data[name]
+    if not isinstance(value, kinds):
+        raise WordError(f"{data['kind']} word descriptor: bad {name!r}")
+    return value
+
+
 def word_from_json(doc: str | dict) -> Word:
     data = json.loads(doc) if isinstance(doc, str) else doc
+    if not isinstance(data, dict):
+        raise WordError("word descriptor must be a JSON object")
     kind = data.get("kind")
     if kind == "explicit":
-        return explicit_word(data["bits"])
+        return explicit_word(_field(data, "bits", str))
     if kind == "periodic":
-        return periodic_word(data["pattern"])
+        return periodic_word(_field(data, "pattern", str))
     if kind == "mechanical":
-        raw = data["slope"]
+        raw = _field(data, "slope", (str, int, float, dict))
         if isinstance(raw, dict):
+            head, tail = raw.get("head", []), raw.get("tail", [])
+            if not all(isinstance(q, list) and all(isinstance(a, int) for a in q)
+                       for q in (head, tail)):
+                raise WordError("mechanical word descriptor: bad 'slope'")
             slope: Fraction | ContinuedFraction = ContinuedFraction(
-                head=tuple(raw.get("head", ())), tail=tuple(raw.get("tail", ())))
+                head=tuple(head), tail=tuple(tail))
         else:
             slope = Fraction(raw)
         rho = data.get("intercept", "0")
+        if not isinstance(rho, (str, int, float)):
+            raise WordError("mechanical word descriptor: bad 'intercept'")
         intercept: Fraction | str = "slope" if rho == "slope" else Fraction(rho)
         return mechanical_word(slope, intercept)
     if kind == "substitution":
-        return substitution_word(dict(data["rules"]), data["seed"])
+        rules = _field(data, "rules", dict)
+        if not all(isinstance(image, str) for image in rules.values()):
+            raise WordError("substitution word descriptor: bad 'rules'")
+        return substitution_word(dict(rules), _field(data, "seed", str))
     if kind == "complement":
-        return complement_word(word_from_json(data["of"]))
+        return complement_word(word_from_json(_field(data, "of", dict)))
     raise WordError(f"unknown word kind {kind!r}")

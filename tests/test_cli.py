@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from wordgraphs import cli
 from wordgraphs.cli import main
 from wordgraphs.graph6 import from_graph6, to_graph6
@@ -59,6 +61,20 @@ def test_prime_command_from_word(capsys):
     code, out = run(capsys, "prime", "--fib", "--length", "6")
     assert code == 0
     assert "prime" in json.loads(out)
+
+
+@pytest.mark.parametrize("doc,message", [
+    ("0", "must be a JSON object"),
+    ("[1]", "must be a JSON object"),
+    ('{"kind": "explicit"}', "lacks 'bits'"),
+])
+def test_malformed_word_json_exits_2(capsys, doc, message):
+    assert main(["prime", "--word-json", doc, "--length", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    # argparse expands the prefix --word to --word-json
+    assert main(["prime", "--word", doc, "--length", "3"]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_age_and_bounds_commands(capsys):

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 import oracles
 from conftest import graphs
 from wordgraphs.graphs import (
+    Graph,
     GraphError,
+    add_vertex,
     clique,
     complement,
     cycle,
@@ -17,6 +19,8 @@ from wordgraphs.graphs import (
 )
 from wordgraphs.primes import (
     PrimalityError,
+    _pair_closure,
+    _pair_scan,
     find_nontrivial_module,
     is_critically_prime,
     is_module,
@@ -28,6 +32,8 @@ from wordgraphs.primes import (
     census_json,
     schmerl_trotter_pair,
 )
+from wordgraphs.wordgraph import graph_of_word
+from wordgraphs.words import fibonacci_word
 
 
 def test_find_module_examples():
@@ -59,6 +65,46 @@ def test_is_prime_examples():
     assert is_prime(path(4))
     assert not is_prime(clique(4))
     assert not is_prime(path(3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=7))
+def test_is_prime_agrees_with_subset_enumeration(g):
+    assert is_prime(g) == oracles.brute_is_prime(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=10))
+def test_is_prime_agrees_with_pair_scan(g):
+    assert is_prime(g) == (g.n <= 2 or _pair_scan(g) is None)
+
+
+def _fibonacci_with_twin(twin_of: int) -> Graph:
+    """Fibonacci L=99 word graph (prime) plus a false twin of one vertex."""
+    g = graph_of_word(fibonacci_word(), 99)
+    return add_vertex(Graph(g.n, g.rows), g.rows[twin_of])
+
+
+def test_module_missed_by_every_closure_through_vertex_zero():
+    g = _fibonacci_with_twin(99)
+    full = (1 << g.n) - 1
+    assert all(_pair_closure(g, 0, x) == full for x in range(1, g.n))
+    assert not is_prime(g)
+    assert find_nontrivial_module(g).vertices == (99, 100)
+
+
+def test_module_found_by_a_closure_through_vertex_zero():
+    g = _fibonacci_with_twin(0)
+    assert _pair_closure(g, 0, 100) == (1 << 0) | (1 << 100)
+    assert not is_prime(g)
+    assert find_nontrivial_module(g).vertices == (0, 100)
+
+
+def test_fibonacci_word_graph_of_length_100_is_prime():
+    g = graph_of_word(fibonacci_word(), 100)
+    assert g.n == 101
+    assert is_prime(g)
+    assert find_nontrivial_module(g) is None
 
 
 @given(graphs(max_n=7))

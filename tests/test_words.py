@@ -203,3 +203,17 @@ def test_round_trip_json_descriptors():
     for w, length in words:
         back = word_from_json(word_to_json(w))
         assert back.prefix(length) == w.prefix(length)
+
+
+@pytest.mark.parametrize("doc", [
+    "0", "[1]", '"01"', '{"kind": "explicit"}', '{"kind": "explicit", "bits": 5}',
+    '{"kind": "mechanical"}', '{"kind": "mechanical", "slope": [1]}',
+    '{"kind": "mechanical", "slope": {"head": ["a"]}}',
+    '{"kind": "mechanical", "slope": "1/3", "intercept": [1]}',
+    '{"kind": "substitution", "rules": {"0": "01"}}',
+    '{"kind": "substitution", "rules": {"0": 1}, "seed": "0"}',
+    '{"kind": "complement", "of": 3}', '{"kind": "complement", "of": {}}',
+])
+def test_malformed_json_descriptor_is_a_word_error(doc):
+    with pytest.raises(WordError):
+        word_from_json(doc)
