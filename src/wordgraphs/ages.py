@@ -41,6 +41,7 @@ from .graphs import (
     CanonKey,
     Graph,
     GraphError,
+    _trusted,
     add_vertex,
     canonical_form,
     canonical_key,
@@ -192,7 +193,7 @@ def word_age(w: Word, L: int, k_max: int) -> AgeApprox:
             states = _extend_patterns(states, k - 1, pos)
         found: dict[CanonKey, Graph] = {}
         for rows in states:
-            g = Graph(k, rows)
+            g = _trusted(k, rows)
             key = canonical_key(g)
             if key not in found:
                 found[key] = canonical_form(g)

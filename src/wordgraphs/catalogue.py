@@ -15,7 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph6 import to_graph6
-from .graphs import Graph, GraphError, complement, complete_bipartite, from_edges, line_graph, embeds
+from .graphs import (
+    Graph,
+    GraphError,
+    complement,
+    complete_bipartite,
+    embedding,
+    from_edges,
+    line_graph,
+)
 from .primes import find_nontrivial_module, is_prime
 from .wordgraph import graph_of_word
 from .words import Word, fibonacci_word
@@ -109,22 +117,30 @@ def family_member(family: str, n: int, complemented: bool = False,
     return complement(g) if complemented else g
 
 
+def _induced_rows(g: Graph, image: tuple[int, ...]) -> tuple[int, ...]:
+    """Rows of the subgraph of g induced on ``image``, in the order given."""
+    return tuple(sum(((g.rows[v] >> w) & 1) << q for q, w in enumerate(image))
+                 for v in image)
+
+
 def detect_unavoidable(g: Graph, n: int,
                        word: Word | None = None) -> set[tuple[str, bool]]:
     """Which parameter-n family members (or complements) embed in g.
 
-    Family five uses the given word (default Fibonacci).  Every hit reported
-    here has been found by a full embedding search; re-validation is the
-    same search, so the detector re-runs it on a fresh member instance.
+    Family five uses the given word (default Fibonacci).  Every hit comes
+    with the embedding the search returned as its certificate: the subgraph
+    of g induced on the image, in the member's vertex order, must equal the
+    member bit for bit.
     """
     hits = set()
     for family in FAMILIES:
         for complemented in (False, True):
             member = family_member(family, n, complemented, word)
-            if embeds(member, g):
-                again = family_member(family, n, complemented, word)
-                if not embeds(again, g):
-                    raise AssertionError("detector hit failed re-validation")
+            image = embedding(member, g)
+            if image is not None:
+                if (len(set(image)) != member.n
+                        or _induced_rows(g, image) != member.rows):
+                    raise AssertionError("detector hit failed its certificate check")
                 hits.add((family, complemented))
     return hits
 

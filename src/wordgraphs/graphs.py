@@ -32,6 +32,8 @@ class Graph:
 
     Invariants checked on construction: symmetry, irreflexivity, and (when
     present) that ``labels`` is injective and covers all ``n`` vertices.
+    Graphs the kernel derives from valid graphs come from :func:`_trusted`,
+    which skips these checks.
     """
 
     n: int
@@ -96,6 +98,19 @@ class Graph:
         return tuple(sorted(self.degree(i) for i in range(self.n)))
 
 
+def _trusted(n: int, rows: tuple[int, ...],
+             labels: tuple[int, ...] | None = None) -> Graph:
+    """A graph the kernel built itself, symmetric and loop-free by
+    construction, so the checks of the public constructor are skipped."""
+    g = object.__new__(Graph)
+    # attribute by attribute, as the dataclass __init__ does, so the instance
+    # keeps its compact attribute storage
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "rows", rows)
+    object.__setattr__(g, "labels", labels)
+    return g
+
+
 def from_edges(n: int, edges: Iterable[tuple[int, int]],
                labels: tuple[int, ...] | None = None) -> Graph:
     rows = [0] * n
@@ -135,7 +150,7 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
     labels = None
     if g.labels is not None:
         labels = tuple(g.labels[v] for v in kept)
-    return Graph(len(kept), tuple(rows), labels)
+    return _trusted(len(kept), tuple(rows), labels)
 
 
 def delete_vertex(g: Graph, v: int) -> Graph:
@@ -145,7 +160,7 @@ def delete_vertex(g: Graph, v: int) -> Graph:
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     rows = tuple((full ^ r ^ (1 << i)) for i, r in enumerate(g.rows))
-    return Graph(g.n, rows, g.labels)
+    return _trusted(g.n, rows, g.labels)
 
 
 def add_vertex(g: Graph, neighbors: int) -> Graph:
@@ -154,7 +169,7 @@ def add_vertex(g: Graph, neighbors: int) -> Graph:
         raise GraphError("neighborhood mask exceeds vertex set")
     rows = [r | (((neighbors >> i) & 1) << g.n) for i, r in enumerate(g.rows)]
     rows.append(neighbors)
-    return Graph(g.n + 1, tuple(rows))
+    return _trusted(g.n + 1, tuple(rows))
 
 
 def line_graph(g: Graph) -> Graph:
@@ -222,7 +237,13 @@ def make(family: str, *params: int) -> Graph:
 #
 # Exact canonical labelling: equitable refinement (cells split by neighbor
 # counts, subcells ordered by count) followed by individualization search on
-# the first non-singleton cell.  Twin cells (identical rows outside the cell,
+# the first non-singleton cell.  Refinement scans the cells in order as
+# splitters and, after each split, starts again from the first splitter; a
+# splitter cell that splits no cell is settled, since it cannot split any
+# cell of a finer partition either, so its mask is skipped on every later
+# scan, and a search node starts from the masks settled at its parent (whose
+# partition it refines).  Skipping leaves the sequence of splits, and so the
+# ordered partition, unchanged.  Twin cells (identical rows outside the cell,
 # complete or empty inside) admit any internal order without changing the
 # encoding, so they never branch; this keeps cliques, independent sets and
 # unions of twins linear.  The minimum upper-triangle encoding over all search
@@ -230,13 +251,21 @@ def make(family: str, *params: int) -> Graph:
 # census counts deduplicate by key.
 
 
-def _refine(rows: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
+def _refine(rows: tuple[int, ...], cells: list[list[int]],
+            settled: set[int]) -> tuple[list[list[int]], set[int]]:
+    """Equitable refinement of ``cells``, with the splitter masks settled on it.
+
+    ``settled`` holds masks settled on a coarser partition; it is copied, not
+    extended, because sibling search nodes refine different partitions.
+    """
+    settled = set(settled)
     while True:
-        stable = True
-        for splitter in list(cells):
+        for splitter in cells:
             smask = 0
             for v in splitter:
                 smask |= 1 << v
+            if smask in settled:
+                continue
             for di, cell in enumerate(cells):
                 if len(cell) <= 1:
                     continue
@@ -245,12 +274,13 @@ def _refine(rows: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
                     groups.setdefault((rows[v] & smask).bit_count(), []).append(v)
                 if len(groups) > 1:
                     cells[di:di + 1] = [groups[c] for c in sorted(groups)]
-                    stable = False
                     break
-            if not stable:
-                break
-        if stable:
-            return cells
+            else:
+                settled.add(smask)
+                continue
+            break  # a cell split: scan again from the first splitter
+        else:
+            return cells, settled
 
 
 def _is_twin_cell(rows: tuple[int, ...], cell: list[int]) -> bool:
@@ -286,9 +316,9 @@ def _canonical_order(g: Graph) -> list[int]:
     best_code: int | None = None
     best_order: list[int] = []
 
-    def walk(cells: list[list[int]]) -> None:
+    def walk(cells: list[list[int]], settled: set[int]) -> None:
         nonlocal best_code, best_order
-        cells = _refine(rows, cells)
+        cells, settled = _refine(rows, cells, settled)
         target = -1
         for ci, cell in enumerate(cells):
             if len(cell) > 1 and not _is_twin_cell(rows, cell):
@@ -304,15 +334,15 @@ def _canonical_order(g: Graph) -> list[int]:
         cell = cells[target]
         for v in sorted(cell):
             rest = [w for w in cell if w != v]
-            walk(cells[:target] + [[v], rest] + cells[target + 1:])
+            walk(cells[:target] + [[v], rest] + cells[target + 1:], settled)
 
-    walk([list(range(g.n))])
+    walk([list(range(g.n))], set())
     return best_order
 
 
 @lru_cache(maxsize=1 << 18)
 def _canonical_cached(n: int, rows: tuple[int, ...]) -> tuple[CanonKey, tuple[int, ...]]:
-    order = _canonical_order(Graph(n, rows))
+    order = _canonical_order(_trusted(n, rows))
     code = _encode(rows, order)
     nbytes = (n * (n - 1) // 2 + 7) // 8
     key = bytes([n]) + code.to_bytes(nbytes, "big")
@@ -334,7 +364,7 @@ def canonical_form(g: Graph) -> Graph:
         for w in _bits(g.rows[v]):
             acc |= 1 << pos[w]
         rows[i] = acc
-    return Graph(g.n, tuple(rows))
+    return _trusted(g.n, tuple(rows))
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

@@ -16,11 +16,14 @@ avoiding 0 is never split, and every final part is a module, so a final
 part of two or more vertices exists exactly when such a module does
 (Ehrenfeucht, Gabow, McConnell & Sullivan, J. Algorithms 1994).
 
-A witness comes from the lexicographic scan over all n(n-1)/2 pair
-closures, which is complete because a nontrivial module contains the
-closure of any pair inside it.  That scan runs only once the fast test has
-found a module; it is also the fast test's independent oracle, and the
-exhaustive-subset method checks both in the tests.
+The witness is the first proper pair closure in lexicographic pair order,
+read from the same two steps with no scan over all n(n-1)/2 pairs: the
+first proper closure through 0 if there is one, else the closure of the
+least vertex that shares a final part of two or more vertices with the next
+vertex of that part (see :func:`find_nontrivial_module`).  The full pair
+scan, complete because a nontrivial module contains the closure of any pair
+inside it, is the tests' independent oracle for both the test and the
+witness, beside the exhaustive-subset method.
 
 Heights are computed by dynamic programming over canonical keys; the memo
 table is shared and idempotent (all writers compute equal values).
@@ -29,6 +32,7 @@ table is shared and idempotent (all writers compute equal values).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .graphs import (
     CanonKey,
@@ -109,14 +113,19 @@ def _splits_uniform(g: Graph, part: int, outside: int) -> list[int]:
     return pieces
 
 
-def _has_nontrivial_module(g: Graph) -> bool:
-    """Some module with 2 <= size < n; see the module docstring."""
-    if g.n < 3:
-        return False
+def _first_closure_through_0(g: Graph) -> int | None:
+    """The proper pair closure of {0, x} for the least such x, or None."""
     full = (1 << g.n) - 1
-    if any(_pair_closure(g, 0, x) != full for x in range(1, g.n)):
-        return True
-    rest = full ^ 1
+    for x in range(1, g.n):
+        mask = _pair_closure(g, 0, x)
+        if mask != full:
+            return mask
+    return None
+
+
+def _modules_avoiding_0(g: Graph) -> Iterator[int]:
+    """The maximal modules avoiding vertex 0 that have two or more vertices."""
+    rest = ((1 << g.n) - 1) ^ 1
     # invariant: every vertex outside a queued part but not in its pending
     # mask sees all of the part or none of it (vertex 0 starts that way)
     work = [(part, rest ^ part) for part in (g.rows[0], rest ^ g.rows[0])]
@@ -126,36 +135,39 @@ def _has_nontrivial_module(g: Graph) -> bool:
             continue  # fewer than two vertices
         pieces = _splits_uniform(g, part, pending)
         if len(pieces) == 1:
-            return True
-        work += [(piece, part ^ piece) for piece in pieces]
-    return False
+            yield part
+        else:
+            work += [(piece, part ^ piece) for piece in pieces]
 
 
-def _pair_scan(g: Graph) -> int | None:
-    """First proper pair closure in lexicographic pair order, or None.
-
-    A nontrivial module contains some pair, and the minimal module over that
-    pair is contained in it, so scanning all pairs is complete.
-    """
-    full = (1 << g.n) - 1
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            mask = _pair_closure(g, u, v)
-            if mask != full:
-                return mask
-    return None
+def _has_nontrivial_module(g: Graph) -> bool:
+    """Some module with 2 <= size < n; see the module docstring."""
+    if g.n < 3:
+        return False
+    return (_first_closure_through_0(g) is not None
+            or next(_modules_avoiding_0(g), None) is not None)
 
 
 def find_nontrivial_module(g: Graph) -> ModuleWitness | None:
     """First proper pair closure in lexicographic pair order, or None.
 
-    The pair scan runs only once the fast test has found a module.
+    Pairs through 0 come first.  When all of their closures are full, a pair
+    of other vertices has a proper closure iff both lie in one maximal
+    module avoiding 0, so the first such pair is the least vertex of any
+    such module of two or more vertices with the next vertex of its module.
     """
-    if not _has_nontrivial_module(g):
+    if g.n < 3:
         return None
-    mask = _pair_scan(g)
+    mask = _first_closure_through_0(g)
     if mask is None:
-        raise AssertionError("a module was found but no pair closure is proper")
+        module = min(_modules_avoiding_0(g), key=lambda part: part & -part,
+                     default=None)
+        if module is None:
+            return None
+        low = module & -module
+        rest = module ^ low
+        mask = _pair_closure(g, low.bit_length() - 1,
+                             (rest & -rest).bit_length() - 1)
     return ModuleWitness(tuple(i for i in range(g.n) if (mask >> i) & 1))
 
 

@@ -12,6 +12,17 @@ reversing both orders and a swap flag for exchanging their roles, both O(1),
 with one materialization pass at the end.  Reversal and swap preserve the
 realized comparability graph, so validation is unaffected.
 
+Checking a realizer works on rank masks: walking an order from its top
+down, each element gets the mask of the elements after it, so the
+intersection order's row of x is the AND of x's two rank masks, and x is
+comparable to exactly the elements on the same side of it in both orders.
+:func:`validate_realizer` takes the masks in the graph's index space and
+compares each comparability row with the graph's row, in O(n) big-integer
+operations instead of sets of O(n^2) label pairs; only the Poset tripwire
+still visits the order's pairs one by one.  One side of that comparison
+comes from the two orders, the other from the graph, so the check stays
+independent of how the realizer was built.
+
 Conventions: the permutation graph of sigma has edges exactly on the pairs
 reversed by sigma, which is the incomparability graph of the intersection
 order of the bichain (natural order, sigma order).
@@ -57,14 +68,18 @@ class Poset:
     above: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.elements)
-        for i in range(n):
-            if (self.above[i] >> i) & 1:
+        above = self.above
+        for i, row in enumerate(above):
+            if (row >> i) & 1:
                 raise GraphError("strict order cannot be reflexive")
-            for j in _bits(self.above[i]):
-                if (self.above[j] >> i) & 1:
+            rest = row
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                j = low.bit_length() - 1
+                if (above[j] >> i) & 1:
                     raise GraphError("strict order cannot contain a 2-cycle")
-                if self.above[j] & ~self.above[i]:
+                if above[j] & ~row:
                     raise GraphError("order relation is not transitive")
 
     def less(self, a: int, b: int) -> bool:
@@ -158,18 +173,23 @@ def build_realizer(word: str) -> Realizer:
 # -- poset and bichain conversions ---------------------------------------------
 
 
+def _rank_masks(order: LinearOrder, index: dict[int, int]) -> list[int]:
+    """``masks[index[v]]``: the indices of the elements after v in ``order``."""
+    masks = [0] * len(order)
+    after = 0
+    for v in reversed(order):
+        i = index[v]
+        masks[i] = after
+        after |= 1 << i
+    return masks
+
+
 def intersection_order(b: Bichain) -> Poset:
     """x < y iff x precedes y in both orders."""
     elements = b.elements
-    pos1 = {v: k for k, v in enumerate(b.first)}
-    pos2 = {v: k for k, v in enumerate(b.second)}
-    n = len(elements)
-    above = [0] * n
-    for i, x in enumerate(elements):
-        for j, y in enumerate(elements):
-            if i != j and pos1[x] < pos1[y] and pos2[x] < pos2[y]:
-                above[i] |= 1 << j
-    return Poset(elements, tuple(above))
+    index = {v: i for i, v in enumerate(elements)}
+    above = zip(_rank_masks(b.first, index), _rank_masks(b.second, index))
+    return Poset(elements, tuple(a1 & a2 for a1, a2 in above))
 
 
 def comparability_graph(p: Poset) -> Graph:
@@ -189,17 +209,24 @@ def incomparability_graph(p: Poset) -> Graph:
 def validate_realizer(r: Realizer, g: Graph) -> bool:
     """Comparability graph of the intersection order equals g exactly.
 
+    The rank masks of both orders are taken in g's index space, through one
+    label-to-index map, so each comparability row (the elements after i in
+    both orders or before i in both) compares with ``g.rows[i]`` directly.
     Transitivity of the intersection of two total orders is automatic; the
     Poset constructor re-checks it anyway as a tripwire.
     """
-    if set(r.first) != {g.label_of(i) for i in range(g.n)}:
+    labels = tuple(g.label_of(i) for i in range(g.n))
+    if set(r.first) != set(labels):
         raise GraphError("realizer and graph disagree on the vertex set")
-    comp = comparability_graph(intersection_order(r))
-    mine = {tuple(sorted((comp.label_of(i), comp.label_of(j))))
-            for i, j in comp.edges()}
-    theirs = {tuple(sorted((g.label_of(i), g.label_of(j))))
-              for i, j in g.edges()}
-    return mine == theirs
+    index = {v: i for i, v in enumerate(labels)}
+    after = list(zip(_rank_masks(r.first, index), _rank_masks(r.second, index)))
+    Poset(labels, tuple(a1 & a2 for a1, a2 in after))
+    full = (1 << g.n) - 1
+    for i, (a1, a2) in enumerate(after):
+        others = full ^ (1 << i)
+        if (a1 & a2) | ((others ^ a1) & (others ^ a2)) != g.rows[i]:
+            return False
+    return True
 
 
 def realizer_for_word_graph(word: str) -> tuple[Realizer, Graph, bool]:

@@ -7,6 +7,13 @@ the letter is 0 and they are not.  The forward variant appends the extra
 vertex at the end and reads the letter at the smaller index instead; the two
 constructions swap under letterwise reversal of the word.
 
+Both builders read the rows off letter masks (bit t set iff the letter at
+index t is 1) in O(L) big-integer operations: a letter 0 joins its index to
+every index on the far side of the consecutive one, a letter 1 only to the
+consecutive one, so each row is a shifted slice of the zero-letter mask
+plus at most two single bits.  The graphs come out symmetric and loop-free
+by construction and skip the public constructor's checks.
+
 Age membership is certified positively only: a failed search at prefix
 length L is reported as not-found-at-scale, never as non-membership in the
 age of the infinite word graph.
@@ -22,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, embeds
+from .graphs import Graph, GraphError, _trusted, embeds
 from .words import Word, explicit_word
 
 
@@ -30,44 +37,61 @@ def _as_word(w: Word | str) -> Word:
     return explicit_word(w) if isinstance(w, str) else w
 
 
-def graph_of_word(w: Word | str, L: int | None = None) -> Graph:
-    """Backward word graph on vertex labels -1, 0, ..., L-1."""
+def _prefix_bits(w: Word | str, L: int | None) -> str:
     if isinstance(w, str) and L is None:
         L = len(w)
     if L is None or L < 0:
         raise GraphError("prefix length must be a nonnegative integer")
-    bits = _as_word(w).prefix(L)
-    n = L + 1
-    rows = [0] * n
-    # index i holds label i - 1; the deciding letter sits at the larger label
-    for j_lab in range(L):
-        bit = bits[j_lab]
-        j = j_lab + 1
-        for i in range(j):
-            i_lab = i - 1
-            if (bit == "1") == (j_lab == i_lab + 1):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(n, tuple(rows), labels=tuple(range(-1, L)))
+    return _as_word(w).prefix(L)
+
+
+def _ones_mask(bits: str) -> int:
+    """Bit t set iff the letter at position t is 1."""
+    return int(bits[::-1], 2) if bits else 0
+
+
+def graph_of_word(w: Word | str, L: int | None = None) -> Graph:
+    """Backward word graph on vertex labels -1, 0, ..., L-1."""
+    bits = _prefix_bits(w, L)
+    n = len(bits) + 1
+    # index t holds label t - 1, so the letter at label t - 1 sits at index t;
+    # a 0 at index j joins j to every index below j - 1, a 1 only to j - 1
+    ones = _ones_mask(bits) << 1
+    zeros = ((1 << n) - 2) ^ ones
+    rows = []
+    for i in range(n):
+        if i == 0:
+            below = 0
+        elif (ones >> i) & 1:
+            below = 1 << (i - 1)
+        else:
+            below = (1 << (i - 1)) - 1
+        above = (zeros >> (i + 2) << (i + 2)) | (ones & (2 << i))
+        rows.append(below | above)
+    return _trusted(n, tuple(rows), tuple(range(-1, n - 1)))
 
 
 def graph_of_word_forward(w: Word | str, L: int | None = None) -> Graph:
     """Forward variant on labels 0, ..., L-1, L; the letter at the smaller
     index decides each pair."""
-    if isinstance(w, str) and L is None:
-        L = len(w)
-    if L is None or L < 0:
-        raise GraphError("prefix length must be a nonnegative integer")
-    bits = _as_word(w).prefix(L)
+    bits = _prefix_bits(w, L)
+    L = len(bits)
     n = L + 1
-    rows = [0] * n
-    for i in range(L):
-        bit = bits[i]
-        for j in range(i + 1, n):
-            if (bit == "1") == (j == i + 1):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(n, tuple(rows), labels=tuple(range(n)))
+    # a 0 at index i joins i to every index above i + 1, a 1 only to i + 1
+    ones = _ones_mask(bits)
+    zeros = ((1 << L) - 1) ^ ones
+    full = (1 << n) - 1
+    rows = []
+    for i in range(n):
+        if i == L:
+            above = 0
+        elif (ones >> i) & 1:
+            above = 2 << i
+        else:
+            above = full >> (i + 2) << (i + 2)
+        below = 0 if i == 0 else (zeros & ((1 << (i - 1)) - 1)) | (ones & (1 << (i - 1)))
+        rows.append(below | above)
+    return _trusted(n, tuple(rows), tuple(range(n)))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Everything here enumerates: permutations for isomorphism, subsets for
-modules, embeddings and ages.  Nothing imports the algorithms under test
-beyond the plain Graph container.
+modules, embeddings and ages.  The plain versions of the kernels that run
+on bitmasks are kept here too: the lexicographic pair-closure scan, the
+refinement that rescans every splitter after each split, the pair-by-pair
+word graph and the label-pair realizer check.  Nothing imports the
+algorithms under test beyond the plain Graph container.
 """
 
 from __future__ import annotations
@@ -96,3 +99,76 @@ def brute_age(source: Graph, k_max: int) -> dict[int, set]:
         for subset in itertools.combinations(range(source.n), size):
             levels[size].add(brute_canonical(induced_subgraph(source, subset)))
     return levels
+
+
+def pair_scan_module(g: Graph) -> int | None:
+    """First proper pair closure in lexicographic pair order, as a bitmask.
+
+    Grows the closure of every pair {u, v} by adding each outside vertex
+    that sees some but not all of it; a nontrivial module contains the
+    closure of any pair inside it, so scanning all pairs is complete.
+    """
+    full = (1 << g.n) - 1
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            mask = (1 << u) | (1 << v)
+            grown = True
+            while grown and mask != full:
+                grown = False
+                for x in range(g.n):
+                    if not (mask >> x) & 1 and (g.rows[x] & mask) not in (0, mask):
+                        mask |= 1 << x
+                        grown = True
+            if mask != full:
+                return mask
+    return None
+
+
+def rescan_refine(rows: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
+    """Equitable refinement that scans every splitter again after each split."""
+    cells = [list(cell) for cell in cells]
+    while True:
+        for splitter in cells:
+            smask = sum(1 << v for v in splitter)
+            for di, cell in enumerate(cells):
+                groups: dict[int, list[int]] = {}
+                for v in cell:
+                    groups.setdefault((rows[v] & smask).bit_count(), []).append(v)
+                if len(groups) > 1:
+                    cells[di:di + 1] = [groups[c] for c in sorted(groups)]
+                    break
+            else:
+                continue
+            break
+        else:
+            return cells
+
+
+def word_graph_rows(bits: str, forward: bool = False) -> tuple[int, ...]:
+    """Word-graph rows pair by pair: edge iff the deciding letter is 1 and
+    the indices are consecutive, or it is 0 and they are not.
+
+    Backward: the letter at label j - 1 sits at index j and decides every
+    pair whose larger index is j.  Forward: the letter at index i decides
+    every pair whose smaller index is i.
+    """
+    n = len(bits) + 1
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            letter = bits[i] if forward else bits[j - 1]
+            if (letter == "1") == (j == i + 1):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return tuple(rows)
+
+
+def realizer_realizes(first: tuple[int, ...], second: tuple[int, ...],
+                      g: Graph) -> bool:
+    """Label pairs comparable in both orders, against the labelled edges of g."""
+    pos1 = {v: k for k, v in enumerate(first)}
+    pos2 = {v: k for k, v in enumerate(second)}
+    comparable = {tuple(sorted((x, y))) for x, y in itertools.combinations(first, 2)
+                  if (pos1[x] < pos1[y]) == (pos2[x] < pos2[y])}
+    edges = {tuple(sorted((g.label_of(i), g.label_of(j)))) for i, j in g.edges()}
+    return comparable == edges

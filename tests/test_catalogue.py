@@ -20,6 +20,7 @@ from wordgraphs.graphs import (
     clique,
     cycle,
     embeds,
+    empty_graph,
     from_edges,
     path,
 )
@@ -107,6 +108,37 @@ def test_detector_reports_are_revalidated_searches():
     for family, complemented in hits:
         member = family_member(family, 2, complemented)
         assert embeds(member, half_graph(4))
+
+
+def test_detector_rejects_a_hit_whose_certificate_fails(monkeypatch):
+    import wordgraphs.catalogue as catalogue
+
+    # a map onto vertices of an edgeless host cannot induce a member with edges
+    monkeypatch.setattr(catalogue, "embedding", lambda h, g: tuple(range(h.n)))
+    with pytest.raises(AssertionError, match="certificate"):
+        detect_unavoidable(empty_graph(12), 2)
+
+
+def test_detector_rejects_a_hit_that_is_not_injective(monkeypatch):
+    import wordgraphs.catalogue as catalogue
+
+    # line_of_k2n(2) is C4, whose opposite vertices are twins: a map sending
+    # two twins to one host vertex induces equal rows but is no embedding
+    real = catalogue.embedding
+
+    def merge_twins(h, g):
+        image = real(h, g)
+        twins = [(p, q) for p in range(h.n) for q in range(p + 1, h.n)
+                 if h.rows[p] == h.rows[q]]
+        if image is None or not twins:
+            return image
+        p, q = twins[0]
+        return image[:q] + (image[p],) + image[q + 1:]
+
+    assert ("line_of_k2n", False) in detect_unavoidable(cycle(4), 2)
+    monkeypatch.setattr(catalogue, "embedding", merge_twins)
+    with pytest.raises(AssertionError, match="certificate"):
+        detect_unavoidable(cycle(4), 2)
 
 
 def test_missing_family_documented():

@@ -1,6 +1,7 @@
-"""Golden CLI outputs: the SHA-256 of stdout, recorded before the primality
-test was rebuilt on one vertex's pair closures plus a partition into
-maximal modules.  Any change to these bytes is a behaviour change."""
+"""Golden CLI outputs: the SHA-256 of stdout, each recorded before the code
+it covers was last rebuilt (the primality test and its witness; the word
+graphs, realizer checks and refinement on bitmasks).  Any change to these
+bytes is a behaviour change."""
 
 import hashlib
 
@@ -24,7 +25,17 @@ GOLDEN = {
         "f47f1d2852337ec8c5b4c261225bca29e6672d709cedb1ac5f902a2dd5ccbd03",
     ("catalogue", "--family", "chain_word_prime", "--n", "8"):
         "32c162cbe77ea57e5563d18908dd484f0b3f8fc4cf2b6ef92ca40d6034ba8eac",
+    ("graph", "--fib", "--length", "100"):
+        "d988e1b853c6963e95989cdee6548ad6f0de05ff184967bdfb35e7bc5f83f2b5",
+    # graph6 lines of canonical forms: any change of refinement order shows
+    ("bounds", "--fib", "--k-max", "6", "--length", "32"):
+        "1951a21fb8301f8284b6253b13fa840db57f2cf9b8acc8f16511a501ecc43542",
+    ("age", "--cf", "2,(1)", "--intercept", "slope", "--length", "60", "--k-max", "6"):
+        "1e953a6e56d634ff02e861f17922b9a1e008a090ad5ef0ab4e29e0e47aad62b7",
 }
+
+# realizer --word <the 600-letter Fibonacci prefix>
+REALIZER_600_GOLDEN = "99624fe254d12a50015e7d204084d06391989a2f74579b4cf40f3ba19f711f35"
 
 # Fibonacci L=99 plus a false twin of vertex 99 (far) or of vertex 0 (near)
 TWIN_GOLDEN = {
@@ -41,6 +52,11 @@ def _digest(capsys, argv) -> str:
 @pytest.mark.parametrize("argv", sorted(GOLDEN))
 def test_golden_stdout(capsys, argv):
     assert _digest(capsys, argv) == GOLDEN[argv]
+
+
+def test_golden_realizer_of_fibonacci_six_hundred(capsys):
+    argv = ["realizer", "--word", fibonacci_word().prefix(600)]
+    assert _digest(capsys, argv) == REALIZER_600_GOLDEN
 
 
 @pytest.mark.parametrize("twin_of", sorted(TWIN_GOLDEN))

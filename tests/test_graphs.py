@@ -1,14 +1,19 @@
 """Graph kernel: constructors, canonical form, embedding search."""
 
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import graphs
+from wordgraphs import ages
 from wordgraphs.graphs import (
     CORE_WIDTH,
     Graph,
     GraphError,
+    _refine,
+    add_vertex,
     are_isomorphic,
     canonical_form,
     canonical_key,
@@ -26,6 +31,8 @@ from wordgraphs.graphs import (
     make,
     path,
 )
+from wordgraphs.wordgraph import graph_of_word, graph_of_word_forward
+from wordgraphs.words import explicit_word
 
 
 def test_construction_rejects_asymmetry():
@@ -175,3 +182,67 @@ def test_enumerate_graphs_matches_brute_classes():
         got = {oracles.brute_canonical(g) for g in levels[n]}
         want = {oracles.brute_canonical(g) for g in oracles.brute_iso_classes(n)}
         assert got == want
+
+
+# -- refinement against the rescanning oracle --------------------------------
+
+word_graph_bits = st.text(alphabet="01", max_size=63)
+
+
+def _check_refinement(rows: tuple[int, ...]) -> None:
+    """Equal ordered partitions from the unit partition, then for every
+    vertex individualized in its cell; the children all start from the one
+    set of masks settled at the parent, as search nodes do."""
+    unit = [list(range(len(rows)))]
+    cells, settled = _refine(rows, [list(c) for c in unit], set())
+    assert cells == oracles.rescan_refine(rows, unit)
+    for t, cell in enumerate(cells):
+        if len(cell) < 2:
+            continue
+        for v in cell:
+            child = cells[:t] + [[v], [w for w in cell if w != v]] + cells[t + 1:]
+            expected = oracles.rescan_refine(rows, child)
+            assert _refine(rows, [list(c) for c in child], settled)[0] == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=12))
+def test_refine_matches_rescanning_oracle(g):
+    _check_refinement(g.rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(word_graph_bits)
+def test_refine_matches_rescanning_oracle_on_word_graphs(bits):
+    _check_refinement(graph_of_word(bits).rows)
+
+
+# -- graphs the kernel builds without the constructor's checks -----------------
+
+
+def _passes_public_constructor(g: Graph) -> bool:
+    return Graph(g.n, g.rows, g.labels) == g
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_n=8), st.data())
+def test_unchecked_builders_make_valid_graphs(g, data):
+    nbrs = data.draw(st.integers(min_value=0, max_value=(1 << g.n) - 1))
+    keep = data.draw(st.sets(st.integers(0, g.n - 1))) if g.n else set()
+    for built in (add_vertex(g, nbrs), induced_subgraph(g, keep), complement(g),
+                  canonical_form(g)):
+        assert _passes_public_constructor(built)
+
+
+@settings(max_examples=60, deadline=None)
+@given(word_graph_bits)
+def test_unchecked_word_graphs_and_patterns_are_valid(bits):
+    g = graph_of_word(bits)
+    assert _passes_public_constructor(g)
+    assert _passes_public_constructor(graph_of_word_forward(bits))
+    labelled = induced_subgraph(g, range(0, g.n, 2))
+    assert _passes_public_constructor(labelled)
+    assert _passes_public_constructor(complement(labelled))
+    # every pattern graph of the word's age, through the validating constructor
+    with mock.patch.object(ages, "_trusted", Graph):
+        ages.word_age(explicit_word(bits), len(bits), min(5, len(bits) + 1))

@@ -1,7 +1,7 @@
 """Module search, primality, Schmerl-Trotter pairs, heights, census."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import graphs
@@ -20,7 +20,6 @@ from wordgraphs.graphs import (
 from wordgraphs.primes import (
     PrimalityError,
     _pair_closure,
-    _pair_scan,
     find_nontrivial_module,
     is_critically_prime,
     is_module,
@@ -76,7 +75,29 @@ def test_is_prime_agrees_with_subset_enumeration(g):
 @settings(max_examples=300, deadline=None)
 @given(graphs(max_n=10))
 def test_is_prime_agrees_with_pair_scan(g):
-    assert is_prime(g) == (g.n <= 2 or _pair_scan(g) is None)
+    assert is_prime(g) == (g.n <= 2 or oracles.pair_scan_module(g) is None)
+
+
+def _witness_mask(g: Graph) -> int | None:
+    witness = find_nontrivial_module(g)
+    return None if witness is None else sum(1 << v for v in witness.vertices)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=10))
+def test_witness_is_first_proper_pair_closure(g):
+    assert _witness_mask(g) == oracles.pair_scan_module(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=9, min_n=1), st.data())
+def test_witness_is_first_proper_pair_closure_with_a_twin(g, data):
+    # a twin of a vertex other than 0 often leaves every closure through 0
+    # full, so the witness has to come from the maximal modules avoiding 0
+    v = data.draw(st.integers(min_value=0, max_value=g.n - 1))
+    true_twin = data.draw(st.booleans())
+    twin = add_vertex(g, g.rows[v] | (true_twin << v))
+    assert _witness_mask(twin) == oracles.pair_scan_module(twin)
 
 
 def _fibonacci_with_twin(twin_of: int) -> Graph:

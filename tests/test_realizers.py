@@ -6,7 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wordgraphs.graphs import GraphError, clique, complement, empty_graph, induced_subgraph
+import oracles
+from wordgraphs.graphs import Graph, GraphError, clique, complement, empty_graph, induced_subgraph
 from wordgraphs.realizers import (
     Bichain,
     Poset,
@@ -25,6 +26,7 @@ from wordgraphs.realizers import (
     validate_realizer,
 )
 from wordgraphs.wordgraph import graph_of_word
+from wordgraphs.words import fibonacci_word
 
 
 def test_base_cases():
@@ -88,6 +90,8 @@ def test_poset_validation_tripwires():
         Poset((0, 1), (1, 0))  # reflexive
     with pytest.raises(GraphError):
         Poset((0, 1), (2, 1))  # 2-cycle
+    with pytest.raises(GraphError):
+        Poset((0, 1, 2), (2, 4, 0))  # 0 < 1 < 2 without 0 < 2
 
 
 def test_comparability_and_incomparability_are_complements():
@@ -125,3 +129,42 @@ def test_realizer_json_round_trip():
     r = build_realizer("0101")
     back = realizer_from_json(realizer_to_json(r))
     assert back == r
+
+
+def _relabelled(g: Graph, perm: list[int]) -> Graph:
+    """Index k holds vertex perm[k] of g, with its label."""
+    where = {v: k for k, v in enumerate(perm)}
+    rows = tuple(sum(1 << where[w] for w in range(g.n) if g.has_edge(v, w))
+                 for v in perm)
+    return Graph(g.n, rows, tuple(g.label_of(v) for v in perm))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text(alphabet="01", max_size=30), st.data())
+def test_validation_matches_label_pair_oracle(word, data):
+    r = build_realizer(word)
+    g = graph_of_word(word)
+    perm = data.draw(st.permutations(range(g.n)))
+    for host in (g, _relabelled(g, perm)):
+        assert validate_realizer(r, host)
+        assert oracles.realizer_realizes(r.first, r.second, host)
+    if g.n >= 2:
+        i, j = sorted(data.draw(st.lists(st.integers(0, g.n - 1), min_size=2,
+                                         max_size=2, unique=True)))
+        second = list(r.second)
+        second[i], second[j] = second[j], second[i]
+        swapped = Realizer(r.first, tuple(second))
+        for host in (g, _relabelled(g, perm)):
+            assert (validate_realizer(swapped, host)
+                    == oracles.realizer_realizes(swapped.first, swapped.second, host))
+
+
+def test_validation_of_fibonacci_six_hundred_matches_oracle():
+    word = fibonacci_word().prefix(600)
+    r, g, ok = realizer_for_word_graph(word)
+    assert ok and oracles.realizer_realizes(r.first, r.second, g)
+    second = list(r.second)
+    second[0], second[-1] = second[-1], second[0]
+    swapped = Realizer(r.first, tuple(second))
+    assert not validate_realizer(swapped, g)
+    assert not oracles.realizer_realizes(swapped.first, swapped.second, g)

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from conftest import bit_words
 from wordgraphs.graphs import (
     GraphError,
@@ -105,3 +106,16 @@ def _subsets(n, k):
     import itertools
 
     return itertools.combinations(range(n), k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="01", max_size=63))
+def test_letter_mask_rows_match_pair_loop(bits):
+    assert graph_of_word(bits).rows == oracles.word_graph_rows(bits)
+    assert graph_of_word_forward(bits).rows == oracles.word_graph_rows(bits, forward=True)
+
+
+def test_letter_mask_rows_match_pair_loop_at_six_hundred():
+    bits = fibonacci_word().prefix(600)
+    assert graph_of_word(bits).rows == oracles.word_graph_rows(bits)
+    assert graph_of_word_forward(bits).rows == oracles.word_graph_rows(bits, forward=True)
