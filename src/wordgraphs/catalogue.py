@@ -105,16 +105,24 @@ _GENERATORS = {
 }
 
 
-def family_member(family: str, n: int, complemented: bool = False,
-                  word: Word | None = None) -> Graph:
+def _build_member(family: str, n: int, complemented: bool,
+                  word: Word | None) -> tuple[Graph, ChainWordPrime | None]:
+    """The member, with its chain_word_prime record for family five."""
+    chain = None
     if family == "chain_word_prime":
-        g = chain_word_prime(n, word).graph
-        g = Graph(g.n, g.rows)  # drop word labels for uniform export
+        chain = chain_word_prime(n, word)
+        # drop word labels for uniform export
+        g = Graph(chain.graph.n, chain.graph.rows)
     elif family in _GENERATORS:
         g = _GENERATORS[family](n)
     else:
         raise GraphError(f"unknown family {family!r}")
-    return complement(g) if complemented else g
+    return (complement(g) if complemented else g), chain
+
+
+def family_member(family: str, n: int, complemented: bool = False,
+                  word: Word | None = None) -> Graph:
+    return _build_member(family, n, complemented, word)[0]
 
 
 def _induced_rows(g: Graph, image: tuple[int, ...]) -> tuple[int, ...]:
@@ -147,7 +155,7 @@ def detect_unavoidable(g: Graph, n: int,
 
 def family_manifest(family: str, n: int, complemented: bool = False,
                     word: Word | None = None) -> dict:
-    g = family_member(family, n, complemented, word)
+    g, chain = _build_member(family, n, complemented, word)
     doc = {
         "family": family,
         "n": n,
@@ -156,6 +164,6 @@ def family_manifest(family: str, n: int, complemented: bool = False,
         "graph6": to_graph6(g),
         "prime": is_prime(g),
     }
-    if family == "chain_word_prime":
-        doc["word_prefix"] = chain_word_prime(n, word).word_prefix
+    if chain is not None:
+        doc["word_prefix"] = chain.word_prefix
     return doc

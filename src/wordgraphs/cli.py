@@ -72,7 +72,6 @@ class ExperimentConfig:
     out: Path | None = None
     fmt: str = "text"
     seed: int = 0
-    threads: int = 0
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -290,15 +289,12 @@ def _cmd_realizer(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_catalogue(cfg: ExperimentConfig) -> int:
-    family = cfg.extras["family"]
-    member = cat.family_member(family, cfg.n_max,
-                               cfg.extras.get("complemented", False))
-    manifest = cat.family_manifest(family, cfg.n_max,
+    manifest = cat.family_manifest(cfg.extras["family"], cfg.n_max,
                                    cfg.extras.get("complemented", False))
     _emit(json.dumps(manifest, sort_keys=True) + "\n", cfg.out)
     g6_out = cfg.extras.get("g6_out")
     if g6_out:
-        _emit(to_graph6(member) + "\n", _resolve_out(g6_out))
+        _emit(manifest["graph6"] + "\n", _resolve_out(g6_out))
     return 0
 
 
@@ -400,9 +396,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         p.add_argument("--format", dest="fmt", default=None,
                        choices=("text", "json", "csv", "graph6", "dot"))
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=0,
-                       help="0 = auto (currently single-process; every "
-                            "battery fits its budget serially)")
     return parser, named
 
 
@@ -433,7 +426,6 @@ def _configure(argv: list[str]) -> ExperimentConfig:
         out=_resolve_out(getattr(args, "out", None)),
         fmt=args.fmt or _DEFAULT_FMT[args.command],
         seed=getattr(args, "seed", 0),
-        threads=getattr(args, "threads", 0),
     )
     if args.command in ("word", "graph", "age", "bounds", "jonsson"):
         cfg.word = _word_from_args(args)

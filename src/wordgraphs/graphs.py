@@ -9,6 +9,11 @@ graphs.  All values are immutable and safe to share across threads.
 The canonical-form kernel (exact, refinement plus individualization
 backtracking) is capped at :data:`CORE_WIDTH` vertices; every structural
 operation accepts arbitrary order since Python integers are unbounded.
+
+The induced-embedding search (:func:`embedding`) keeps one candidate mask
+per unmapped pattern vertex, with the used host vertices removed, and places
+the last two pattern vertices by one scan with no recursion.  It visits the
+nodes of plain backtracking in the same order, so its images are the same.
 """
 
 from __future__ import annotations
@@ -381,7 +386,21 @@ def embedding(h: Graph, g: Graph) -> tuple[int, ...] | None:
     Backtracking over bitmask candidate sets with forward checking: every
     assignment intersects the candidates of all unmapped pattern vertices
     with the neighborhood (or non-neighborhood) of the image, and the most
-    constrained pattern vertex is branched next.
+    constrained pattern vertex (fewest candidates, lowest index on ties) is
+    branched next, its candidates in ascending order.
+
+    A search node holds the unmapped pattern vertices in ascending order and
+    their candidate masks, with every used host vertex already removed, so a
+    count is a plain ``bit_count``.  The host's neighbour rows and
+    non-neighbour rows (each without the vertex itself) are built once per
+    call, and the branched vertex's pattern row picks one of the two for each
+    unmapped vertex once per node.  A candidate's child masks go into one list
+    per node, which the child only reads before the next candidate refills it.
+    The nodes with three vertices left are unrolled.  With two left, the
+    picked vertex ``p`` takes the first candidate ``v`` whose narrowed mask
+    for the other vertex ``q`` is nonempty, and ``q`` takes that mask's
+    lowest bit, as one more level of branching would.  The search tree, and
+    so the returned image, is the plain backtracking's.
     """
     nh, ng = h.n, g.n
     if nh == 0:
@@ -401,43 +420,98 @@ def embedding(h: Graph, g: Graph) -> tuple[int, ...] | None:
             return None
         base.append(mask)
 
+    grows = g.rows
+    nonrows = [full ^ r ^ (1 << v) for v, r in enumerate(grows)]
+    hrows = h.rows
     image = [-1] * nh
 
-    def solve(done: int, used: int, cands: list[int]) -> bool:
-        if done == nh:
-            return True
-        pick, pick_count = -1, ng + 1
-        for p in range(nh):
-            if image[p] < 0:
-                count = (cands[p] & ~used).bit_count()
-                if count == 0:
-                    return False
-                if count < pick_count:
-                    pick, pick_count = p, count
-        p = pick
-        for v in _bits(cands[p] & ~used):
-            grows_v = g.rows[v]
-            feasible = True
-            nxt = cands[:]
-            for q in range(nh):
-                if q == p or image[q] >= 0:
-                    continue
-                narrowed = cands[q] & (grows_v if h.has_edge(p, q)
-                                       else full ^ grows_v)
-                nxt[q] = narrowed
-                if not narrowed & ~(used | (1 << v)):
-                    feasible = False
-                    break
-            if feasible:
+    # a node: the unmapped pattern vertices (``todo``, ascending) and their
+    # candidate masks of unused host vertices (``cands``, in the same order)
+    def last_two(a: int, b: int, ca: int, cb: int) -> bool:
+        if ca.bit_count() <= cb.bit_count():
+            p, q, cp, cq = a, b, ca, cb
+        else:
+            p, q, cp, cq = b, a, cb, ca
+        sel = grows if (hrows[p] >> q) & 1 else nonrows
+        while cp:
+            low = cp & -cp
+            v = low.bit_length() - 1
+            hit = cq & sel[v]
+            if hit:
                 image[p] = v
-                if solve(done + 1, used | (1 << v), nxt):
-                    return True
-                image[p] = -1
+                image[q] = (hit & -hit).bit_length() - 1
+                return True
+            cp ^= low
         return False
 
-    if not solve(0, 0, base):
-        return None
-    return tuple(image)
+    def last_three(todo: list[int], cands: list[int]) -> bool:
+        # solve() unrolled for three vertices, the most common inner node
+        c0, c1, c2 = cands
+        n0, n1, n2 = c0.bit_count(), c1.bit_count(), c2.bit_count()
+        if n0 <= n1 and n0 <= n2:
+            p, a, b, cp, ca, cb = todo[0], todo[1], todo[2], c0, c1, c2
+        elif n1 <= n2:
+            p, a, b, cp, ca, cb = todo[1], todo[0], todo[2], c1, c0, c2
+        else:
+            p, a, b, cp, ca, cb = todo[2], todo[0], todo[1], c2, c0, c1
+        hp = hrows[p]
+        sa = grows if (hp >> a) & 1 else nonrows
+        sb = grows if (hp >> b) & 1 else nonrows
+        while cp:
+            low = cp & -cp
+            v = low.bit_length() - 1
+            cp ^= low
+            xa = ca & sa[v]
+            if xa:
+                xb = cb & sb[v]
+                if xb:
+                    image[p] = v
+                    if last_two(a, b, xa, xb):
+                        return True
+        return False
+
+    def solve(todo: list[int], cands: list[int]) -> bool:
+        k = len(todo)
+        i, count = 0, cands[0].bit_count()
+        for j in range(1, k):
+            c = cands[j].bit_count()
+            if c < count:
+                i, count = j, c
+        p = todo[i]
+        rest = todo[:i] + todo[i + 1:]
+        rest_cands = cands[:i] + cands[i + 1:]
+        hp = hrows[p]
+        sels = [grows if (hp >> q) & 1 else nonrows for q in rest]
+        child = last_three if k == 4 else solve
+        nxt = [0] * (k - 1)  # refilled per candidate; the child only reads it
+        cp = cands[i]
+        while cp:
+            low = cp & -cp
+            v = low.bit_length() - 1
+            cp ^= low
+            for j in range(k - 1):
+                x = rest_cands[j] & sels[j][v]
+                if not x:
+                    break
+                nxt[j] = x
+            else:
+                image[p] = v
+                if child(rest, nxt):
+                    return True
+        return False
+
+    if nh == 1:
+        image[0] = (base[0] & -base[0]).bit_length() - 1
+        found = True
+    elif nh == 2:
+        found = last_two(0, 1, base[0], base[1])
+    else:
+        found = (last_three if nh == 3 else solve)(list(range(nh)), base)
+    # solve reaches itself through its closure cell; emptying the cell frees
+    # the search state now rather than at a later cyclic collection, which
+    # would let the host rows of many calls pile up as garbage
+    solve = None
+    return tuple(image) if found else None
 
 
 def embeds(h: Graph, g: Graph) -> bool:

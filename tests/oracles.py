@@ -4,8 +4,9 @@ Everything here enumerates: permutations for isomorphism, subsets for
 modules, embeddings and ages.  The plain versions of the kernels that run
 on bitmasks are kept here too: the lexicographic pair-closure scan, the
 refinement that rescans every splitter after each split, the pair-by-pair
-word graph and the label-pair realizer check.  Nothing imports the
-algorithms under test beyond the plain Graph container.
+word graph, the label-pair realizer check and the plain embedding
+backtracking.  Nothing imports the algorithms under test beyond the plain
+Graph container.
 """
 
 from __future__ import annotations
@@ -172,3 +173,71 @@ def realizer_realizes(first: tuple[int, ...], second: tuple[int, ...],
                   if (pos1[x] < pos1[y]) == (pos2[x] < pos2[y])}
     edges = {tuple(sorted((g.label_of(i), g.label_of(j)))) for i, j in g.edges()}
     return comparable == edges
+
+
+def backtrack_embedding(h: Graph, g: Graph) -> tuple[int, ...] | None:
+    """Induced embedding by plain backtracking, one level per pattern vertex.
+
+    The degree prefilter, the pick rule (fewest unused candidates, lowest
+    pattern vertex on ties) and the ascending candidate order are those of
+    ``graphs.embedding``, so the first image found is the same.
+    """
+    nh, ng = h.n, g.n
+    if nh == 0:
+        return ()
+    if nh > ng:
+        return None
+    full = (1 << ng) - 1
+    hdeg = [h.degree(i) for i in range(nh)]
+    gdeg = [g.degree(i) for i in range(ng)]
+    base = []
+    for p in range(nh):
+        mask = 0
+        for v in range(ng):
+            if gdeg[v] >= hdeg[p] and (ng - 1 - gdeg[v]) >= (nh - 1 - hdeg[p]):
+                mask |= 1 << v
+        if not mask:
+            return None
+        base.append(mask)
+
+    image = [-1] * nh
+
+    def solve(done: int, used: int, cands: list[int]) -> bool:
+        if done == nh:
+            return True
+        pick, pick_count = -1, ng + 1
+        for p in range(nh):
+            if image[p] < 0:
+                count = (cands[p] & ~used).bit_count()
+                if count == 0:
+                    return False
+                if count < pick_count:
+                    pick, pick_count = p, count
+        p = pick
+        free = cands[p] & ~used
+        while free:
+            low = free & -free
+            free ^= low
+            v = low.bit_length() - 1
+            grows_v = g.rows[v]
+            feasible = True
+            nxt = cands[:]
+            for q in range(nh):
+                if q == p or image[q] >= 0:
+                    continue
+                narrowed = cands[q] & (grows_v if h.has_edge(p, q)
+                                       else full ^ grows_v)
+                nxt[q] = narrowed
+                if not narrowed & ~(used | (1 << v)):
+                    feasible = False
+                    break
+            if feasible:
+                image[p] = v
+                if solve(done + 1, used | (1 << v), nxt):
+                    return True
+                image[p] = -1
+        return False
+
+    if not solve(0, 0, base):
+        return None
+    return tuple(image)

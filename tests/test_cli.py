@@ -5,6 +5,7 @@ import json
 import pytest
 
 from wordgraphs import cli
+from wordgraphs.catalogue import family_member
 from wordgraphs.cli import main
 from wordgraphs.graph6 import from_graph6, to_graph6
 from wordgraphs.graphs import are_isomorphic, path
@@ -107,6 +108,16 @@ def test_catalogue_and_detect(capsys, tmp_path):
     assert doc["families_not_generated"] == ["half_graph_clique_plus"]
 
 
+def test_catalogue_g6_out_is_the_member(capsys, tmp_path):
+    g6file = tmp_path / "chain.g6"
+    code, out = run(capsys, "catalogue", "--family", "chain_word_prime", "--n", "6",
+                    "--complement", "--g6-out", str(g6file))
+    doc = json.loads(out)
+    assert code == 0 and doc["word_prefix"] == "010010"
+    member = family_member("chain_word_prime", 6, complemented=True)
+    assert g6file.read_text() == doc["graph6"] + "\n" == to_graph6(member) + "\n"
+
+
 def test_config_file_defaults_and_flag_priority(capsys, tmp_path):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"length": 6, "periodic": "10"}))
@@ -153,6 +164,10 @@ def test_config_error_exit_codes(capsys):
     assert main(["word", "--fib", "--periodic", "1", "--length", "5"]) == 2
     capsys.readouterr()
     assert main(["detect", "--g6", "!!notgraph6!!", "--n", "2"]) == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:  # argparse: the flag is gone
+        main(["word", "--fib", "--length", "5", "--threads", "2"])
+    assert exc.value.code == 2
     capsys.readouterr()
 
 

@@ -1,13 +1,15 @@
 """Graph kernel: constructors, canonical form, embedding search."""
 
+import gc
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import graphs
+from conftest import bit_words, graphs
 from wordgraphs import ages
+from wordgraphs.catalogue import FAMILIES, family_member
 from wordgraphs.graphs import (
     CORE_WIDTH,
     Graph,
@@ -21,6 +23,7 @@ from wordgraphs.graphs import (
     complement,
     complete_bipartite,
     cycle,
+    delete_vertex,
     embedding,
     embeds,
     empty_graph,
@@ -32,7 +35,7 @@ from wordgraphs.graphs import (
     path,
 )
 from wordgraphs.wordgraph import graph_of_word, graph_of_word_forward
-from wordgraphs.words import explicit_word
+from wordgraphs.words import explicit_word, fibonacci_word
 
 
 def test_construction_rejects_asymmetry():
@@ -169,6 +172,101 @@ def test_embedding_returns_validating_witness():
     image = embedding(h, g)
     assert image is not None
     assert are_isomorphic(induced_subgraph(g, image), h)
+
+
+# -- embedding against plain backtracking and VF2 -------------------------------
+
+
+def _is_certificate(h: Graph, g: Graph, image: tuple[int, ...]) -> bool:
+    """Injective, and g induced on the image, in h's vertex order, is h."""
+    return (len(image) == h.n and len(set(image)) == h.n
+            and all(((g.rows[v] >> w) & 1) == ((h.rows[p] >> q) & 1)
+                    for p, v in enumerate(image) for q, w in enumerate(image)))
+
+
+def _same_image(h: Graph, g: Graph) -> tuple[int, ...] | None:
+    image = embedding(h, g)
+    assert image == oracles.backtrack_embedding(h, g)
+    assert image is None or _is_certificate(h, g, image)
+    return image
+
+
+def _induced_pattern(g: Graph, data) -> Graph:
+    """A pattern of up to 7 vertices induced by g, in a drawn vertex order."""
+    picked = data.draw(st.lists(st.integers(0, g.n - 1), unique=True, max_size=7))
+    return Graph(len(picked), tuple(
+        sum(((g.rows[v] >> w) & 1) << q for q, w in enumerate(picked))
+        for v in picked))
+
+
+@settings(max_examples=400, deadline=None)
+@given(graphs(max_n=7), graphs(max_n=12))
+def test_embedding_matches_backtracking(h, g):
+    _same_image(h, g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(min_n=1, max_n=12), st.data())
+def test_embedding_matches_backtracking_on_induced_patterns(g, data):
+    h = _induced_pattern(g, data)
+    assert _same_image(h, g) is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=7), bit_words, st.data())
+def test_embedding_matches_backtracking_in_word_graphs(h, bits, data):
+    g = graph_of_word(bits)
+    _same_image(h, g)
+    assert _same_image(_induced_pattern(g, data), g) is not None
+
+
+def test_embedding_matches_backtracking_on_bound_certificates():
+    w = fibonacci_word()
+    certs = ages.bounds_enumerate(w, 32, 6)
+    for length in (32, 64):
+        host = graph_of_word(w, length)
+        for cert in certs:
+            assert _same_image(cert.graph, host) is None
+            for v in range(cert.graph.n):
+                assert _same_image(delete_vertex(cert.graph, v), host) is not None
+
+
+def test_embedding_matches_backtracking_on_detect_members():
+    host = graph_of_word(fibonacci_word(), 100)
+    for family in FAMILIES:
+        for complemented in (False, True):
+            _same_image(family_member(family, 4, complemented), host)
+
+
+def test_embedding_leaves_no_cyclic_garbage():
+    # each call's search state must be freed on return, not left for the
+    # cyclic collector: peak memory grew with the number of searches
+    host = graph_of_word(fibonacci_word(), 32)
+    gc.collect()
+    gc.disable()
+    try:
+        for h in (path(1), path(2), path(3), path(4), cycle(5), clique(4)):
+            embedding(h, host)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=7), graphs(min_n=9, max_n=14), st.data())
+def test_embeds_agrees_with_vf2(h, g, data):
+    nx = pytest.importorskip("networkx")
+    host = nx.Graph()
+    host.add_nodes_from(range(g.n))
+    host.add_edges_from(g.edges())
+    for pattern in (h, _induced_pattern(g, data)):
+        small = nx.Graph()
+        small.add_nodes_from(range(pattern.n))
+        small.add_edges_from(pattern.edges())
+        vf2 = nx.algorithms.isomorphism.GraphMatcher(host, small)
+        image = embedding(pattern, g)
+        assert (image is not None) == vf2.subgraph_is_isomorphic()
+        assert image is None or _is_certificate(pattern, g, image)
 
 
 def test_enumerate_graphs_counts():
