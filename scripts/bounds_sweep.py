@@ -13,6 +13,9 @@ import csv
 import sys
 from pathlib import Path
 
+# the package of the checkout this script sits in, installed or not
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
 from wordgraphs.ages import bounds_enumerate, validate_bound_certificate
 from wordgraphs.words import fibonacci_word, mechanical_word, periodic_word, golden_slope
 

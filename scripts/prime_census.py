@@ -4,12 +4,18 @@
 For each order up to the cap: how many isomorphism classes are prime, how
 many of those are critically prime, and the min/max height over the level.
 Each prime of order >= 7 gets its two-vertex removal pair re-validated.
-Output: CSV to stdout or --out.
+Output: CSV to stdout or --out; one progress line per order to stderr.
+
+    PYTHONPATH=src python3 scripts/prime_census.py --n-max 7
 """
 
 import argparse
 import csv
 import sys
+from pathlib import Path
+
+# the package of the checkout this script sits in, installed or not
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from wordgraphs.graphs import enumerate_graphs, induced_subgraph
 from wordgraphs.primes import (
@@ -43,7 +49,7 @@ def main() -> int:
                      min(heights, default=""), max(heights, default=""),
                      validated if n >= 7 else ""))
         print(f"order {n}: {len(level)} classes, {len(primes)} prime, "
-              f"{critical} critically prime")
+              f"{critical} critically prime", file=sys.stderr)
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     csv.writer(out).writerows(rows)
     if args.out:

@@ -254,6 +254,17 @@ def make(family: str, *params: int) -> Graph:
 # unions of twins linear.  The minimum upper-triangle encoding over all search
 # leaves is the canonical form; exactness, not hashing, because age sets and
 # census counts deduplicate by key.
+#
+# The same walk yields generators of the automorphism group.  The tree is
+# built from label-free choices only (refinement, first non-twin cell, every
+# vertex of it), so an automorphism maps it onto itself and the best leaf onto
+# a leaf with the same code; a leaf's code is fixed by its ordered partition,
+# since twin cells encode alike in any internal order.  So every automorphism
+# is the permutation taking the best leaf's order to that of another leaf of
+# minimum code, times a permutation inside the best leaf's cells, which are
+# singletons or twin cells, whose permutations are all automorphisms.  Their
+# orbits on neighbourhood masks cut the extensions :func:`enumerate_graphs`
+# tries.
 
 
 def _refine(rows: tuple[int, ...], cells: list[list[int]],
@@ -312,7 +323,9 @@ def _encode(rows: tuple[int, ...], order: list[int]) -> int:
     return code
 
 
-def _canonical_order(g: Graph) -> list[int]:
+def _canonical_order(g: Graph, leaves: list | None = None) -> list[int]:
+    """The first leaf order of minimum code; ``leaves``, if given, receives
+    ``(code, order, cells)`` for every leaf in walk order."""
     if g.n > CORE_WIDTH:
         raise GraphError(f"canonical form capped at {CORE_WIDTH} vertices")
     rows = g.rows
@@ -332,6 +345,8 @@ def _canonical_order(g: Graph) -> list[int]:
         if target < 0:
             order = [v for cell in cells for v in sorted(cell)]
             code = _encode(rows, order)
+            if leaves is not None:
+                leaves.append((code, order, cells))
             if best_code is None or code < best_code:
                 best_code = code
                 best_order = order
@@ -374,6 +389,66 @@ def canonical_form(g: Graph) -> Graph:
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
     return g.n == h.n and canonical_key(g) == canonical_key(h)
+
+
+def _automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
+    """Generators of the automorphism group of ``g``, each as the image tuple
+    ``perm[v]``, read off the leaves of its canonical search (see above):
+    the best leaf's order mapped to every later leaf of the same code, and the
+    transposition of each two consecutive vertices of a twin cell of the best
+    leaf."""
+    leaves: list[tuple[int, list[int], list[list[int]]]] = []
+    _canonical_order(g, leaves)
+    if not leaves:
+        return []  # order <= 1
+    best_code = min(code for code, _, _ in leaves)
+    first = next(i for i, leaf in enumerate(leaves) if leaf[0] == best_code)
+    _, best, best_cells = leaves[first]
+    gens = []
+    for code, order, _ in leaves[first + 1:]:
+        if code == best_code:
+            perm = [0] * g.n
+            for u, v in zip(best, order):
+                perm[u] = v
+            gens.append(tuple(perm))
+    for cell in best_cells:
+        cell = sorted(cell)
+        for u, v in zip(cell, cell[1:]):
+            perm = list(range(g.n))
+            perm[u], perm[v] = v, u
+            gens.append(tuple(perm))
+    return gens
+
+
+def _orbit_representatives(n: int, gens: list[tuple[int, ...]]) -> list[int]:
+    """The smallest vertex mask of each orbit of the group that ``gens``
+    generate on the subsets of ``0..n-1``, ascending."""
+    size = 1 << n
+    if not gens:
+        return list(range(size))
+    images = []
+    for perm in gens:
+        image = [0] * size
+        for mask in range(1, size):
+            low = mask & -mask
+            image[mask] = image[mask ^ low] | (1 << perm[low.bit_length() - 1])
+        images.append(image)
+    seen = bytearray(size)
+    reps = []
+    for mask in range(size):
+        if seen[mask]:
+            continue
+        reps.append(mask)
+        seen[mask] = 1
+        stack = [mask]
+        while stack:
+            x = stack.pop()
+            for image in images:
+                y = image[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    stack.append(y)
+    return reps
 
 
 # -- induced-subgraph embedding -------------------------------------------
@@ -529,15 +604,20 @@ def enumerate_graphs(n_max: int) -> list[list[Graph]]:
     """All isomorphism classes per order ``0..n_max`` (canonical reps).
 
     Level ``k + 1`` is built by attaching one vertex to each level-``k``
-    representative with every possible neighborhood, deduplicating by
-    canonical key.  Exhaustive: deleting the last vertex of any class leaves
-    a class of the previous level.  Levels are cached across calls.
+    representative, deduplicating by canonical key.  Exhaustive: deleting the
+    last vertex of any class leaves a class of the previous level.  Two
+    neighbourhoods in one orbit of the parent's automorphism group give
+    isomorphic extensions, so only the smallest mask of each orbit is tried
+    (McKay, J. Algorithms 26, 1998); the generators come from the parent's
+    canonical search (:func:`_automorphism_generators`).  The level is the
+    same set of keys, sorted, so it does not depend on which masks are tried.
+    Levels are cached across calls.
     """
     while len(_LEVEL_CACHE) <= n_max:
         k = len(_LEVEL_CACHE) - 1
         seen: dict[CanonKey, Graph] = {}
         for g in _LEVEL_CACHE[k]:
-            for nbrs in range(1 << k):
+            for nbrs in _orbit_representatives(k, _automorphism_generators(g)):
                 ext = add_vertex(g, nbrs)
                 key = canonical_key(ext)
                 if key not in seen:

@@ -26,7 +26,11 @@ inside it, is the tests' independent oracle for both the test and the
 witness, beside the exhaustive-subset method.
 
 Heights are computed by dynamic programming over canonical keys; the memo
-table is shared and idempotent (all writers compute equal values).
+table is shared and idempotent (all writers compute equal values).  The
+recursion visits only the subgraphs that drop one or two vertices, which by
+the Schmerl-Trotter extension theorem (Discrete Math. 113, 1993) hold a
+prime of the largest height below (see :func:`prime_height`); the
+all-subsets recursion is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -205,31 +209,24 @@ def schmerl_trotter_pair(g: Graph) -> tuple[int, int] | None:
 # -- heights ----------------------------------------------------------------
 
 _HEIGHT_MEMO: dict[CanonKey, int] = {}
-_PRIME_SUBKEYS_MEMO: dict[CanonKey, tuple[tuple[CanonKey, Graph], ...]] = {}
 
 DEFAULT_HEIGHT_CAP = 8
-
-
-def _prime_subgraphs(g: Graph, key: CanonKey) -> tuple[tuple[CanonKey, Graph], ...]:
-    """Canonical (key, representative) pairs of proper prime induced subgraphs."""
-    cached = _PRIME_SUBKEYS_MEMO.get(key)
-    if cached is not None:
-        return cached
-    found: dict[CanonKey, Graph] = {}
-    for mask in range((1 << g.n) - 1):
-        sub = induced_subgraph(g, [v for v in range(g.n) if (mask >> v) & 1])
-        if is_prime(sub):
-            found.setdefault(canonical_key(sub), sub)
-    result = tuple(found.items())
-    _PRIME_SUBKEYS_MEMO[key] = result
-    return result
 
 
 def prime_height(g: Graph, cap: int = DEFAULT_HEIGHT_CAP) -> PrimeHeightRecord:
     """Longest chain of prime graphs below g, the empty graph at height 0.
 
-    Every prime strictly embeddable in g appears among its proper induced
-    subgraphs, so the recursion over subset classes is exact.
+    The height of a prime is one more than the largest height of a prime
+    strictly embeddable in it, which is a proper induced subgraph.  Height
+    grows along strict embeddings, so a prime subgraph inside another prime
+    proper subgraph never decides the maximum.  From order 4 on, only the
+    subsets that drop one or two vertices are tried: a prime subgraph of
+    order >= 3 lies in a prime subgraph with two more vertices (Schmerl &
+    Trotter, Discrete Math. 113, 1993), hence in one of order n - 1 or
+    n - 2, and one of order <= 2 lies in a P4, which every prime of order
+    >= 4 contains.  A pair is skipped when dropping one of its vertices
+    alone leaves a prime.  Below order 4 every subset is tried.  The
+    all-subsets recursion is the tests' oracle.
     """
     if g.n > cap:
         raise GraphError(f"prime_height capped at {cap} vertices")
@@ -240,15 +237,22 @@ def prime_height(g: Graph, cap: int = DEFAULT_HEIGHT_CAP) -> PrimeHeightRecord:
         memo = _HEIGHT_MEMO.get(key)
         if memo is not None:
             return memo
-        best = -1
-        for sub_key, sub in _prime_subgraphs(h, key):
-            val = _HEIGHT_MEMO.get(sub_key)
-            if val is None:
-                val = height_of(sub, sub_key)
-            best = max(best, val)
-        value = best + 1
-        _HEIGHT_MEMO[key] = value
-        return value
+
+        def sub_height(mask: int) -> int:
+            sub = induced_subgraph(h, _bits(mask))
+            return height_of(sub, canonical_key(sub)) if is_prime(sub) else -1
+
+        full = (1 << h.n) - 1
+        if h.n < 4:
+            best = max((sub_height(mask) for mask in range(full)), default=-1)
+        else:
+            singles = [sub_height(full ^ (1 << u)) for u in range(h.n)]
+            # a pair through u lies inside h - u; if that is prime, it wins
+            spare = [u for u in range(h.n) if singles[u] < 0]
+            best = max(singles + [sub_height(full ^ (1 << u) ^ (1 << v))
+                                  for i, u in enumerate(spare) for v in spare[i + 1:]])
+        _HEIGHT_MEMO[key] = best + 1
+        return best + 1
 
     key = canonical_key(g)
     return PrimeHeightRecord(key=key, order=g.n, height=height_of(g, key))

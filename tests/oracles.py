@@ -6,14 +6,24 @@ on bitmasks are kept here too: the lexicographic pair-closure scan, the
 refinement that rescans every splitter after each split, the pair-by-pair
 word graph, the label-pair realizer check and the plain embedding
 backtracking.  Nothing imports the algorithms under test beyond the plain
-Graph container.
+Graph container, save the two slow routes of the census: generation that
+tries every neighbourhood mask and heights over every subset.  They differ
+from the fast routes only in what they try, and reuse the canonical key,
+form and primality test, which are checked against brute force on their own.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from wordgraphs.graphs import Graph, induced_subgraph
+from wordgraphs.graphs import (
+    Graph,
+    add_vertex,
+    canonical_form,
+    canonical_key,
+    induced_subgraph,
+)
+from wordgraphs.primes import is_prime
 
 
 def relabel(g: Graph, perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -91,6 +101,48 @@ def brute_iso_classes(n: int) -> list[Graph]:
         g = Graph(n, tuple(rows))
         seen.setdefault(brute_canonical(g), g)
     return list(seen.values())
+
+
+def brute_automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every permutation ``perm`` (vertex v to perm[v]) preserving adjacency."""
+    found = []
+    for perm in itertools.permutations(range(g.n)):
+        if all(sum(1 << perm[w] for w in range(g.n) if (g.rows[v] >> w) & 1)
+               == g.rows[perm[v]] for v in range(g.n)):
+            found.append(perm)
+    return found
+
+
+def all_masks_levels(n_max: int) -> list[list[Graph]]:
+    """Classes per order 0..n_max, each level-k class extended by all 2^k
+    neighbourhood masks, deduplicated by canonical key, sorted by key."""
+    levels = [[Graph(0, ())]]
+    for k in range(n_max):
+        seen: dict[bytes, Graph] = {}
+        for g in levels[k]:
+            for nbrs in range(1 << k):
+                ext = add_vertex(g, nbrs)
+                key = canonical_key(ext)
+                if key not in seen:
+                    seen[key] = canonical_form(ext)
+        levels.append([seen[key] for key in sorted(seen)])
+    return levels
+
+
+_EXHAUSTIVE_HEIGHTS: dict[bytes, int] = {}
+
+
+def exhaustive_prime_height(g: Graph) -> int:
+    """Prime height by recursion over every proper subset, memoised by key."""
+    key = canonical_key(g)
+    if key not in _EXHAUSTIVE_HEIGHTS:
+        best = -1
+        for mask in range((1 << g.n) - 1):
+            sub = induced_subgraph(g, [v for v in range(g.n) if (mask >> v) & 1])
+            if is_prime(sub):
+                best = max(best, exhaustive_prime_height(sub))
+        _EXHAUSTIVE_HEIGHTS[key] = best + 1
+    return _EXHAUSTIVE_HEIGHTS[key]
 
 
 def brute_age(source: Graph, k_max: int) -> dict[int, set]:

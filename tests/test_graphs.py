@@ -14,6 +14,9 @@ from wordgraphs.graphs import (
     CORE_WIDTH,
     Graph,
     GraphError,
+    _automorphism_generators,
+    _canonical_order,
+    _orbit_representatives,
     _refine,
     add_vertex,
     are_isomorphic,
@@ -280,6 +283,83 @@ def test_enumerate_graphs_matches_brute_classes():
         got = {oracles.brute_canonical(g) for g in levels[n]}
         want = {oracles.brute_canonical(g) for g in oracles.brute_iso_classes(n)}
         assert got == want
+
+
+def test_enumerate_graphs_matches_all_masks_oracle():
+    # one extension per orbit gives the levels of every extension, row for row
+    got = enumerate_graphs(7)
+    want = oracles.all_masks_levels(7)
+    assert [len(level) for level in got] == [1, 1, 2, 4, 11, 34, 156, 1044]
+    assert [[g.rows for g in level] for level in got] == \
+        [[g.rows for g in level] for level in want]
+
+
+# -- automorphism generators from the canonical search -------------------------
+
+
+def _mask_orbits(n: int, perms) -> set[frozenset[int]]:
+    """Orbits of the vertex masks of 0..n-1 under the group ``perms`` generate."""
+    images = [[sum(1 << perm[v] for v in range(n) if (mask >> v) & 1)
+               for mask in range(1 << n)] for perm in perms]
+    orbits, placed = set(), set()
+    for mask in range(1 << n):
+        if mask in placed:
+            continue
+        orbit, stack = {mask}, [mask]
+        while stack:
+            x = stack.pop()
+            for image in images:
+                if image[x] not in orbit:
+                    orbit.add(image[x])
+                    stack.append(image[x])
+        placed |= orbit
+        orbits.add(frozenset(orbit))
+    return orbits
+
+
+def _check_generators(g: Graph) -> None:
+    gens = _automorphism_generators(g)
+    autos = oracles.brute_automorphisms(g)
+    assert set(gens) <= set(autos)
+    orbits = _mask_orbits(g.n, autos)
+    assert _mask_orbits(g.n, gens) == orbits
+    assert _orbit_representatives(g.n, gens) == sorted(min(o) for o in orbits)
+
+
+def test_automorphism_generators_on_every_class_through_order_six():
+    for level in enumerate_graphs(6):
+        for g in level:
+            _check_generators(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=7))
+def test_automorphism_generators_match_permutation_brute_force(g):
+    _check_generators(g)
+
+
+def test_automorphism_generators_where_leaf_codes_differ():
+    # through order 7 only two classes reach leaves of more than one code;
+    # there a leaf above the minimum code gives no automorphism
+    def leaf_codes(g):
+        leaves = []
+        _canonical_order(g, leaves)
+        return {code for code, _, _ in leaves}
+
+    mixed = [g for g in enumerate_graphs(7)[7] if len(leaf_codes(g)) > 1]
+    assert len(mixed) == 2
+    for g in mixed:
+        _check_generators(g)
+
+
+@pytest.mark.parametrize("g", [empty_graph(5), clique(5), complete_bipartite(2, 3)],
+                         ids=["edgeless", "clique", "K_2,3"])
+def test_twin_transpositions_alone_generate(g):
+    # the refinement reaches a leaf of twin cells at once: one leaf, no
+    # leaf permutation, and the transpositions must give the whole group
+    assert all(sum(a != b for a, b in enumerate(perm)) == 2
+               for perm in _automorphism_generators(g))
+    _check_generators(g)
 
 
 # -- refinement against the rescanning oracle --------------------------------

@@ -1,5 +1,7 @@
 """Module search, primality, Schmerl-Trotter pairs, heights, census."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -166,6 +168,24 @@ def test_prime_height_examples():
     assert prime_height(from_edges(2, [(0, 1)])).height == 2
     # P_4: primes strictly below are the empty graph, K_1, K_2 and 2K_1
     assert prime_height(path(4)).height == 3
+
+
+def test_prime_height_matches_all_subsets_oracle():
+    # orders 0..2 are prime by convention; P4 is the one prime of order 4
+    for n in range(8):
+        for g in prime_graphs_of_order(n):
+            assert prime_height(g).height == oracles.exhaustive_prime_height(g)
+
+
+def test_prime_height_matches_all_subsets_oracle_at_order_eight():
+    rng = random.Random(8)
+    pairs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
+    checked = 0
+    while checked < 30:
+        g = from_edges(8, [pair for pair in pairs if rng.random() < 0.5])
+        if is_prime(g):
+            assert prime_height(g).height == oracles.exhaustive_prime_height(g)
+            checked += 1
 
 
 def test_prime_height_cap_and_precondition():
