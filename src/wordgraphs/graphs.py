@@ -424,8 +424,6 @@ def _orbit_representatives(n: int, gens: list[tuple[int, ...]]) -> list[int]:
     """The smallest vertex mask of each orbit of the group that ``gens``
     generate on the subsets of ``0..n-1``, ascending."""
     size = 1 << n
-    if not gens:
-        return list(range(size))
     images = []
     for perm in gens:
         image = [0] * size

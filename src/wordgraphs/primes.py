@@ -219,14 +219,15 @@ def prime_height(g: Graph, cap: int = DEFAULT_HEIGHT_CAP) -> PrimeHeightRecord:
     The height of a prime is one more than the largest height of a prime
     strictly embeddable in it, which is a proper induced subgraph.  Height
     grows along strict embeddings, so a prime subgraph inside another prime
-    proper subgraph never decides the maximum.  From order 4 on, only the
-    subsets that drop one or two vertices are tried: a prime subgraph of
-    order >= 3 lies in a prime subgraph with two more vertices (Schmerl &
-    Trotter, Discrete Math. 113, 1993), hence in one of order n - 1 or
-    n - 2, and one of order <= 2 lies in a P4, which every prime of order
-    >= 4 contains.  A pair is skipped when dropping one of its vertices
-    alone leaves a prime.  Below order 4 every subset is tried.  The
-    all-subsets recursion is the tests' oracle.
+    proper subgraph never decides the maximum.  Only the subsets that drop
+    one or two vertices are tried: a prime subgraph of order >= 3 lies in a
+    prime subgraph with two more vertices (Schmerl & Trotter, Discrete
+    Math. 113, 1993), hence in one of order n - 1 or n - 2, and one of
+    order <= 2 lies in a P4, which every prime of order >= 4 contains.  No
+    graph of order 3 is prime, and below that the one- and two-vertex drops
+    are every proper subset.  A pair is skipped when dropping one of its
+    vertices alone leaves a prime.  The all-subsets recursion is the tests'
+    oracle.
     """
     if g.n > cap:
         raise GraphError(f"prime_height capped at {cap} vertices")
@@ -243,14 +244,12 @@ def prime_height(g: Graph, cap: int = DEFAULT_HEIGHT_CAP) -> PrimeHeightRecord:
             return height_of(sub, canonical_key(sub)) if is_prime(sub) else -1
 
         full = (1 << h.n) - 1
-        if h.n < 4:
-            best = max((sub_height(mask) for mask in range(full)), default=-1)
-        else:
-            singles = [sub_height(full ^ (1 << u)) for u in range(h.n)]
-            # a pair through u lies inside h - u; if that is prime, it wins
-            spare = [u for u in range(h.n) if singles[u] < 0]
-            best = max(singles + [sub_height(full ^ (1 << u) ^ (1 << v))
-                                  for i, u in enumerate(spare) for v in spare[i + 1:]])
+        singles = [sub_height(full ^ (1 << u)) for u in range(h.n)]
+        # a pair through u lies inside h - u; if that is prime, it wins
+        spare = [u for u in range(h.n) if singles[u] < 0]
+        best = max(singles + [sub_height(full ^ (1 << u) ^ (1 << v))
+                              for i, u in enumerate(spare) for v in spare[i + 1:]],
+                   default=-1)
         _HEIGHT_MEMO[key] = best + 1
         return best + 1
 
