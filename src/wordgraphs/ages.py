@@ -15,7 +15,10 @@ Level by level, each such gapped-factor pattern keeps the bitmask of indices
 where it can end; appending letter c is an adjacent move (ends shifted by
 one, intersected with the indices of c) or a gap move (indices of c at
 least two past the lowest end).  A pattern occurs iff its mask is nonzero,
-so the levels are exact; patterns with equal graphs merge their masks.
+so the levels are exact; patterns with equal graphs merge their masks.  A
+pattern of level k + 1 is a pattern of level k plus one vertex, so its class
+is the parent's canonical form plus the new row mapped into it: one canonical
+search per parent class and new row, however many patterns share them.
 
 Generic sources (``age_enumerate``) take the extension route: every member
 of size k+1 contains a member of size k, so attaching a new vertex with
@@ -41,6 +44,7 @@ from .graphs import (
     CanonKey,
     Graph,
     GraphError,
+    _canonical_cached,
     _trusted,
     add_vertex,
     canonical_form,
@@ -149,24 +153,45 @@ def age_includes(a: AgeApprox, b: AgeApprox) -> InclusionResult:
 # -- word-graph ages by gapped-factor patterns ----------------------------------
 
 
-def _extend_patterns(states: dict[tuple[int, ...], int], k: int,
-                     pos: tuple[int, int]) -> dict[tuple[int, ...], int]:
+def _extend_patterns(states: dict[tuple[int, ...], list], k: int,
+                     pos: tuple[int, int],
+                     forms: dict[CanonKey, Graph]) -> dict[tuple[int, ...], list]:
     """Append one letter to every k-vertex pattern, by an adjacent or a gap move.
 
     The new vertex k, with letter c, sees an earlier vertex p as a neighbour
-    iff (c == 1) == (p == k - 1 and the move is adjacent).
+    iff (c == 1) == (p == k - 1 and the move is adjacent): its row is all,
+    none, only the last vertex, or all but the last.  A state maps the
+    pattern's rows to ``[ends, class key, at]``, where ``at`` is the index of
+    the pattern's last vertex in the class's canonical form ``forms[key]``,
+    so the new row mapped into that form is all, none, only ``at`` or all
+    but ``at``.  The child's class is the form plus that row: its canonical
+    search depends only on the parent class and the row, and the LRU of
+    :func:`_canonical_cached` serves every repeat of that pair.
     """
     full, last = (1 << k) - 1, 1 << (k - 1)
-    nxt: dict[tuple[int, ...], int] = {}
-    for rows, ends in states.items():
+    nxt: dict[tuple[int, ...], list] = {}
+    for rows, (ends, key, at) in states.items():
         above_gap = ~(((ends & -ends) << 2) - 1)  # indices >= lowest end + 2
+        form = forms[key].rows
         for base, letter_pos in ((full, pos[0]), (0, pos[1])):
-            for nbrs, reach in ((base ^ last, (ends << 1) & letter_pos),
-                                (base, letter_pos & above_gap)):
-                if reach:
-                    grown = tuple(r | (((nbrs >> i) & 1) << k)
-                                  for i, r in enumerate(rows)) + (nbrs,)
-                    nxt[grown] = nxt.get(grown, 0) | reach
+            for nbrs, mapped, reach in (
+                    (base ^ last, base ^ (1 << at), (ends << 1) & letter_pos),
+                    (base, base, letter_pos & above_gap)):
+                if not reach:
+                    continue
+                grown = tuple(r | (((nbrs >> i) & 1) << k)
+                              for i, r in enumerate(rows)) + (nbrs,)
+                state = nxt.get(grown)
+                if state is not None:
+                    state[0] |= reach
+                    continue
+                extended = tuple(r | (((mapped >> i) & 1) << k)
+                                 for i, r in enumerate(form)) + (mapped,)
+                child_key, order = _canonical_cached(k + 1, extended)
+                if child_key not in forms:
+                    forms[child_key] = canonical_form(_trusted(k + 1, extended))
+                # vertex k of the extended form is the child's last vertex
+                nxt[grown] = [reach, child_key, order.index(k)]
     return nxt
 
 
@@ -174,7 +199,12 @@ def word_age(w: Word, L: int, k_max: int) -> AgeApprox:
     """Age of the word graph at prefix ``L``, enumerated without any search.
 
     States of level k map a k-vertex pattern graph (its vertices in position
-    order) to the bitmask of source indices where the pattern can end.
+    order) to the bitmask of source indices where the pattern can end, and
+    to its class: the canonical key and where the pattern's last vertex sits
+    in the canonical form.  States stay distinct, since their end masks
+    differ, but the canonical search runs once per parent class and new row
+    (see :func:`_extend_patterns`), not once per state.  A level is the set
+    of its states' keys, sorted, with the canonical forms as members.
     """
     source = graph_of_word(w, L)
     if k_max > source.n:
@@ -187,17 +217,16 @@ def word_age(w: Word, L: int, k_max: int) -> AgeApprox:
     pos = (((1 << source.n) - 2) ^ ones, ones)
     empty = Graph(0, ())
     levels: dict[int, dict[CanonKey, Graph]] = {0: {canonical_key(empty): empty}}
-    states = {(0,): (1 << source.n) - 1}  # one vertex ends anywhere in 0..L
+    vertex = _trusted(1, (0,))
+    vertex_key = canonical_key(vertex)
+    forms = {vertex_key: vertex}  # class key -> canonical form, every level
+    # one vertex ends anywhere in 0..L
+    states = {(0,): [(1 << source.n) - 1, vertex_key, 0]}
     for k in range(1, k_max + 1):
         if k > 1:
-            states = _extend_patterns(states, k - 1, pos)
-        found: dict[CanonKey, Graph] = {}
-        for rows in states:
-            g = _trusted(k, rows)
-            key = canonical_key(g)
-            if key not in found:
-                found[key] = canonical_form(g)
-        levels[k] = {key: found[key] for key in sorted(found)}
+            states = _extend_patterns(states, k - 1, pos, forms)
+        keys = {key for _, key, _ in states.values()}
+        levels[k] = {key: forms[key] for key in sorted(keys)}
     return AgeApprox(source=source, source_desc=json.dumps({"word_prefix": L}),
                      k_max=k_max, levels=levels)
 

@@ -12,8 +12,11 @@ operation accepts arbitrary order since Python integers are unbounded.
 
 The induced-embedding search (:func:`embedding`) keeps one candidate mask
 per unmapped pattern vertex, with the used host vertices removed, and places
-the last two pattern vertices by one scan with no recursion.  It visits the
-nodes of plain backtracking in the same order, so its images are the same.
+the last two pattern vertices by one scan with no recursion.  It remembers the
+three-left nodes whose subtrees held no image, and skips a node it has already
+proved empty; the memo is cleared whenever the root moves to its next
+candidate.  It visits the nodes of plain backtracking in the same order,
+minus those empty subtrees, so its images are the same.
 """
 
 from __future__ import annotations
@@ -472,8 +475,18 @@ def embedding(h: Graph, g: Graph) -> tuple[int, ...] | None:
     The nodes with three vertices left are unrolled.  With two left, the
     picked vertex ``p`` takes the first candidate ``v`` whose narrowed mask
     for the other vertex ``q`` is nonempty, and ``q`` takes that mask's
-    lowest bit, as one more level of branching would.  The search tree, and
-    so the returned image, is the plain backtracking's.
+    lowest bit, as one more level of branching would.
+
+    A three-left node's subtree depends only on its unmapped vertices and
+    their candidate masks, since the used host vertices are already out of
+    the masks.  A node records that state in a set just before it returns
+    False, and a node whose state is in the set returns False at once: it
+    would walk the same empty subtree again.  Nothing is recorded on success,
+    and a skipped subtree holds no image, so the search returns the plain
+    backtracking's image (the first in its walk order).  The set is cleared
+    each time the root moves to its next candidate, which keeps most repeats
+    (they are siblings and cousins under one root choice) and bounds the set
+    by the work under one root candidate, not by the whole search.
     """
     nh, ng = h.n, g.n
     if nh == 0:
@@ -517,9 +530,16 @@ def embedding(h: Graph, g: Graph) -> tuple[int, ...] | None:
             cp ^= low
         return False
 
+    # three-left states (todo, then cands) proved empty under the root's
+    # current candidate
+    failed: set[tuple[int, ...]] = set()
+
     def last_three(todo: list[int], cands: list[int]) -> bool:
         # solve() unrolled for three vertices, the most common inner node
         c0, c1, c2 = cands
+        state = (todo[0], todo[1], todo[2], c0, c1, c2)
+        if state in failed:
+            return False
         n0, n1, n2 = c0.bit_count(), c1.bit_count(), c2.bit_count()
         if n0 <= n1 and n0 <= n2:
             p, a, b, cp, ca, cb = todo[0], todo[1], todo[2], c0, c1, c2
@@ -541,6 +561,7 @@ def embedding(h: Graph, g: Graph) -> tuple[int, ...] | None:
                     image[p] = v
                     if last_two(a, b, xa, xb):
                         return True
+        failed.add(state)
         return False
 
     def solve(todo: list[int], cands: list[int]) -> bool:
@@ -556,12 +577,15 @@ def embedding(h: Graph, g: Graph) -> tuple[int, ...] | None:
         hp = hrows[p]
         sels = [grows if (hp >> q) & 1 else nonrows for q in rest]
         child = last_three if k == 4 else solve
+        root = k == nh
         nxt = [0] * (k - 1)  # refilled per candidate; the child only reads it
         cp = cands[i]
         while cp:
             low = cp & -cp
             v = low.bit_length() - 1
             cp ^= low
+            if root:
+                failed.clear()
             for j in range(k - 1):
                 x = rest_cands[j] & sels[j][v]
                 if not x:

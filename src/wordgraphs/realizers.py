@@ -18,10 +18,12 @@ intersection order's row of x is the AND of x's two rank masks, and x is
 comparable to exactly the elements on the same side of it in both orders.
 :func:`validate_realizer` takes the masks in the graph's index space and
 compares each comparability row with the graph's row, in O(n) big-integer
-operations instead of sets of O(n^2) label pairs; only the Poset tripwire
-still visits the order's pairs one by one.  One side of that comparison
-comes from the two orders, the other from the graph, so the check stays
-independent of how the realizer was built.
+operations instead of sets of O(n^2) label pairs.  One side of that
+comparison comes from the two orders, the other from the graph, so the check
+stays independent of how the realizer was built.  The intersection of two
+linear orders is transitive by construction, so validation builds no
+:class:`Poset`; the tests build one from every realizer they make, as an
+oracle that visits the order's pairs one by one.
 
 Conventions: the permutation graph of sigma has edges exactly on the pairs
 reversed by sigma, which is the incomparability graph of the intersection
@@ -212,15 +214,14 @@ def validate_realizer(r: Realizer, g: Graph) -> bool:
     The rank masks of both orders are taken in g's index space, through one
     label-to-index map, so each comparability row (the elements after i in
     both orders or before i in both) compares with ``g.rows[i]`` directly.
-    Transitivity of the intersection of two total orders is automatic; the
-    Poset constructor re-checks it anyway as a tripwire.
+    The intersection of two linear orders is a strict partial order by
+    construction, so no :class:`Poset` is built here.
     """
     labels = tuple(g.label_of(i) for i in range(g.n))
     if set(r.first) != set(labels):
         raise GraphError("realizer and graph disagree on the vertex set")
     index = {v: i for i, v in enumerate(labels)}
-    after = list(zip(_rank_masks(r.first, index), _rank_masks(r.second, index)))
-    Poset(labels, tuple(a1 & a2 for a1, a2 in after))
+    after = zip(_rank_masks(r.first, index), _rank_masks(r.second, index))
     full = (1 << g.n) - 1
     for i, (a1, a2) in enumerate(after):
         others = full ^ (1 << i)

@@ -10,6 +10,7 @@ import oracles
 from conftest import bit_words, graphs
 from wordgraphs import ages
 from wordgraphs.catalogue import FAMILIES, family_member
+from wordgraphs.graph6 import from_graph6
 from wordgraphs.graphs import (
     CORE_WIDTH,
     Graph,
@@ -194,9 +195,15 @@ def _same_image(h: Graph, g: Graph) -> tuple[int, ...] | None:
     return image
 
 
-def _induced_pattern(g: Graph, data) -> Graph:
+def _induced_pattern(g: Graph, data, min_size: int = 0) -> Graph:
     """A pattern of up to 7 vertices induced by g, in a drawn vertex order."""
-    picked = data.draw(st.lists(st.integers(0, g.n - 1), unique=True, max_size=7))
+    picked = data.draw(st.lists(st.integers(0, g.n - 1), unique=True,
+                                min_size=min_size, max_size=7))
+    return _pattern_on(g, picked)
+
+
+def _pattern_on(g: Graph, picked) -> Graph:
+    """g induced on ``picked``, whose vertex q is vertex ``picked[q]`` of g."""
     return Graph(len(picked), tuple(
         sum(((g.rows[v] >> w) & 1) << q for q, w in enumerate(picked))
         for v in picked))
@@ -232,6 +239,60 @@ def test_embedding_matches_backtracking_on_bound_certificates():
             assert _same_image(cert.graph, host) is None
             for v in range(cert.graph.n):
                 assert _same_image(delete_vertex(cert.graph, v), host) is not None
+
+
+# The failed-state memo of `embedding` acts on searches with four or more
+# pattern vertices; these patterns, of 5-7 vertices in 30-70-vertex hosts, give
+# it deep failing subtrees, and twin-heavy ones give it many repeated states.
+
+
+@st.composite
+def twin_blow_ups(draw):
+    """5-7 vertices, each standing in for a vertex of a random 2-4-vertex graph;
+    the vertices standing in for one form a clique or an independent set of
+    twins, and the vertex order interleaves them."""
+    base = draw(graphs(min_n=2, max_n=4))
+    n = draw(st.integers(5, 7))
+    part = draw(st.lists(st.integers(0, base.n - 1), min_size=n, max_size=n))
+    clique_part = draw(st.lists(st.booleans(), min_size=base.n, max_size=base.n))
+    rows = tuple(
+        sum(1 << v for v in range(n)
+            if v != u and (base.has_edge(part[u], part[v]) if part[u] != part[v]
+                           else clique_part[part[u]]))
+        for u in range(n))
+    return Graph(n, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(graphs(min_n=5, max_n=7), twin_blow_ups()),
+       st.text(alphabet="01", min_size=29, max_size=69), st.data())
+def test_embedding_matches_backtracking_with_failed_states(h, bits, data):
+    g = graph_of_word(bits)
+    _same_image(h, g)
+    assert _same_image(_induced_pattern(g, data, min_size=5), g) is not None
+
+
+def test_embedding_matches_backtracking_on_heaviest_certificates():
+    # the three bounds of Fibonacci at k = 6 whose failing searches into the
+    # 65-vertex host revisit the most failed states, in three vertex orders;
+    # their one-vertex deletions embed, after failing subtrees of their own
+    host = graph_of_word(fibonacci_word(), 64)
+    for g6 in ("E?Fg", "EFz_", "EFzg"):  # EFz_ is K3,3
+        cert = from_graph6(g6)
+        for order in ((0, 1, 2, 3, 4, 5), (5, 4, 3, 2, 1, 0), (3, 0, 4, 1, 5, 2)):
+            h = _pattern_on(cert, order)
+            assert _same_image(h, host) is None
+            for v in range(h.n):
+                assert _same_image(delete_vertex(h, v), host) is not None
+
+
+def test_embedding_matches_backtracking_where_candidate_masks_repeat():
+    # under one root candidate, three-left nodes with unmapped vertices
+    # (2, 3, 6) and then (4, 5, 6) have the same candidate masks; the first
+    # fails, the second holds the image, so a failed state must name its
+    # unmapped vertices as well as their masks (found by random search)
+    h, g = from_graph6("Fj~zo"), from_graph6("PZBWCcs]jrpjnPyS{gel_x{W")
+    assert _same_image(h, g) == (13, 2, 3, 10, 9, 1, 8)
 
 
 def test_embedding_matches_backtracking_on_detect_members():

@@ -29,11 +29,34 @@ from wordgraphs.wordgraph import graph_of_word
 from wordgraphs.words import fibonacci_word
 
 
+def _assert_strict_order(b: Bichain) -> None:
+    """Oracle: the intersection of the two orders is a strict partial order.
+
+    ``validate_realizer`` builds no ``Poset``, since two linear orders always
+    intersect in one; ``intersection_order`` does, and its constructor visits
+    the order's pairs one by one (raising on a reflexive pair, a 2-cycle or a
+    broken transitivity).
+    """
+    intersection_order(b)
+
+
+def _realizer(word: str) -> Realizer:
+    r = build_realizer(word)
+    _assert_strict_order(r)
+    return r
+
+
+def _realizer_for_word_graph(word: str) -> tuple[Realizer, Graph, bool]:
+    r, g, ok = realizer_for_word_graph(word)
+    _assert_strict_order(r)
+    return r, g, ok
+
+
 def test_base_cases():
-    r = build_realizer("")
+    r = _realizer("")
     assert r.first == (-1,) and r.second == (-1,)
     assert validate_realizer(r, graph_of_word("", 0))
-    r1, g1, ok1 = realizer_for_word_graph("1")
+    r1, g1, ok1 = _realizer_for_word_graph("1")
     assert ok1 and g1.edge_count() == 1
 
 
@@ -41,20 +64,20 @@ def test_all_words_up_to_length_eight_validate():
     for n in range(9):
         for bits in itertools.product("01", repeat=n):
             word = "".join(bits)
-            r, g, ok = realizer_for_word_graph(word)
+            r, g, ok = _realizer_for_word_graph(word)
             assert ok, f"validation failed for word {word!r}"
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.text(alphabet="01", min_size=9, max_size=24))
 def test_random_longer_words_validate(word):
-    _, _, ok = realizer_for_word_graph(word)
+    _, _, ok = _realizer_for_word_graph(word)
     assert ok
 
 
 def test_restricted_realizer_still_validates():
     word = "0110100101"
-    r, g, ok = realizer_for_word_graph(word)
+    r, g, ok = _realizer_for_word_graph(word)
     assert ok
     rng = random.Random(7)
     labels = [g.label_of(i) for i in range(g.n)]
@@ -63,6 +86,7 @@ def test_restricted_realizer_still_validates():
         sub_idx = [g.index_of_label(v) for v in keep]
         sub = induced_subgraph(g, sub_idx)
         rr = restrict(r, keep)
+        _assert_strict_order(rr)
         assert validate_realizer(Realizer(rr.first, rr.second), sub)
 
 
@@ -70,6 +94,8 @@ def test_validate_realizer_trivial_cases():
     same = Realizer((0, 1, 2), (0, 1, 2))
     assert validate_realizer(same, clique(3))
     opposite = Realizer((0, 1, 2), (2, 1, 0))
+    _assert_strict_order(same)
+    _assert_strict_order(opposite)
     assert validate_realizer(opposite, empty_graph(3))
     with pytest.raises(GraphError):
         validate_realizer(same, clique(4))
@@ -126,7 +152,7 @@ def test_permutation_graph_convention():
 
 
 def test_realizer_json_round_trip():
-    r = build_realizer("0101")
+    r = _realizer("0101")
     back = realizer_from_json(realizer_to_json(r))
     assert back == r
 
@@ -142,7 +168,7 @@ def _relabelled(g: Graph, perm: list[int]) -> Graph:
 @settings(max_examples=150, deadline=None)
 @given(st.text(alphabet="01", max_size=30), st.data())
 def test_validation_matches_label_pair_oracle(word, data):
-    r = build_realizer(word)
+    r = _realizer(word)
     g = graph_of_word(word)
     perm = data.draw(st.permutations(range(g.n)))
     for host in (g, _relabelled(g, perm)):
@@ -154,6 +180,7 @@ def test_validation_matches_label_pair_oracle(word, data):
         second = list(r.second)
         second[i], second[j] = second[j], second[i]
         swapped = Realizer(r.first, tuple(second))
+        _assert_strict_order(swapped)
         for host in (g, _relabelled(g, perm)):
             assert (validate_realizer(swapped, host)
                     == oracles.realizer_realizes(swapped.first, swapped.second, host))
@@ -161,10 +188,11 @@ def test_validation_matches_label_pair_oracle(word, data):
 
 def test_validation_of_fibonacci_six_hundred_matches_oracle():
     word = fibonacci_word().prefix(600)
-    r, g, ok = realizer_for_word_graph(word)
+    r, g, ok = _realizer_for_word_graph(word)
     assert ok and oracles.realizer_realizes(r.first, r.second, g)
     second = list(r.second)
     second[0], second[-1] = second[-1], second[0]
     swapped = Realizer(r.first, tuple(second))
+    _assert_strict_order(swapped)
     assert not validate_realizer(swapped, g)
     assert not oracles.realizer_realizes(swapped.first, swapped.second, g)

@@ -2,10 +2,12 @@
 
 import csv
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
+from wordgraphs.ages import bounds_enumerate
 from wordgraphs.graphs import enumerate_graphs
 from wordgraphs.primes import is_critically_prime, is_prime, prime_height
 
@@ -31,3 +33,24 @@ def test_prime_census_script_rows():
                      ""])
     assert rows[1:] == want
     assert done.stderr.count("\n") == 7  # one progress line per order
+
+
+def test_bounds_sweep_script_rows(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    subprocess.run(
+        [sys.executable, "scripts/bounds_sweep.py", "--k-max", "4", "--scale", "6",
+         "--outdir", str(tmp_path)],
+        cwd=ROOT, env=env, capture_output=True, text=True, check=True)
+    # the script's table of words, loaded without running its main()
+    words = runpy.run_path(str(ROOT / "scripts" / "bounds_sweep.py"))["WORDS"]
+    with open(tmp_path / "summary.csv", newline="") as fp:
+        rows = list(csv.reader(fp))
+    assert rows[0] == ["word", "k_max", "bounds", "stable_at_2x", "exploratory"]
+    assert [row[:3] + row[4:] for row in rows[1:]] == [
+        [name, str(k), str(len(bounds_enumerate(word, 6 * k, k))), str(exploratory)]
+        for name, (word, exploratory) in words.items() for k in (3, 4)]
+    assert all(row[3] == "True" for row in rows[1:] if row[4] == "False")
+    for name in words:
+        with open(tmp_path / f"{name}.csv", newline="") as fp:
+            assert list(csv.reader(fp)) == [["k_max", "bound_count"]] + [
+                row[1:3] for row in rows[1:] if row[0] == name]
