@@ -18,6 +18,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from . import catalogue as cat
@@ -336,8 +337,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p_graph = sub.add_parser("graph", help="emit the word graph")
     _add_word_flags(p_graph)
     p_graph.add_argument("--length", type=int, default=20)
-    p_graph.add_argument("--complement", action="store_true",
-                         help="complement the word before building")
 
     p_prime = sub.add_parser("prime", help="primality report for a graph")
     p_prime.add_argument("--g6", help="graph6 string or file", default=None)
@@ -406,8 +405,14 @@ _DEFAULT_FMT = {
 }
 
 
+@lru_cache(maxsize=1)
+def _shared_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser of every call without ``--config``, built once per process."""
+    return _build_parser()
+
+
 def _configure(argv: list[str]) -> ExperimentConfig:
-    parser, subparsers = _build_parser()
+    parser, subparsers = _shared_parser()
     probe, _ = parser.parse_known_args(argv)
     if getattr(probe, "config", None):
         defaults = json.loads(Path(probe.config).read_text())
@@ -418,6 +423,8 @@ def _configure(argv: list[str]) -> ExperimentConfig:
         if unknown:
             raise WordError(f"unknown config keys for {probe.command!r}: "
                             + ", ".join(unknown))
+        # set_defaults changes the parser, so the config gets a fresh one
+        parser, subparsers = _build_parser()
         subparsers[probe.command].set_defaults(**defaults)
     args = parser.parse_args(argv)
 
@@ -433,8 +440,6 @@ def _configure(argv: list[str]) -> ExperimentConfig:
     if args.command == "word":
         cfg.extras["complexity"] = args.complexity
         cfg.extras["recurrence"] = args.recurrence
-    if args.command == "graph" and args.complement:
-        cfg.word = complement_word(cfg.word)
     if args.command == "prime":
         if args.g6:
             cfg.extras["graph"] = _load_graph(args.g6)

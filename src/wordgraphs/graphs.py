@@ -267,7 +267,9 @@ def make(family: str, *params: int) -> Graph:
 # minimum code, times a permutation inside the best leaf's cells, which are
 # singletons or twin cells, whose permutations are all automorphisms.  Their
 # orbits on neighbourhood masks cut the extensions :func:`enumerate_graphs`
-# tries.
+# tries; a degree test, invariant under the same group, cuts them again
+# before any canonical search, to the masks that give the new vertex maximum
+# degree.
 
 
 def _refine(rows: tuple[int, ...], cells: list[list[int]],
@@ -626,20 +628,32 @@ def enumerate_graphs(n_max: int) -> list[list[Graph]]:
     """All isomorphism classes per order ``0..n_max`` (canonical reps).
 
     Level ``k + 1`` is built by attaching one vertex to each level-``k``
-    representative, deduplicating by canonical key.  Exhaustive: deleting the
-    last vertex of any class leaves a class of the previous level.  Two
-    neighbourhoods in one orbit of the parent's automorphism group give
-    isomorphic extensions, so only the smallest mask of each orbit is tried
-    (McKay, J. Algorithms 26, 1998); the generators come from the parent's
-    canonical search (:func:`_automorphism_generators`).  The level is the
-    same set of keys, sorted, so it does not depend on which masks are tried.
-    Levels are cached across calls.
+    representative, deduplicating by canonical key.  Exhaustive: deleting a
+    vertex of maximum degree from any class leaves a class of the previous
+    level, so only neighbourhoods that give the new vertex maximum degree are
+    tried: ``popcount(nbrs)`` at least every parent degree, and no neighbour
+    of that same degree (it would gain one).  Two neighbourhoods in one orbit
+    of the parent's automorphism group give isomorphic extensions, so only
+    the smallest mask of each orbit is tried (McKay, J. Algorithms 26, 1998);
+    the generators come from the parent's canonical search
+    (:func:`_automorphism_generators`).  Degrees are invariant under that
+    group, so the degree test keeps whole orbits.  The level is the same set
+    of keys, sorted, so it does not depend on which masks are tried.  Levels
+    are cached across calls.
     """
     while len(_LEVEL_CACHE) <= n_max:
         k = len(_LEVEL_CACHE) - 1
         seen: dict[CanonKey, Graph] = {}
         for g in _LEVEL_CACHE[k]:
+            degrees = [row.bit_count() for row in g.rows]
+            top = max(degrees, default=0)
+            at = [0] * (k + 1)  # at[d]: the vertices of degree d
+            for v, d in enumerate(degrees):
+                at[d] |= 1 << v
             for nbrs in _orbit_representatives(k, _automorphism_generators(g)):
+                d = nbrs.bit_count()
+                if d < top or nbrs & at[d]:
+                    continue  # some vertex outranks the new one in degree
                 ext = add_vertex(g, nbrs)
                 key = canonical_key(ext)
                 if key not in seen:

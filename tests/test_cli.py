@@ -43,7 +43,7 @@ def test_graph_command_and_complement_flag(capsys):
     assert json.loads(sidecar)["labels"] == [-1, 0, 1, 2, 3]
     # complementing the word equals complementing the graph
     code, flipped = run(capsys, "graph", "--explicit", "1111", "--length", "4",
-                        "--complement")
+                        "--complement-word")
     code2, direct = run(capsys, "graph", "--explicit", "0000", "--length", "4")
     assert flipped.splitlines()[0] == direct.splitlines()[0]
     code, zero = run(capsys, "graph", "--explicit", "", "--length", "0")
@@ -125,6 +125,18 @@ def test_config_file_defaults_and_flag_priority(capsys, tmp_path):
     assert code == 0 and out.strip() == "101010"
     code, out = run(capsys, "word", "--config", str(conf), "--length", "4")
     assert code == 0 and out.strip() == "1010"  # explicit flag wins
+
+
+def test_config_defaults_do_not_outlive_their_call(capsys, tmp_path):
+    # the parser is shared between calls; a config must not change its defaults
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"length": 6, "periodic": "10"}))
+    code, out = run(capsys, "word", "--config", str(conf))
+    assert code == 0 and out.strip() == "101010"
+    code, out = run(capsys, "word", "--fib")
+    assert code == 0 and out.strip() == "0100101001001010010100100101001001010010"
+    assert main(["word"]) == 2  # no generator picked: the config's is gone
+    assert "exactly one word generator" in capsys.readouterr().err
 
 
 def test_config_rejects_unknown_keys(capsys, tmp_path):

@@ -1,6 +1,8 @@
 """Graph kernel: constructors, canonical form, embedding search."""
 
+import functools
 import gc
+import hashlib
 from unittest import mock
 
 import pytest
@@ -353,6 +355,43 @@ def test_enumerate_graphs_matches_all_masks_oracle():
     assert [len(level) for level in got] == [1, 1, 2, 4, 11, 34, 156, 1044]
     assert [[g.rows for g in level] for level in got] == \
         [[g.rows for g in level] for level in want]
+
+
+# SHA-256 of repr([g.rows for g in level]) for each level of enumerate_graphs(8),
+# recorded when every orbit representative was extended, before extensions
+# were cut to those whose new vertex has maximum degree
+LEVEL_ROWS_SHA256 = [
+    "b18a48f02566e6150fce7a3ece72478f44afc0341489d43f01f25f0351984bab",
+    "78fce9491f4b0e3b895728f3c6efe71e16e4ae77f5f6db9148e6e0584bc5fd42",
+    "3639c5501f6c3f516eb14a915d6ae1583a1c70be2c1a5b8618c0ad78858d6ace",
+    "b47aa914fd7f2a63688ff13c4a3513a29f7e4464081a496eb8a4257b0e6b9b32",
+    "73900d55092d5017dd506b636f0627de72d75ef5ff6d734d16c3369f1776aa59",
+    "9e99045f156e1ae610d76b2c45af28c3d7aee7bbcec58734cd3d12c61a22a0fe",
+    "94f649f2456a2359e5b7081a11d39115f8e3d0dc95b6531695dc3326f5946464",
+    "87cea4a3f27c95a0ffbe96e3bcdca0adb6a20a028b4ad349bff2f624d6746254",
+    "984aa704e3eda600887d0fa3b8174ac6bde21633341a0cba80dc83584103eee7",
+]
+
+
+def test_enumerate_graphs_rows_pinned_through_order_eight():
+    levels = enumerate_graphs(8)
+    assert [len(level) for level in levels] == \
+        [1, 1, 2, 4, 11, 34, 156, 1044, 12346]
+    assert [hashlib.sha256(repr([g.rows for g in level]).encode()).hexdigest()
+            for level in levels] == LEVEL_ROWS_SHA256
+
+
+@functools.cache
+def _level_keys() -> list[set[bytes]]:
+    return [{canonical_key(g) for g in level} for level in enumerate_graphs(8)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=8))
+def test_enumerate_graphs_holds_every_graph_through_order_eight(g):
+    # a class is reached only by deleting a vertex of maximum degree, so a
+    # test that loses ties for the maximum shows here
+    assert canonical_key(g) in _level_keys()[g.n]
 
 
 # -- automorphism generators from the canonical search -------------------------
