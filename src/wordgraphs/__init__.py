@@ -10,7 +10,6 @@ from .ages import (
     AgeApprox,
     BoundCertificate,
     age_enumerate,
-    age_enumerate_exhaustive,
     age_includes,
     antichain_search,
     bounds_enumerate,
@@ -51,7 +50,6 @@ from .primes import (
     is_critically_prime,
     is_prime,
     prime_height,
-    prime_level_census,
     schmerl_trotter_pair,
 )
 from .realizers import (
@@ -67,7 +65,7 @@ from .realizers import (
     permutation_to_bichain,
     validate_realizer,
 )
-from .wordgraph import age_membership, graph_of_word, graph_of_word_forward
+from .wordgraph import graph_of_word, graph_of_word_forward
 from .words import (
     ContinuedFraction,
     FactorSet,

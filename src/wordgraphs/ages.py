@@ -35,7 +35,6 @@ search failed and can be re-validated from scratch at any larger scale.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -51,7 +50,6 @@ from .graphs import (
     canonical_key,
     delete_vertex,
     embeds,
-    induced_subgraph,
 )
 from .primes import is_prime
 from .wordgraph import graph_of_word
@@ -109,20 +107,6 @@ def age_enumerate(source: Graph, k_max: int, source_desc: str = "graph") -> AgeA
                 else:
                     rejected.add(key)
         levels[k + 1] = {key: nxt[key] for key in sorted(nxt)}
-    return AgeApprox(source=source, source_desc=source_desc, k_max=k_max,
-                     levels=levels)
-
-
-def age_enumerate_exhaustive(source: Graph, k_max: int,
-                             source_desc: str = "graph") -> AgeApprox:
-    """Subset-enumeration oracle; intended for sources up to 12 vertices."""
-    levels: dict[int, dict[CanonKey, Graph]] = {}
-    for size in range(min(k_max, source.n) + 1):
-        found: dict[CanonKey, Graph] = {}
-        for subset in itertools.combinations(range(source.n), size):
-            sub = induced_subgraph(source, subset)
-            found.setdefault(canonical_key(sub), canonical_form(sub))
-        levels[size] = {key: found[key] for key in sorted(found)}
     return AgeApprox(source=source, source_desc=source_desc, k_max=k_max,
                      levels=levels)
 

@@ -1,22 +1,30 @@
 """Experiment runner: word diagnostics, graph emission, primality reports,
 age/bound/cofinality tables, realizers, catalogue export, verification.
 
-Plain subcommands for batch scripting; no interactive mode.  Exit codes:
-0 success, 1 internal invariant violation (a bug tripwire fired), 2 user or
-configuration error, or a resource limit such as the recursion limit.  A
-JSON config file can pre-set any flag of the chosen subcommand (explicit
-flags win; a key naming no such flag is an error).  The environment
-variable ``WORDGRAPHS_OUTDIR`` supplies a default directory for relative
-output paths.
-"""
+Plain subcommands for batch scripting; no interactive mode.  The argparse
+parser is the one table of subcommands: each subparser names its runner
+(``set_defaults(run=...)``) and declares exactly the flags that runner
+reads.  ``--format`` exists only where a subcommand writes two formats
+(word: text/json, graph: graph6/dot, age: csv/json, bounds: json/csv; the
+first is the default), and ``--seed`` only on ``verify``.  Counts
+(``--length``, ``--k-max``, ``--n-max``, ``--n``, ``--complexity``,
+``--recurrence``) must be nonnegative integers, whether given as flags or
+in a config file.
 
+Exit codes: 0 success, 1 internal invariant violation (a bug tripwire
+fired), 2 user or configuration error, or a resource limit such as the
+recursion limit; reading the input and running map errors the same way.
+A JSON config file can pre-set any flag of the chosen subcommand (explicit
+flags win; a key naming no such flag, or a value outside the flag's
+choices, is an error).  The environment variable ``WORDGRAPHS_OUTDIR``
+supplies a default directory for relative output paths.
+"""
 from __future__ import annotations
 
 import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -61,26 +69,6 @@ from .words import (
 )
 
 
-@dataclass
-class ExperimentConfig:
-    """Resolved run parameters; a fixed seed makes reports byte-identical."""
-
-    command: str
-    word: Word | None = None
-    length: int = 0
-    k_max: int = 0
-    n_max: int = 0
-    out: Path | None = None
-    fmt: str = "text"
-    seed: int = 0
-    extras: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for name in ("length", "k_max", "n_max"):
-            if getattr(self, name) < 0:
-                raise WordError(f"{name} must be nonnegative")
-
-
 # -- word descriptor flags ------------------------------------------------------
 
 
@@ -118,12 +106,20 @@ def _parse_cf(spec: str) -> ContinuedFraction:
     return ContinuedFraction(head=head, tail=tail)
 
 
+def _generators(args: argparse.Namespace) -> int:
+    return sum([args.explicit is not None, args.periodic is not None,
+                bool(args.sturmian), bool(args.cf), bool(args.fib),
+                bool(args.subst), bool(args.word_json)])
+
+
 def _word_from_args(args: argparse.Namespace) -> Word:
-    picks = [bool(args.explicit is not None), bool(args.periodic is not None),
-             bool(args.sturmian), bool(args.cf), bool(args.fib),
-             bool(args.subst), bool(args.word_json)]
-    if sum(picks) != 1:
+    if _generators(args) != 1:
         raise WordError("choose exactly one word generator flag")
+    # a modifier its generator does not read would be silently ignored
+    if args.seed_letter != "0" and not args.subst:
+        raise WordError("--seed-letter applies only to --subst")
+    if args.intercept != "0" and not (args.sturmian or args.cf):
+        raise WordError("--intercept applies only to --sturmian and --cf")
     if args.word_json:
         doc = args.word_json
         if os.path.exists(doc):
@@ -151,77 +147,79 @@ def _word_from_args(args: argparse.Namespace) -> Word:
 
 def _load_graph(arg: str) -> Graph:
     if os.path.exists(arg):
-        arg = Path(arg).read_text().strip().splitlines()[0]
+        arg = (Path(arg).read_text().strip().splitlines() or [""])[0]
     return from_graph6(arg)
 
 
-def _resolve_out(path_str: str | None) -> Path | None:
-    if path_str is None:
-        return None
-    path = Path(path_str)
+def _emit(text: str, out: str | Path | None) -> None:
+    """Write to stdout, or to ``out`` under ``WORDGRAPHS_OUTDIR`` if relative."""
+    if out is None:
+        sys.stdout.write(text)
+        return
+    path = Path(out)
     outdir = os.environ.get("WORDGRAPHS_OUTDIR")
     if outdir and not path.is_absolute():
         path = Path(outdir) / path
-    return path
-
-
-def _emit(text: str, out: Path | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
 
 
 # -- subcommand bodies -----------------------------------------------------------
 
 
-def _cmd_word(cfg: ExperimentConfig) -> int:
-    w = cfg.word
-    assert w is not None
-    prefix = w.prefix(cfg.length)
-    if cfg.fmt == "json":
+def _cmd_word(args: argparse.Namespace) -> int:
+    w = _word_from_args(args)
+    prefix = w.prefix(args.length)
+    if args.fmt == "json":
         doc = {"descriptor": json.loads(word_to_json(w)),
-               "length": cfg.length, "prefix": prefix}
-        if cfg.extras.get("complexity"):
-            n_max = cfg.extras["complexity"]
-            doc["factor_complexity"] = factor_complexity(w, cfg.length, n_max)
-        if cfg.extras.get("recurrence"):
-            n_max = cfg.extras["recurrence"]
+               "length": args.length, "prefix": prefix}
+        if args.complexity:
+            doc["factor_complexity"] = factor_complexity(w, args.length,
+                                                         args.complexity)
+        if args.recurrence:
             doc["recurrence_bounds"] = {
-                str(n): recurrence_bound(w, n, cfg.length)
-                for n in range(1, n_max + 1)}
-        _emit(json.dumps(doc, sort_keys=True) + "\n", cfg.out)
+                str(n): recurrence_bound(w, n, args.length)
+                for n in range(1, args.recurrence + 1)}
+        _emit(json.dumps(doc, sort_keys=True) + "\n", args.out)
         return 0
     lines = [prefix]
-    if cfg.extras.get("complexity"):
-        for n, p in enumerate(factor_complexity(w, cfg.length,
-                                                cfg.extras["complexity"]), 1):
+    if args.complexity:
+        for n, p in enumerate(factor_complexity(w, args.length, args.complexity), 1):
             lines.append(f"p({n}) = {p}")
-    if cfg.extras.get("recurrence"):
-        for n in range(1, cfg.extras["recurrence"] + 1):
-            m = recurrence_bound(w, n, cfg.length)
+    if args.recurrence:
+        for n in range(1, args.recurrence + 1):
+            m = recurrence_bound(w, n, args.length)
             lines.append(f"recurrence({n}) = {'none-at-scale' if m is None else m}")
-    _emit("\n".join(lines) + "\n", cfg.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def _cmd_graph(cfg: ExperimentConfig) -> int:
-    g = graph_of_word(cfg.word, cfg.length)
-    if cfg.fmt == "dot":
-        _emit(to_dot(g), cfg.out)
+def _cmd_graph(args: argparse.Namespace) -> int:
+    g = graph_of_word(_word_from_args(args), args.length)
+    if args.fmt == "dot":
+        _emit(to_dot(g), args.out)
+        return 0
+    _emit(to_graph6(g) + "\n", args.out)
+    sidecar = labels_sidecar(g) + "\n"
+    if args.out is None:
+        sys.stdout.write(sidecar)
     else:
-        _emit(to_graph6(g) + "\n", cfg.out)
-        sidecar = labels_sidecar(g) + "\n"
-        if cfg.out is not None:
-            cfg.out.with_suffix(cfg.out.suffix + ".labels.json").write_text(sidecar)
-        else:
-            sys.stdout.write(sidecar)
+        out = Path(args.out)
+        _emit(sidecar, out.with_suffix(out.suffix + ".labels.json"))
     return 0
 
 
-def _cmd_prime(cfg: ExperimentConfig) -> int:
-    g = cfg.extras["graph"]
+def _cmd_prime(args: argparse.Namespace) -> int:
+    if args.g6:
+        if (args.length is not None or _generators(args) or args.complement_word
+                or args.seed_letter != "0" or args.intercept != "0"):
+            raise WordError("prime takes --g6 or a word, not both")
+        g = _load_graph(args.g6)
+    else:
+        word = _word_from_args(args)
+        if args.length is None:
+            raise WordError("prime needs --g6 or a word with --length")
+        g = graph_of_word(word, args.length)
     prime = is_prime(g)
     witness = None if prime else find_nontrivial_module(g)
     doc = {
@@ -234,121 +232,128 @@ def _cmd_prime(cfg: ExperimentConfig) -> int:
     if prime:
         pair = schmerl_trotter_pair(g)
         doc["schmerl_trotter_pair"] = list(pair) if pair else None
-    _emit(json.dumps(doc, sort_keys=True) + "\n", cfg.out)
+    _emit(json.dumps(doc, sort_keys=True) + "\n", args.out)
     return 0
 
 
-def _cmd_age(cfg: ExperimentConfig) -> int:
-    age = word_age(cfg.word, cfg.length, cfg.k_max)
-    if cfg.fmt == "json":
-        _emit(json.dumps(age_to_json(age), sort_keys=True) + "\n", cfg.out)
+def _cmd_age(args: argparse.Namespace) -> int:
+    age = word_age(_word_from_args(args), args.length, args.k_max)
+    if args.fmt == "json":
+        _emit(json.dumps(age_to_json(age), sort_keys=True) + "\n", args.out)
     else:
-        _emit(age_csv(age), cfg.out)
+        _emit(age_csv(age), args.out)
     return 0
 
 
-def _cmd_bounds(cfg: ExperimentConfig) -> int:
-    length = cfg.length or 10 * cfg.k_max
-    certs = bounds_enumerate(cfg.word, length, cfg.k_max)
+def _cmd_bounds(args: argparse.Namespace) -> int:
+    word = _word_from_args(args)
+    length = args.length or 10 * args.k_max
+    certs = bounds_enumerate(word, length, args.k_max)
     for cert in certs:
-        if not validate_bound_certificate(cert, cfg.word, length):
+        if not validate_bound_certificate(cert, word, length):
             raise AssertionError("bound certificate failed re-validation")
-    if cfg.extras.get("revalidate_2x"):
+    if args.revalidate_2x:
         for cert in certs:
-            if not validate_bound_certificate(cert, cfg.word, 2 * length):
+            if not validate_bound_certificate(cert, word, 2 * length):
                 raise AssertionError("bound certificate unstable at doubled scale")
-    if cfg.fmt == "csv":
-        _emit(bounds_summary_csv(certs), cfg.out)
+    if args.fmt == "csv":
+        _emit(bounds_summary_csv(certs), args.out)
     else:
-        doc = {"L": length, "k_max": cfg.k_max,
+        doc = {"L": length, "k_max": args.k_max,
                "certificates": bounds_to_json(certs)}
-        _emit(json.dumps(doc, sort_keys=True) + "\n", cfg.out)
-    g6_out = cfg.extras.get("g6_out")
-    if g6_out:
-        _emit("".join(to_graph6(c.graph) + "\n" for c in certs),
-              _resolve_out(g6_out))
+        _emit(json.dumps(doc, sort_keys=True) + "\n", args.out)
+    if args.g6_out:
+        _emit("".join(to_graph6(c.graph) + "\n" for c in certs), args.g6_out)
     return 0
 
 
-def _cmd_jonsson(cfg: ExperimentConfig) -> int:
-    age = word_age(cfg.word, cfg.length, cfg.k_max)
-    report = jonsson_desk_check(age, prime_only=not cfg.extras.get("all_members"),
-                                n_max=cfg.n_max)
-    _emit(json.dumps(jonsson_to_json(report), sort_keys=True) + "\n", cfg.out)
+def _cmd_jonsson(args: argparse.Namespace) -> int:
+    age = word_age(_word_from_args(args), args.length, args.k_max)
+    report = jonsson_desk_check(age, prime_only=not args.all_members,
+                                n_max=args.n_max)
+    _emit(json.dumps(jonsson_to_json(report), sort_keys=True) + "\n", args.out)
     return 0
 
 
-def _cmd_realizer(cfg: ExperimentConfig) -> int:
-    word = cfg.extras["bits"]
-    realizer, graph, valid = realizer_for_word_graph(word)
+def _cmd_realizer(args: argparse.Namespace) -> int:
+    realizer, graph, valid = realizer_for_word_graph(args.word)
     if not valid:
         raise AssertionError("realizer failed validation against the word graph")
-    doc = {"word": word, "validated": valid, "order": graph.n}
+    doc = {"word": args.word, "validated": valid, "order": graph.n}
     doc.update(realizer_to_json(realizer))
-    _emit(json.dumps(doc, sort_keys=True) + "\n", cfg.out)
+    _emit(json.dumps(doc, sort_keys=True) + "\n", args.out)
     return 0
 
 
-def _cmd_catalogue(cfg: ExperimentConfig) -> int:
-    manifest = cat.family_manifest(cfg.extras["family"], cfg.n_max,
-                                   cfg.extras.get("complemented", False))
-    _emit(json.dumps(manifest, sort_keys=True) + "\n", cfg.out)
-    g6_out = cfg.extras.get("g6_out")
-    if g6_out:
-        _emit(manifest["graph6"] + "\n", _resolve_out(g6_out))
+def _cmd_catalogue(args: argparse.Namespace) -> int:
+    manifest = cat.family_manifest(args.family, args.n, args.complement)
+    _emit(json.dumps(manifest, sort_keys=True) + "\n", args.out)
+    if args.g6_out:
+        _emit(manifest["graph6"] + "\n", args.g6_out)
     return 0
 
 
-def _cmd_detect(cfg: ExperimentConfig) -> int:
-    g = cfg.extras["graph"]
-    hits = cat.detect_unavoidable(g, cfg.n_max)
+def _cmd_detect(args: argparse.Namespace) -> int:
+    hits = cat.detect_unavoidable(_load_graph(args.g6), args.n)
     doc = {
-        "n": cfg.n_max,
+        "n": args.n,
         "hits": [{"family": fam, "complemented": comp}
                  for fam, comp in sorted(hits)],
         "families_not_generated": list(cat.MISSING_FAMILIES),
     }
-    _emit(json.dumps(doc, sort_keys=True) + "\n", cfg.out)
+    _emit(json.dumps(doc, sort_keys=True) + "\n", args.out)
     return 0
 
 
-def _cmd_verify(cfg: ExperimentConfig) -> int:
-    level = "full" if cfg.extras.get("full") else "quick"
-    results = run_battery(level, seed=cfg.seed)
-    _emit(battery_report(results), cfg.out)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    results = run_battery("full" if args.full else "quick", seed=args.seed)
+    _emit(battery_report(results), args.out)
     return 0 if all(r.passed for r in results) else 1
 
 
 # -- argument wiring --------------------------------------------------------------
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def _add_format(p: argparse.ArgumentParser, *formats: str) -> None:
+    p.add_argument("--format", dest="fmt", default=formats[0], choices=formats,
+                   help=f"report format (default {formats[0]})")
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]:
     parser = argparse.ArgumentParser(
         prog="wordgraphs",
         description="graphs from 0-1 words: primes, ages, bounds, realizers")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_word = sub.add_parser("word", help="print a prefix and word diagnostics")
+    p_word.set_defaults(run=_cmd_word)
     _add_word_flags(p_word)
     p_word.add_argument("--length", type=int, default=40)
     p_word.add_argument("--complexity", type=int, metavar="N_MAX")
     p_word.add_argument("--recurrence", type=int, metavar="N_MAX")
+    _add_format(p_word, "text", "json")
 
     p_graph = sub.add_parser("graph", help="emit the word graph")
+    p_graph.set_defaults(run=_cmd_graph)
     _add_word_flags(p_graph)
     p_graph.add_argument("--length", type=int, default=20)
+    _add_format(p_graph, "graph6", "dot")
 
     p_prime = sub.add_parser("prime", help="primality report for a graph")
+    p_prime.set_defaults(run=_cmd_prime)
     p_prime.add_argument("--g6", help="graph6 string or file", default=None)
     _add_word_flags(p_prime)
     p_prime.add_argument("--length", type=int, default=None)
 
     p_age = sub.add_parser("age", help="age table of a word graph")
+    p_age.set_defaults(run=_cmd_age)
     _add_word_flags(p_age)
     p_age.add_argument("--length", type=int, default=60)
     p_age.add_argument("--k-max", type=int, default=6)
+    _add_format(p_age, "csv", "json")
 
     p_bounds = sub.add_parser("bounds", help="bound certificates of a word age")
+    p_bounds.set_defaults(run=_cmd_bounds)
     _add_word_flags(p_bounds)
     p_bounds.add_argument("--length", type=int, default=0,
                           help="prefix length (default 10*k_max)")
@@ -357,8 +362,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                           help="re-validate every certificate at twice the scale")
     p_bounds.add_argument("--g6-out", metavar="FILE",
                           help="also write the bound graphs as graph6 lines")
+    _add_format(p_bounds, "json", "csv")
 
     p_jon = sub.add_parser("jonsson", help="prime-level cofinality report")
+    p_jon.set_defaults(run=_cmd_jonsson)
     _add_word_flags(p_jon)
     p_jon.add_argument("--length", type=int, default=60)
     p_jon.add_argument("--k-max", type=int, default=8)
@@ -367,133 +374,82 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                        help="use all members, not only the prime ones")
 
     p_real = sub.add_parser("realizer", help="build and validate a realizer")
+    p_real.set_defaults(run=_cmd_realizer)
     p_real.add_argument("--word", required=True, metavar="BITS")
 
     p_cat = sub.add_parser("catalogue", help="emit an unavoidable-family member")
+    p_cat.set_defaults(run=_cmd_catalogue)
     p_cat.add_argument("--family", required=True, choices=cat.FAMILIES)
     p_cat.add_argument("--n", type=int, required=True)
     p_cat.add_argument("--complement", action="store_true")
     p_cat.add_argument("--g6-out", metavar="FILE")
 
     p_det = sub.add_parser("detect", help="which families embed in a graph")
+    p_det.set_defaults(run=_cmd_detect)
     p_det.add_argument("--g6", required=True, help="graph6 string or file")
     p_det.add_argument("--n", type=int, required=True)
 
     p_ver = sub.add_parser("verify", help="run the invariant/acceptance battery")
+    p_ver.set_defaults(run=_cmd_verify)
     p_ver.add_argument("--full", action="store_true",
                        help="desk-scale experiment sizes (minutes, not seconds)")
+    p_ver.add_argument("--seed", type=int, default=0)
 
-    named = {
-        "word": p_word, "graph": p_graph, "prime": p_prime, "age": p_age,
-        "bounds": p_bounds, "jonsson": p_jon, "realizer": p_real,
-        "catalogue": p_cat, "detect": p_det, "verify": p_ver,
-    }
-    for p in named.values():
+    for p in sub.choices.values():
         p.add_argument("--config", metavar="FILE",
                        help="JSON file of flag defaults (explicit flags win)")
         p.add_argument("--out", metavar="FILE", help="write the report here")
-        p.add_argument("--format", dest="fmt", default=None,
-                       choices=("text", "json", "csv", "graph6", "dot"))
-        p.add_argument("--seed", type=int, default=0)
-    return parser, named
-
-
-_DEFAULT_FMT = {
-    "word": "text", "graph": "graph6", "prime": "json", "age": "csv",
-    "bounds": "json", "jonsson": "json", "realizer": "json",
-    "catalogue": "json", "detect": "json", "verify": "text",
-}
+    return parser, sub
 
 
 @lru_cache(maxsize=1)
-def _shared_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def _shared_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]:
     """The parser of every call without ``--config``, built once per process."""
     return _build_parser()
 
 
-def _configure(argv: list[str]) -> ExperimentConfig:
-    parser, subparsers = _shared_parser()
+# flags that count something: nonnegative integers, or None where that is the
+# flag's own default ("not given"); a config file's values skip argparse's type=
+_COUNTS = ("length", "k_max", "n_max", "n", "complexity", "recurrence")
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    parser, sub = _shared_parser()
     probe, _ = parser.parse_known_args(argv)
-    if getattr(probe, "config", None):
+    if probe.config:
         defaults = json.loads(Path(probe.config).read_text())
         if not isinstance(defaults, dict):
             raise WordError("config file must hold a JSON object of flags")
-        known = {a.dest for a in subparsers[probe.command]._actions}
-        unknown = sorted(set(defaults) - known)
+        actions = {a.dest: a for a in sub.choices[probe.command]._actions}
+        unknown = sorted(set(defaults) - set(actions))
         if unknown:
             raise WordError(f"unknown config keys for {probe.command!r}: "
                             + ", ".join(unknown))
+        for key, value in defaults.items():
+            choices = actions[key].choices
+            if choices is not None and value not in choices:
+                raise WordError(f"config {key} must be one of: " + ", ".join(choices))
         # set_defaults changes the parser, so the config gets a fresh one
-        parser, subparsers = _build_parser()
-        subparsers[probe.command].set_defaults(**defaults)
+        parser, sub = _build_parser()
+        sub.choices[probe.command].set_defaults(**defaults)
     args = parser.parse_args(argv)
-
-    cfg = ExperimentConfig(
-        command=args.command,
-        out=_resolve_out(getattr(args, "out", None)),
-        fmt=args.fmt or _DEFAULT_FMT[args.command],
-        seed=getattr(args, "seed", 0),
-    )
-    if args.command in ("word", "graph", "age", "bounds", "jonsson"):
-        cfg.word = _word_from_args(args)
-        cfg.length = args.length or 0
-    if args.command == "word":
-        cfg.extras["complexity"] = args.complexity
-        cfg.extras["recurrence"] = args.recurrence
-    if args.command == "prime":
-        if args.g6:
-            cfg.extras["graph"] = _load_graph(args.g6)
-        else:
-            word = _word_from_args(args)
-            if args.length is None:
-                raise WordError("prime needs --g6 or a word with --length")
-            cfg.extras["graph"] = graph_of_word(word, args.length)
-    if args.command in ("age", "bounds", "jonsson"):
-        cfg.k_max = args.k_max
-    if args.command == "jonsson":
-        cfg.n_max = args.n_max
-        cfg.extras["all_members"] = args.all_members
-    if args.command == "bounds":
-        cfg.extras["revalidate_2x"] = args.revalidate_2x
-        cfg.extras["g6_out"] = args.g6_out
-    if args.command == "realizer":
-        cfg.extras["bits"] = args.word
-    if args.command == "catalogue":
-        cfg.n_max = args.n
-        cfg.extras["family"] = args.family
-        cfg.extras["complemented"] = args.complement
-        cfg.extras["g6_out"] = args.g6_out
-    if args.command == "detect":
-        cfg.n_max = args.n
-        cfg.extras["graph"] = _load_graph(args.g6)
-    if args.command == "verify":
-        cfg.extras["full"] = args.full
-    return cfg
-
-
-_RUNNERS = {
-    "word": _cmd_word,
-    "graph": _cmd_graph,
-    "prime": _cmd_prime,
-    "age": _cmd_age,
-    "bounds": _cmd_bounds,
-    "jonsson": _cmd_jonsson,
-    "realizer": _cmd_realizer,
-    "catalogue": _cmd_catalogue,
-    "detect": _cmd_detect,
-    "verify": _cmd_verify,
-}
+    flags = _shared_parser()[1].choices[args.command]
+    for name in _COUNTS:
+        value = getattr(args, name, None)
+        if value is None and flags.get_default(name) is None:
+            continue
+        if type(value) is not int:
+            raise WordError(f"{name} must be an integer")
+        if value < 0:
+            raise WordError(f"{name} must be nonnegative")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        cfg = _configure(argv)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _RUNNERS[cfg.command](cfg)
+        args = _parse(argv)
+        return args.run(args)
     except RecursionError as exc:  # a RuntimeError, but not a broken invariant
         print(f"error: resource limit: {exc}", file=sys.stderr)
         return 2

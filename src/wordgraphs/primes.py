@@ -44,7 +44,6 @@ from .graphs import (
     GraphError,
     _bits,
     canonical_key,
-    enumerate_graphs,
     induced_subgraph,
 )
 
@@ -255,33 +254,3 @@ def prime_height(g: Graph, cap: int = DEFAULT_HEIGHT_CAP) -> PrimeHeightRecord:
 
     key = canonical_key(g)
     return PrimeHeightRecord(key=key, order=g.n, height=height_of(g, key))
-
-
-# -- census -------------------------------------------------------------------
-
-CENSUS_CAP = 8
-
-
-def prime_level_census(n_max: int) -> list[int]:
-    """Isomorphism classes of prime graphs per order 0..n_max (n_max <= 8)."""
-    if n_max > CENSUS_CAP:
-        raise GraphError(f"census capped at order {CENSUS_CAP}")
-    levels = enumerate_graphs(n_max)
-    return [sum(1 for g in level if is_prime(g)) for level in levels[:n_max + 1]]
-
-
-def prime_graphs_of_order(n: int) -> list[Graph]:
-    """Canonical representatives of all prime graphs on exactly n vertices."""
-    if n > CENSUS_CAP:
-        raise GraphError(f"census capped at order {CENSUS_CAP}")
-    return [g for g in enumerate_graphs(n)[n] if is_prime(g)]
-
-
-def census_csv(counts: list[int]) -> str:
-    lines = ["order,count"]
-    lines += [f"{order},{count}" for order, count in enumerate(counts)]
-    return "\n".join(lines) + "\n"
-
-
-def census_json(counts: list[int]) -> dict:
-    return {"prime_class_counts": {str(i): c for i, c in enumerate(counts)}}

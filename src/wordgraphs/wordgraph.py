@@ -14,10 +14,6 @@ consecutive one, so each row is a shifted slice of the zero-letter mask
 plus at most two single bits.  The graphs come out symmetric and loop-free
 by construction and skip the public constructor's checks.
 
-Age membership is certified positively only: a failed search at prefix
-length L is reported as not-found-at-scale, never as non-membership in the
-age of the infinite word graph.
-
 Not every word-graph age transfers between one-sided and two-sided index
 domains; the known obstructions are degree-counting arguments about
 infinite graphs (a single 0 on a two-sided domain forces a vertex of
@@ -27,9 +23,7 @@ realizability questions; only prefixes of one-sided words are compiled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graphs import Graph, GraphError, _trusted, embeds
+from .graphs import Graph, GraphError, _trusted
 from .words import Word, explicit_word
 
 
@@ -92,23 +86,3 @@ def graph_of_word_forward(w: Word | str, L: int | None = None) -> Graph:
         below = 0 if i == 0 else (zeros & ((1 << (i - 1)) - 1)) | (ones & (1 << (i - 1)))
         rows.append(below | above)
     return _trusted(n, tuple(rows), tuple(range(n)))
-
-
-@dataclass(frozen=True)
-class MembershipResult:
-    """Outcome of an age membership search at a finite scale."""
-
-    found: bool
-    scale: int
-
-    @property
-    def verdict(self) -> str:
-        return "yes" if self.found else f"not-found-at-L={self.scale}"
-
-
-def age_membership(h: Graph, w: Word | str, L: int) -> MembershipResult:
-    """Positive certificate iff h embeds in the word graph at prefix L."""
-    if h.n > L + 1:
-        raise GraphError(
-            f"pattern on {h.n} vertices cannot embed at scale L={L}")
-    return MembershipResult(found=embeds(h, graph_of_word(w, L)), scale=L)

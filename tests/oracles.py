@@ -146,7 +146,7 @@ def exhaustive_prime_height(g: Graph) -> int:
 
 
 def brute_age(source: Graph, k_max: int) -> dict[int, set]:
-    """Isomorphism classes of induced subgraphs by size (|source| <= 12)."""
+    """Isomorphism classes of induced subgraphs by size (about C(n, k) * k! steps)."""
     levels: dict[int, set] = {k: set() for k in range(k_max + 1)}
     for size in range(k_max + 1):
         for subset in itertools.combinations(range(source.n), size):

@@ -153,14 +153,54 @@ def test_config_rejects_unknown_keys(capsys, tmp_path):
 
 
 def test_recursion_error_is_a_resource_limit(capsys, monkeypatch):
-    def deep(cfg):
+    def deep(args):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setitem(cli._RUNNERS, "word", deep)
+    monkeypatch.setattr(cli, "_word_from_args", deep)
     assert main(["word", "--fib", "--length", "8"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: resource limit: maximum recursion depth")
     assert "invariant" not in err
+
+
+@pytest.mark.parametrize("argv", [["word", "--fib", "--config"], ["word", "--word-json"]])
+def test_deeply_nested_json_file_is_a_resource_limit(capsys, tmp_path, argv):
+    doc = tmp_path / "deep.json"
+    doc.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(argv + [str(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: resource limit: ")
+
+
+@pytest.mark.parametrize("command", ["prime", "detect"])
+def test_empty_graph6_file_exits_2(capsys, tmp_path, command):
+    empty = tmp_path / "empty.g6"
+    empty.write_text("")
+    argv = [command, "--g6", str(empty)] + (["--n", "3"] if command == "detect" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "empty graph6 string" in captured.err
+
+
+@pytest.mark.parametrize("argv,config,message", [
+    (["age", "--fib", "--k-max", "-1"], None, "k_max must be nonnegative"),
+    (["jonsson", "--fib", "--length", "10", "--k-max", "3", "--n-max", "-1"], None,
+     "n_max must be nonnegative"),
+    (["word", "--fib", "--complexity", "-2"], None, "complexity must be nonnegative"),
+    (["age", "--fib", "--length", "5"], {"k_max": -1}, "k_max must be nonnegative"),
+    (["age", "--fib"], {"length": 2.5}, "length must be an integer"),
+    (["word", "--fib"], {"length": None}, "length must be an integer"),
+    (["age", "--fib"], {"fmt": "dot"}, "fmt must be one of: csv, json"),
+])
+def test_bad_counts_and_config_values_exit_2(capsys, tmp_path, argv, config, message):
+    if config is not None:
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(config))
+        argv = argv + ["--config", str(conf)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
 
 
 def test_outdir_environment_variable(capsys, tmp_path, monkeypatch):
@@ -177,6 +217,13 @@ def test_config_error_exit_codes(capsys):
     capsys.readouterr()
     assert main(["detect", "--g6", "!!notgraph6!!", "--n", "2"]) == 2
     capsys.readouterr()
+    # a word flag that nothing reads
+    assert main(["word", "--fib", "--intercept", "slope"]) == 2
+    assert "--intercept applies only to" in capsys.readouterr().err
+    assert main(["word", "--fib", "--seed-letter", "1"]) == 2
+    assert "--seed-letter applies only to" in capsys.readouterr().err
+    assert main(["prime", "--g6", "C~", "--fib", "--length", "3"]) == 2
+    assert "not both" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:  # argparse: the flag is gone
         main(["word", "--fib", "--length", "5", "--threads", "2"])
     assert exc.value.code == 2

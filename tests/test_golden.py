@@ -1,7 +1,7 @@
 """Golden CLI outputs: the SHA-256 of stdout, each recorded before the code
 it covers was last rebuilt (the primality test and its witness; the word
-graphs, realizer checks and refinement on bitmasks).  Any change to these
-bytes is a behaviour change."""
+graphs, realizer checks and refinement on bitmasks; the argument parsing of
+the README examples).  Any change to these bytes is a behaviour change."""
 
 import hashlib
 
@@ -66,3 +66,64 @@ def test_golden_prime_with_twin(capsys, tmp_path, twin_of):
     g6 = tmp_path / "twin.g6"
     g6.write_text(to_graph6(g) + "\n")
     assert _digest(capsys, ["prime", "--g6", str(g6)]) == TWIN_GOLDEN[twin_of]
+
+
+# The README's CLI examples, run in order in one directory (``prime`` and
+# ``detect`` read the files written before them), except ``verify --full``
+README_GOLDEN = [
+    ("word --sturmian 1/2 --length 12",
+     "2b0f7d0ee09a233954729dfc889ab07d061ef62e66944f32b9edd9c3e3a8594f"),
+    ("word --fib --length 200 --complexity 8 --recurrence 6",
+     "2506d8ca6ddab93f04eb0fbd0e3e040be209ca40cd71a44f2ddff8042cfd1dba"),
+    ("graph --fib --length 30 --out fib.g6",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("prime --g6 fib.g6",
+     "292fe93f0330127ccf36a20c95c749fc3cc2a26d353d3e41292240895cd8c4da"),
+    ("age --fib --length 60 --k-max 6",
+     "1e953a6e56d634ff02e861f17922b9a1e008a090ad5ef0ab4e29e0e47aad62b7"),
+    ("bounds --periodic 1 --k-max 4 --revalidate-2x",
+     "51cc517d59cbfa3df9db0aefaa771bcadf8020c8180302ff8f60ff70b2b0e22d"),
+    ("jonsson --fib --length 60 --k-max 8 --n-max 4",
+     "dcffb7aea2b12287544ffc5a13b920033d8aeddf85f4151731bd2eb535705a2f"),
+    ("realizer --word 0110100110",
+     "f6eaaba30fb83783b2095b661b95c1139a5f95eb5891fb0d747f568b2799892c"),
+    ("catalogue --family half_graph --n 5 --g6-out half5.g6",
+     "6d5177040d10d4211475e108f1d13695501eb2a351b3dba8e86a5400e95fd259"),
+    ("detect --g6 half5.g6 --n 3",
+     "90a7c904afc0f66840cb887d92ebfb85cb83989a6dcec705a4a2efc230a6bc22"),
+    ("verify",
+     "52565d14e25f1087ab95b5bcd8262b05e42c923b0437d8ccc1851a7140a99075"),
+]
+README_FILES_GOLDEN = {
+    "fib.g6": "5cf56c7e02ce713ad7fa4fed5deeaff8cf072a3d057eac22becd8810408a956e",
+    "fib.g6.labels.json":
+        "a6132a8148ae22d28d0dfcb101a37fdcdb7d7f3d48617ee0543ebcd4fa929ac9",
+    "half5.g6": "bea3bcaaa9d87df8b1ce6a24c99668dad7201610457f4f894ee61fd4ad61df88",
+}
+
+
+def test_golden_readme_examples(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("WORDGRAPHS_OUTDIR", raising=False)
+    got = [(line, _digest(capsys, line.split())) for line, _ in README_GOLDEN]
+    assert got == README_GOLDEN
+    files = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+             for name in README_FILES_GOLDEN}
+    assert files == README_FILES_GOLDEN
+
+
+@pytest.mark.parametrize("argv", [
+    # only verify reads a seed; elsewhere --seed abbreviates --seed-letter,
+    # which no generator but --subst reads
+    ["word", "--fib", "--seed", "1"],
+    ["prime", "--g6", "C~", "--seed", "1"],
+    ["prime", "--g6", "C~", "--format", "csv"],  # prime writes JSON only
+    ["age", "--fib", "--format", "dot"],         # age writes CSV or JSON
+])
+def test_flags_a_subcommand_does_not_read_exit_2(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the flag or its value
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""

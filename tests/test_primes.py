@@ -1,4 +1,4 @@
-"""Module search, primality, Schmerl-Trotter pairs, heights, census."""
+"""Module search, primality, Schmerl-Trotter pairs, heights, prime counts."""
 
 import random
 
@@ -15,6 +15,7 @@ from wordgraphs.graphs import (
     complement,
     cycle,
     empty_graph,
+    enumerate_graphs,
     from_edges,
     induced_subgraph,
     path,
@@ -26,15 +27,15 @@ from wordgraphs.primes import (
     is_critically_prime,
     is_module,
     is_prime,
-    prime_graphs_of_order,
     prime_height,
-    prime_level_census,
-    census_csv,
-    census_json,
     schmerl_trotter_pair,
 )
 from wordgraphs.wordgraph import graph_of_word
 from wordgraphs.words import fibonacci_word
+
+
+def prime_graphs_of_order(n: int) -> list[Graph]:
+    return [g for g in enumerate_graphs(n)[n] if is_prime(g)]
 
 
 def test_find_module_examples():
@@ -203,16 +204,8 @@ def test_height_inequality_through_order_six():
 
 
 def test_census_small_orders():
-    counts = prime_level_census(5)
+    counts = [sum(1 for g in level if is_prime(g)) for level in enumerate_graphs(5)]
     # orders 0..2 by convention; order 3 has none; order 4 only P_4's class
     assert counts[:5] == [1, 1, 2, 0, 1]
     brute5 = sum(1 for g in oracles.brute_iso_classes(5) if oracles.brute_is_prime(g))
     assert counts[5] == brute5
-    assert census_csv(counts[:2]) == "order,count\n0,1\n1,1\n"
-    assert census_json(counts[:3]) == {
-        "prime_class_counts": {"0": 1, "1": 1, "2": 2}}
-
-
-def test_census_cap():
-    with pytest.raises(GraphError):
-        prime_level_census(9)

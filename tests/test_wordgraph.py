@@ -1,22 +1,21 @@
 """Word-to-graph construction and its structural identities."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import bit_words
 from wordgraphs.graphs import (
-    GraphError,
     are_isomorphic,
     canonical_key,
     clique,
     complement,
+    embeds,
     empty_graph,
     from_edges,
     induced_subgraph,
     path,
 )
-from wordgraphs.wordgraph import age_membership, graph_of_word, graph_of_word_forward
+from wordgraphs.wordgraph import graph_of_word, graph_of_word_forward
 from wordgraphs.words import complement_word, explicit_word, fibonacci_word, reverse_star
 
 
@@ -73,20 +72,17 @@ def test_prefix_monotonicity(a, b):
 
 
 def test_age_membership_examples():
-    yes = age_membership(path(3), explicit_word("11111"), 5)
-    assert yes.found and yes.verdict == "yes"
-    k3 = age_membership(clique(3), fibonacci_word(), 20)
-    assert k3.found  # non-consecutive zero positions induce triangles
-    no = age_membership(clique(5), explicit_word("1111"), 4)
-    assert not no.found and no.verdict == "not-found-at-L=4"
-    with pytest.raises(GraphError):
-        age_membership(empty_graph(6), explicit_word("1111"), 4)
+    assert embeds(path(3), graph_of_word(explicit_word("11111"), 5))
+    # non-consecutive zero positions induce triangles
+    assert embeds(clique(3), graph_of_word(fibonacci_word(), 20))
+    assert not embeds(clique(5), graph_of_word(explicit_word("1111"), 4))
+    assert not embeds(empty_graph(6), graph_of_word(explicit_word("1111"), 4))
 
 
 def test_age_membership_monotone_in_scale():
     w = fibonacci_word()
     h = from_edges(3, [(0, 1)])
-    hits = [age_membership(h, w, L).found for L in range(3, 30, 5)]
+    hits = [embeds(h, graph_of_word(w, L)) for L in range(3, 30, 5)]
     first_yes = hits.index(True)
     assert all(hits[first_yes:])
 
