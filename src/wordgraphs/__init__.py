@@ -11,7 +11,6 @@ from .ages import (
     BoundCertificate,
     age_enumerate,
     age_includes,
-    antichain_search,
     bounds_enumerate,
     jonsson_desk_check,
     validate_bound_certificate,
@@ -52,19 +51,7 @@ from .primes import (
     prime_height,
     schmerl_trotter_pair,
 )
-from .realizers import (
-    Bichain,
-    Poset,
-    Realizer,
-    bichain_to_permutation,
-    build_realizer,
-    comparability_graph,
-    incomparability_graph,
-    intersection_order,
-    permutation_graph,
-    permutation_to_bichain,
-    validate_realizer,
-)
+from .realizers import Realizer, build_realizer, validate_realizer
 from .wordgraph import graph_of_word, graph_of_word_forward
 from .words import (
     ContinuedFraction,

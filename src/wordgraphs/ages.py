@@ -1,5 +1,5 @@
-"""Age enumeration, age inclusion, bound certificates, antichains, and the
-Jónsson-style desk check for prime members.
+"""Age enumeration, age inclusion, bound certificates, and the Jónsson-style
+desk check for prime members.
 
 An age approximation holds, per size up to ``k_max``, the exact isomorphism
 classes of induced subgraphs of one finite source graph.  There are two
@@ -71,12 +71,6 @@ class AgeApprox:
     def members(self, size: int) -> list[Graph]:
         return list(self.levels.get(size, {}).values())
 
-    def all_members(self) -> list[Graph]:
-        return [g for size in sorted(self.levels) for g in self.members(size)]
-
-    def contains(self, key: CanonKey) -> bool:
-        return any(key in level for level in self.levels.values())
-
     def level_counts(self) -> dict[int, int]:
         return {size: len(self.levels[size]) for size in sorted(self.levels)}
 
@@ -116,11 +110,6 @@ class InclusionResult:
     included_at_scale: bool
     k_max: int
     witness: Graph | None = None
-
-    @property
-    def verdict(self) -> str:
-        return ("yes-at-scale" if self.included_at_scale
-                else f"no (witness on {self.witness.n} vertices)")
 
 
 def age_includes(a: AgeApprox, b: AgeApprox) -> InclusionResult:
@@ -269,74 +258,6 @@ def validate_bound_certificate(cert: BoundCertificate, w: Word, L: int) -> bool:
                for v in range(cert.graph.n))
 
 
-# -- antichains -------------------------------------------------------------------
-
-
-@dataclass
-class AntichainReport:
-    size_window: tuple[int, int]
-    members_considered: int
-    antichain: list[Graph]
-    pairwise_checked: bool = True
-
-
-def _max_antichain(items: list[Graph]) -> list[Graph]:
-    """Maximum antichain under embeddability (Dilworth via bipartite matching).
-
-    Distinct classes of equal size never embed each other, so the strictly-
-    less relation is acyclic and the matching construction applies.
-    """
-    n = len(items)
-    less = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j and items[i].n < items[j].n and embeds(items[i], items[j]):
-                less[i][j] = True
-    match_right: list[int | None] = [None] * n
-    match_left: list[int | None] = [None] * n
-
-    def augment(u: int, seen: list[bool]) -> bool:
-        for v in range(n):
-            if less[u][v] and not seen[v]:
-                seen[v] = True
-                if match_right[v] is None or augment(match_right[v], seen):
-                    match_right[v] = u
-                    match_left[u] = v
-                    return True
-        return False
-
-    for u in range(n):
-        augment(u, [False] * n)
-
-    # Koenig: alternate from unmatched left vertices; the antichain is the
-    # set with left copy reachable and right copy unreachable.
-    reach_left = [match_left[u] is None for u in range(n)]
-    reach_right = [False] * n
-    frontier = [u for u in range(n) if reach_left[u]]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in range(n):
-                if less[u][v] and not reach_right[v] and match_left[u] != v:
-                    reach_right[v] = True
-                    w = match_right[v]
-                    if w is not None and not reach_left[w]:
-                        reach_left[w] = True
-                        nxt.append(w)
-        frontier = nxt
-    return [items[i] for i in range(n) if reach_left[i] and not reach_right[i]]
-
-
-def antichain_search(age: AgeApprox, min_size: int = 1,
-                     max_size: int | None = None) -> AntichainReport:
-    """Largest pairwise embedding-incomparable member set in a size window."""
-    hi = age.k_max if max_size is None else max_size
-    pool = [g for size in range(min_size, hi + 1) for g in age.members(size)]
-    best = _max_antichain(pool)
-    return AntichainReport(size_window=(min_size, hi),
-                           members_considered=len(pool), antichain=best)
-
-
 # -- Joensson desk check ------------------------------------------------------------
 
 
@@ -359,6 +280,12 @@ def jonsson_desk_check(age: AgeApprox, prime_only: bool = True,
     m(n) is the least m such that every (prime) member of size at most n
     embeds in every (prime) member of size at least m, within the
     approximation; None with a witness pair when no m at the scale works.
+    One pass: each member s gets m_s, one more than the order of the first
+    host it misses, walking the hosts from size ``k_max`` down (0 if it
+    misses none), and m(n) is the largest m_s over sizes up to n.  A walk
+    stops below that running maximum, where a miss cannot raise it.  The
+    first member to miss a host of size ``k_max`` is the witness from then
+    on.
     """
     members = {size: [g for g in age.members(size)
                       if not prime_only or is_prime(g)]
@@ -366,27 +293,23 @@ def jonsson_desk_check(age: AgeApprox, prime_only: bool = True,
     level_counts = {size: len(gs) for size, gs in members.items()}
     top = max((s for s, c in level_counts.items() if c), default=0)
     degenerate = top <= 2
+    hosts = [h for size in sorted(members, reverse=True) for h in members[size]]
     cofinality: dict[int, int | None] = {}
     failures: dict[int, tuple[Graph, Graph]] = {}
+    worst, witness = 0, None
     for n in range(0, n_max + 1):
-        small = [g for size in range(n + 1) for g in members.get(size, [])]
-        result: int | None = None
-        for m in range(0, age.k_max + 1):
-            hosts = [g for size in range(m, age.k_max + 1)
-                     for g in members.get(size, [])]
-            bad = next(((s, h) for h in hosts for s in small
-                        if not embeds(s, h)), None)
-            if bad is None:
-                result = m
-                break
-        cofinality[n] = result
-        if result is None:
-            hosts = [g for size in range(age.k_max, age.k_max + 1)
-                     for g in members.get(size, [])]
-            bad = next(((s, h) for h in hosts for s in small
-                        if not embeds(s, h)), None)
-            if bad is not None:
-                failures[n] = bad
+        for s in members.get(n, []):
+            for h in hosts:
+                if h.n < worst:
+                    break
+                if not embeds(s, h):
+                    worst = h.n + 1
+                    if worst > age.k_max:
+                        witness = (s, h)
+                    break
+        cofinality[n] = worst if worst <= age.k_max else None
+        if witness is not None:
+            failures[n] = witness
     note = ("prime members stop at size 2; degenerate case"
             if degenerate else "")
     return JonssonReport(prime_only=prime_only, level_counts=level_counts,

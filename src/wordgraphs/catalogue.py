@@ -24,7 +24,7 @@ from .graphs import (
     from_edges,
     line_graph,
 )
-from .primes import find_nontrivial_module, is_prime
+from .primes import is_prime
 from .wordgraph import graph_of_word
 from .words import Word, fibonacci_word
 
@@ -82,7 +82,6 @@ class ChainWordPrime:
     graph: Graph
     word_prefix: str
     prime: bool
-    module_witness: tuple[int, ...] | None
 
 
 def chain_word_prime(n: int, word: Word | None = None) -> ChainWordPrime:
@@ -90,11 +89,7 @@ def chain_word_prime(n: int, word: Word | None = None) -> ChainWordPrime:
     w = word if word is not None else fibonacci_word()
     bits = w.prefix(n)
     g = graph_of_word(w, n)
-    prime = is_prime(g)
-    witness = None if prime else find_nontrivial_module(g)
-    return ChainWordPrime(
-        graph=g, word_prefix=bits, prime=prime,
-        module_witness=witness.vertices if witness else None)
+    return ChainWordPrime(graph=g, word_prefix=bits, prime=is_prime(g))
 
 
 _GENERATORS = {

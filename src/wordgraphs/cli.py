@@ -6,7 +6,8 @@ parser is the one table of subcommands: each subparser names its runner
 (``set_defaults(run=...)``) and declares exactly the flags that runner
 reads.  ``--format`` exists only where a subcommand writes two formats
 (word: text/json, graph: graph6/dot, age: csv/json, bounds: json/csv; the
-first is the default), and ``--seed`` only on ``verify``.  Counts
+first is the default), and ``--seed`` only on ``verify``.  Flags are never
+abbreviated: a prefix of a flag is an unrecognized argument.  Counts
 (``--length``, ``--k-max``, ``--n-max``, ``--n``, ``--complexity``,
 ``--recurrence``) must be nonnegative integers, whether given as flags or
 in a config file.
@@ -321,7 +322,7 @@ def _add_format(p: argparse.ArgumentParser, *formats: str) -> None:
 
 def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]:
     parser = argparse.ArgumentParser(
-        prog="wordgraphs",
+        prog="wordgraphs", allow_abbrev=False,
         description="graphs from 0-1 words: primes, ages, bounds, realizers")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -396,6 +397,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
     p_ver.add_argument("--seed", type=int, default=0)
 
     for p in sub.choices.values():
+        p.allow_abbrev = False  # a shortened flag is an error, never another flag
         p.add_argument("--config", metavar="FILE",
                        help="JSON file of flag defaults (explicit flags win)")
         p.add_argument("--out", metavar="FILE", help="write the report here")

@@ -9,7 +9,6 @@ survive graph6; they travel in a JSON sidecar document.
 from __future__ import annotations
 
 import json
-from typing import Iterable
 
 from .graphs import Graph, GraphError
 
@@ -92,20 +91,6 @@ def from_graph6(line: str) -> Graph:
     if any(bits[k:]):
         raise GraphError("nonzero padding bits in graph6 body")
     return Graph(n, tuple(rows))
-
-
-def write_graph6(graphs: Iterable[Graph], fp) -> None:
-    for g in graphs:
-        fp.write(to_graph6(g) + "\n")
-
-
-def read_graph6(fp) -> list[Graph]:
-    out = []
-    for line in fp:
-        line = line.strip()
-        if line:
-            out.append(from_graph6(line))
-    return out
 
 
 def to_dot(g: Graph, name: str = "g") -> str:

@@ -66,20 +66,6 @@ class PrimeHeightRecord:
     height: int
 
 
-def is_module(g: Graph, subset) -> bool:
-    members = set(subset)
-    mask = 0
-    for v in members:
-        mask |= 1 << v
-    for x in range(g.n):
-        if x in members:
-            continue
-        hits = (g.rows[x] & mask).bit_count()
-        if hits not in (0, len(members)):
-            return False
-    return True
-
-
 def _pair_closure(g: Graph, u: int, v: int) -> int:
     """Smallest module containing {u, v}, as a bitmask (may be all of V)."""
     full = (1 << g.n) - 1
@@ -209,10 +195,10 @@ def schmerl_trotter_pair(g: Graph) -> tuple[int, int] | None:
 
 _HEIGHT_MEMO: dict[CanonKey, int] = {}
 
-DEFAULT_HEIGHT_CAP = 8
+HEIGHT_CAP = 8
 
 
-def prime_height(g: Graph, cap: int = DEFAULT_HEIGHT_CAP) -> PrimeHeightRecord:
+def prime_height(g: Graph) -> PrimeHeightRecord:
     """Longest chain of prime graphs below g, the empty graph at height 0.
 
     The height of a prime is one more than the largest height of a prime
@@ -228,8 +214,8 @@ def prime_height(g: Graph, cap: int = DEFAULT_HEIGHT_CAP) -> PrimeHeightRecord:
     vertices alone leaves a prime.  The all-subsets recursion is the tests'
     oracle.
     """
-    if g.n > cap:
-        raise GraphError(f"prime_height capped at {cap} vertices")
+    if g.n > HEIGHT_CAP:
+        raise GraphError(f"prime_height capped at {HEIGHT_CAP} vertices")
     if not is_prime(g):
         raise PrimalityError("prime_height requires a prime graph")
 

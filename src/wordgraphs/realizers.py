@@ -1,4 +1,4 @@
-"""Two-linear-order realizers for word graphs, posets and bichains.
+"""Two-linear-order realizers for word graphs.
 
 Every finite word graph is a permutation graph; the constructive witness is
 a realizer (a pair of linear orders whose intersection is a transitive
@@ -21,72 +21,33 @@ compares each comparability row with the graph's row, in O(n) big-integer
 operations instead of sets of O(n^2) label pairs.  One side of that
 comparison comes from the two orders, the other from the graph, so the check
 stays independent of how the realizer was built.  The intersection of two
-linear orders is transitive by construction, so validation builds no
-:class:`Poset`; the tests build one from every realizer they make, as an
-oracle that visits the order's pairs one by one.
-
-Conventions: the permutation graph of sigma has edges exactly on the pairs
-reversed by sigma, which is the incomparability graph of the intersection
-order of the bichain (natural order, sigma order).
+linear orders is transitive by construction, so validation builds no order
+relation; the tests build one from every realizer they make, as an oracle
+that visits the order's pairs one by one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from .graphs import Graph, GraphError, _bits, from_edges
+from .graphs import Graph, GraphError
 from .wordgraph import graph_of_word
 
 LinearOrder = tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class Bichain:
-    """A vertex set carrying two linear orders (least to greatest)."""
+class Realizer:
+    """Two linear orders (least to greatest) on one vertex set; it realizes
+    the graph that is the comparability graph of their intersection."""
 
     first: LinearOrder
     second: LinearOrder
 
     def __post_init__(self) -> None:
+        # realizer_from_json reads the orders from outside the program
         if set(self.first) != set(self.second) or len(set(self.first)) != len(self.first):
             raise GraphError("both orders must enumerate the same vertex set")
-
-    @property
-    def elements(self) -> tuple[int, ...]:
-        return tuple(sorted(self.first))
-
-
-@dataclass(frozen=True)
-class Realizer(Bichain):
-    """Bichain whose intersection order realizes a transitive orientation."""
-
-
-@dataclass(frozen=True)
-class Poset:
-    """Strict partial order; ``above[i]`` masks the elements above element i."""
-
-    elements: tuple[int, ...]
-    above: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        above = self.above
-        for i, row in enumerate(above):
-            if (row >> i) & 1:
-                raise GraphError("strict order cannot be reflexive")
-            rest = row
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                j = low.bit_length() - 1
-                if (above[j] >> i) & 1:
-                    raise GraphError("strict order cannot contain a 2-cycle")
-                if above[j] & ~row:
-                    raise GraphError("order relation is not transitive")
-
-    def less(self, a: int, b: int) -> bool:
-        i, j = self.elements.index(a), self.elements.index(b)
-        return bool((self.above[i] >> j) & 1)
 
 
 # -- incremental construction -------------------------------------------------
@@ -172,7 +133,7 @@ def build_realizer(word: str) -> Realizer:
     return builder.result()
 
 
-# -- poset and bichain conversions ---------------------------------------------
+# -- validation ---------------------------------------------------------------
 
 
 def _rank_masks(order: LinearOrder, index: dict[int, int]) -> list[int]:
@@ -186,28 +147,6 @@ def _rank_masks(order: LinearOrder, index: dict[int, int]) -> list[int]:
     return masks
 
 
-def intersection_order(b: Bichain) -> Poset:
-    """x < y iff x precedes y in both orders."""
-    elements = b.elements
-    index = {v: i for i, v in enumerate(elements)}
-    above = zip(_rank_masks(b.first, index), _rank_masks(b.second, index))
-    return Poset(elements, tuple(a1 & a2 for a1, a2 in above))
-
-
-def comparability_graph(p: Poset) -> Graph:
-    n = len(p.elements)
-    edges = [(i, j) for i in range(n) for j in _bits(p.above[i]) if i < j]
-    edges += [(j, i) for i in range(n) for j in _bits(p.above[i]) if j < i]
-    return from_edges(n, [(min(a, b), max(a, b)) for a, b in edges],
-                      labels=p.elements)
-
-
-def incomparability_graph(p: Poset) -> Graph:
-    from .graphs import complement
-
-    return complement(comparability_graph(p))
-
-
 def validate_realizer(r: Realizer, g: Graph) -> bool:
     """Comparability graph of the intersection order equals g exactly.
 
@@ -215,7 +154,7 @@ def validate_realizer(r: Realizer, g: Graph) -> bool:
     label-to-index map, so each comparability row (the elements after i in
     both orders or before i in both) compares with ``g.rows[i]`` directly.
     The intersection of two linear orders is a strict partial order by
-    construction, so no :class:`Poset` is built here.
+    construction, so no order relation is built here.
     """
     labels = tuple(g.label_of(i) for i in range(g.n))
     if set(r.first) != set(labels):
@@ -237,37 +176,7 @@ def realizer_for_word_graph(word: str) -> tuple[Realizer, Graph, bool]:
     return r, g, validate_realizer(r, g)
 
 
-def restrict(b: Bichain, keep: Sequence[int]) -> Bichain:
-    """Restriction to a label subset; realizes the induced suborder."""
-    keep_set = set(keep)
-    return Bichain(tuple(v for v in b.first if v in keep_set),
-                   tuple(v for v in b.second if v in keep_set))
-
-
-def bichain_to_permutation(b: Bichain) -> tuple[int, ...]:
-    """One-line permutation: position i along the first order holds the
-    rank (1-based) of that element in the second order."""
-    rank2 = {v: k + 1 for k, v in enumerate(b.second)}
-    return tuple(rank2[v] for v in b.first)
-
-
-def permutation_to_bichain(sigma: Sequence[int]) -> Bichain:
-    n = len(sigma)
-    if sorted(sigma) != list(range(1, n + 1)):
-        raise GraphError("expected a permutation of 1..n in one-line notation")
-    second = tuple(x for _, x in sorted((sigma[i - 1], i) for i in range(1, n + 1)))
-    return Bichain(tuple(range(1, n + 1)), second)
-
-
-def permutation_graph(sigma: Sequence[int]) -> Graph:
-    """Edges exactly on the pairs reversed by sigma."""
-    n = len(sigma)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if sigma[i] > sigma[j]]
-    return from_edges(n, edges, labels=tuple(range(1, n + 1)))
-
-
-def realizer_to_json(r: Bichain) -> dict:
+def realizer_to_json(r: Realizer) -> dict:
     return {"first": list(r.first), "second": list(r.second)}
 
 

@@ -104,8 +104,9 @@ def check_reversal_identity(rng: random.Random, exhaustive_len: int = 8,
                        f"words={len(words)} mismatches={bad}")
 
 
-def _modules_by_subsets(g: Graph) -> list[tuple[int, ...]]:
-    """Independent oracle: plain subset enumeration."""
+def modules_by_subsets(g: Graph) -> list[tuple[int, ...]]:
+    """Independent oracle: every nontrivial module (2 <= |A| < n), by plain
+    subset enumeration; the tests share it."""
     out = []
     for size in range(2, g.n):
         for subset in itertools.combinations(range(g.n), size):
@@ -124,7 +125,7 @@ def check_module_oracle(n_max: int = 7) -> CheckResult:
     for level in enumerate_graphs(n_max):
         for g in level:
             classes += 1
-            brute = _modules_by_subsets(g)
+            brute = modules_by_subsets(g)
             witness = find_nontrivial_module(g)
             if witness is None:
                 bad += brute != []

@@ -100,9 +100,6 @@ class Word:
             self._buf[0] = grown
         return self._buf[0][:n]
 
-    def letter(self, i: int) -> int:
-        return int(self.prefix(i + 1)[i])
-
 
 # -- generators ---------------------------------------------------------------
 

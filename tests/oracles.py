@@ -4,26 +4,34 @@ Everything here enumerates: permutations for isomorphism, subsets for
 modules, embeddings and ages.  The plain versions of the kernels that run
 on bitmasks are kept here too: the lexicographic pair-closure scan, the
 refinement that rescans every splitter after each split, the pair-by-pair
-word graph, the label-pair realizer check and the plain embedding
-backtracking.  Nothing imports the algorithms under test beyond the plain
-Graph container, save the two slow routes of the census: generation that
-tries every neighbourhood mask and heights over every subset.  They differ
-from the fast routes only in what they try, and reuse the canonical key,
-form and primality test, which are checked against brute force on their own.
+word graph, the label-pair realizer check, the strict order of a realizer's
+two linear orders built pair by pair, and the plain embedding backtracking.
+The module oracle by subset enumeration is the one ``verify`` runs, imported
+from there.  Nothing imports the algorithms under test beyond the plain
+Graph container, save three slow routes: the census's generation that
+tries every neighbourhood mask and heights over every subset, and the
+cofinality table that rescans every pair for each m.  They differ from the
+fast routes only in what they try, and reuse the canonical key, form,
+primality test and embedding search, which are checked against brute force
+on their own.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 from wordgraphs.graphs import (
     Graph,
+    GraphError,
     add_vertex,
     canonical_form,
     canonical_key,
+    embeds,
     induced_subgraph,
 )
 from wordgraphs.primes import is_prime
+from wordgraphs.verify import modules_by_subsets as brute_modules
 
 
 def relabel(g: Graph, perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -60,25 +68,6 @@ def brute_embeds(h: Graph, g: Graph) -> bool:
         if brute_canonical(induced_subgraph(g, subset)) == hcanon:
             return True
     return False
-
-
-def brute_modules(g: Graph) -> list[tuple[int, ...]]:
-    """All nontrivial modules (2 <= |A| < n), by full subset enumeration."""
-    found = []
-    for size in range(2, g.n):
-        for subset in itertools.combinations(range(g.n), size):
-            inside = set(subset)
-            ok = True
-            for x in range(g.n):
-                if x in inside:
-                    continue
-                hits = sum(1 for a in subset if g.has_edge(x, a))
-                if hits not in (0, len(subset)):
-                    ok = False
-                    break
-            if ok:
-                found.append(subset)
-    return found
 
 
 def brute_is_prime(g: Graph) -> bool:
@@ -154,6 +143,19 @@ def brute_age(source: Graph, k_max: int) -> dict[int, set]:
     return levels
 
 
+def rescan_cofinality(members: dict[int, list[Graph]], k_max: int,
+                      n: int) -> int | None:
+    """m(n) by its definition: the least m in 0..k_max such that every member
+    of size at most n embeds in every member of size at least m, rescanning
+    every pair for each m; None if no m works."""
+    small = [s for size in range(n + 1) for s in members.get(size, [])]
+    for m in range(k_max + 1):
+        if all(embeds(s, h) for size in range(m, k_max + 1)
+               for h in members.get(size, []) for s in small):
+            return m
+    return None
+
+
 def pair_scan_module(g: Graph) -> int | None:
     """First proper pair closure in lexicographic pair order, as a bitmask.
 
@@ -225,6 +227,48 @@ def realizer_realizes(first: tuple[int, ...], second: tuple[int, ...],
                   if (pos1[x] < pos1[y]) == (pos2[x] < pos2[y])}
     edges = {tuple(sorted((g.label_of(i), g.label_of(j)))) for i, j in g.edges()}
     return comparable == edges
+
+
+@dataclass(frozen=True)
+class Poset:
+    """Strict partial order; ``above[i]`` masks the elements above element i.
+
+    The constructor visits the order's pairs one by one and raises on a
+    reflexive pair, a 2-cycle or a broken transitivity.
+    """
+
+    elements: tuple[int, ...]
+    above: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        above = self.above
+        for i, row in enumerate(above):
+            if (row >> i) & 1:
+                raise GraphError("strict order cannot be reflexive")
+            rest = row
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                j = low.bit_length() - 1
+                if (above[j] >> i) & 1:
+                    raise GraphError("strict order cannot contain a 2-cycle")
+                if above[j] & ~row:
+                    raise GraphError("order relation is not transitive")
+
+    def less(self, a: int, b: int) -> bool:
+        i, j = self.elements.index(a), self.elements.index(b)
+        return bool((self.above[i] >> j) & 1)
+
+
+def intersection_order(first: tuple[int, ...], second: tuple[int, ...]) -> Poset:
+    """x < y iff x precedes y in both orders, decided pair by pair."""
+    elements = tuple(sorted(first))
+    pos1 = {v: k for k, v in enumerate(first)}
+    pos2 = {v: k for k, v in enumerate(second)}
+    return Poset(elements, tuple(
+        sum(1 << j for j, y in enumerate(elements)
+            if pos1[x] < pos1[y] and pos2[x] < pos2[y])
+        for x in elements))
 
 
 def backtrack_embedding(h: Graph, g: Graph) -> tuple[int, ...] | None:

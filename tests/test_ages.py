@@ -1,4 +1,4 @@
-"""Age enumeration, inclusion, bound certificates, antichains, desk checks."""
+"""Age enumeration, inclusion, bound certificates, desk checks."""
 
 import json
 
@@ -13,7 +13,6 @@ from wordgraphs.ages import (
     age_enumerate,
     age_includes,
     age_to_json,
-    antichain_search,
     bounds_enumerate,
     bounds_to_json,
     jonsson_desk_check,
@@ -180,27 +179,6 @@ def test_fibonacci_bound_counts_grow_and_persist():
     assert {c.key for c in per_k[5]} <= {c.key for c in per_k[6]}
 
 
-def test_antichain_search_examples():
-    aa = age_enumerate(path(12), 4)
-    rep = antichain_search(aa, 1, 4)
-    assert len(rep.antichain) == 5
-    # the classic incomparable pair: P_4 and 3 isolated vertices
-    p4, iso3 = path(4), empty_graph(3)
-    assert not embeds(iso3, p4) and not embeds(p4, iso3)
-    ka = antichain_search(age_enumerate(clique(5), 5), 0, 5)
-    assert len(ka.antichain) == 1  # clique ages are chains
-    two = antichain_search(age_enumerate(from_edges(3, [(0, 1)]), 3), 2, 3)
-    assert len(two.antichain) >= 2
-
-
-def test_antichain_members_pairwise_incomparable():
-    rep = antichain_search(age_enumerate(path(12), 4), 1, 4)
-    chain = rep.antichain
-    for i, a in enumerate(chain):
-        for b in chain[i + 1:]:
-            assert not (embeds(a, b) or embeds(b, a))
-
-
 def test_jonsson_path_age():
     age = age_enumerate(path(30), 8, "path")
     rep = jonsson_desk_check(age, prime_only=True, n_max=5)
@@ -221,6 +199,36 @@ def test_jonsson_fibonacci_at_size_eight():
     # of the eight-vertex prime members (m(5) first exists at k_max = 10)
     assert rep.cofinality[5] is None
     assert 5 in rep.failure_witnesses
+    _assert_witnesses_miss_a_top_host(age, rep)
+
+
+def _assert_witnesses_miss_a_top_host(age, rep):
+    for n, (small, host) in rep.failure_witnesses.items():
+        assert rep.cofinality[n] is None
+        assert small.n <= n and host.n == age.k_max
+        assert not embeds(small, host)
+
+
+_JONSSON_AGES = {
+    "path": lambda: age_enumerate(path(30), 8, "path"),
+    "fibonacci": lambda: word_age(fibonacci_word(), 60, 7),
+    "011": lambda: word_age(periodic_word("011"), 60, 7),
+}
+
+
+@pytest.mark.parametrize("source", sorted(_JONSSON_AGES))
+@pytest.mark.parametrize("prime_only", [True, False], ids=["primes", "all"])
+def test_jonsson_table_matches_rescan_oracle(source, prime_only):
+    age = _JONSSON_AGES[source]()
+    rep = jonsson_desk_check(age, prime_only=prime_only, n_max=age.k_max + 1)
+    members = {size: [g for g in age.members(size)
+                      if not prime_only or oracles.brute_is_prime(g)]
+               for size in age.levels}
+    assert rep.cofinality == {n: oracles.rescan_cofinality(members, age.k_max, n)
+                              for n in range(age.k_max + 2)}
+    assert set(rep.failure_witnesses) == {
+        n for n, m in rep.cofinality.items() if m is None}
+    _assert_witnesses_miss_a_top_host(age, rep)
 
 
 def test_jonsson_degenerate_clique():

@@ -113,12 +113,13 @@ def test_golden_readme_examples(capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    # only verify reads a seed; elsewhere --seed abbreviates --seed-letter,
-    # which no generator but --subst reads
+    # only verify reads a seed; flags are never abbreviated, so --seed is
+    # not taken for --seed-letter
     ["word", "--fib", "--seed", "1"],
     ["prime", "--g6", "C~", "--seed", "1"],
     ["prime", "--g6", "C~", "--format", "csv"],  # prime writes JSON only
     ["age", "--fib", "--format", "dot"],         # age writes CSV or JSON
+    ["graph", "--fib", "--complement"],          # not --complement-word
 ])
 def test_flags_a_subcommand_does_not_read_exit_2(capsys, argv):
     try:

@@ -1,6 +1,5 @@
 """graph6 round trips, hand-derived golden strings, DOT and sidecar output."""
 
-import io
 import json
 
 import pytest
@@ -10,10 +9,8 @@ from conftest import graphs
 from wordgraphs.graph6 import (
     from_graph6,
     labels_sidecar,
-    read_graph6,
     to_dot,
     to_graph6,
-    write_graph6,
 )
 from wordgraphs.graphs import Graph, GraphError, clique, empty_graph, from_edges, path
 
@@ -65,14 +62,6 @@ def test_agrees_with_networkx_oracle(g):
     assert {tuple(sorted(e)) for e in theirs.edges} == set(g.edges())
     ours = from_graph6(nx.to_graph6_bytes(theirs, header=False).decode().strip())
     assert ours == Graph(g.n, g.rows)
-
-
-def test_file_round_trip(tmp_path):
-    gs = [path(4), clique(5), empty_graph(1)]
-    buf = io.StringIO()
-    write_graph6(gs, buf)
-    back = read_graph6(io.StringIO(buf.getvalue()))
-    assert back == gs
 
 
 def test_dot_and_sidecar():

@@ -1,4 +1,4 @@
-"""Realizer construction, validation, poset/bichain conversions."""
+"""Realizer construction and validation, with the strict-order oracle."""
 
 import itertools
 import random
@@ -7,37 +7,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from wordgraphs.graphs import Graph, GraphError, clique, complement, empty_graph, induced_subgraph
+from oracles import Poset, intersection_order
+from wordgraphs.graphs import Graph, GraphError, clique, empty_graph, induced_subgraph
 from wordgraphs.realizers import (
-    Bichain,
-    Poset,
     Realizer,
-    bichain_to_permutation,
     build_realizer,
-    comparability_graph,
-    incomparability_graph,
-    intersection_order,
-    permutation_graph,
-    permutation_to_bichain,
     realizer_for_word_graph,
     realizer_from_json,
     realizer_to_json,
-    restrict,
     validate_realizer,
 )
 from wordgraphs.wordgraph import graph_of_word
 from wordgraphs.words import fibonacci_word
 
 
-def _assert_strict_order(b: Bichain) -> None:
+def _assert_strict_order(r: Realizer) -> None:
     """Oracle: the intersection of the two orders is a strict partial order.
 
-    ``validate_realizer`` builds no ``Poset``, since two linear orders always
-    intersect in one; ``intersection_order`` does, and its constructor visits
-    the order's pairs one by one (raising on a reflexive pair, a 2-cycle or a
-    broken transitivity).
+    ``validate_realizer`` builds no order relation, since two linear orders
+    always intersect in one; ``oracles.intersection_order`` builds a
+    ``Poset``, whose constructor visits the order's pairs one by one
+    (raising on a reflexive pair, a 2-cycle or a broken transitivity).
     """
-    intersection_order(b)
+    intersection_order(r.first, r.second)
 
 
 def _realizer(word: str) -> Realizer:
@@ -85,9 +77,11 @@ def test_restricted_realizer_still_validates():
         keep = sorted(rng.sample(labels, rng.randint(0, g.n)))
         sub_idx = [g.index_of_label(v) for v in keep]
         sub = induced_subgraph(g, sub_idx)
-        rr = restrict(r, keep)
+        # restricting both orders realizes the induced suborder
+        rr = Realizer(tuple(v for v in r.first if v in keep),
+                      tuple(v for v in r.second if v in keep))
         _assert_strict_order(rr)
-        assert validate_realizer(Realizer(rr.first, rr.second), sub)
+        assert validate_realizer(rr, sub)
 
 
 def test_validate_realizer_trivial_cases():
@@ -102,11 +96,11 @@ def test_validate_realizer_trivial_cases():
 
 
 def test_intersection_order_examples():
-    chain = intersection_order(Bichain((1, 2, 3), (1, 2, 3)))
+    chain = intersection_order((1, 2, 3), (1, 2, 3))
     assert chain.less(1, 2) and chain.less(2, 3) and chain.less(1, 3)
-    anti = intersection_order(Bichain((1, 2, 3), (3, 2, 1)))
+    anti = intersection_order((1, 2, 3), (3, 2, 1))
     assert not any(anti.less(a, b) for a in (1, 2, 3) for b in (1, 2, 3))
-    mixed = intersection_order(Bichain((1, 2, 3), (2, 1, 3)))
+    mixed = intersection_order((1, 2, 3), (2, 1, 3))
     comparable = {(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if mixed.less(a, b)}
     assert comparable == {(1, 3), (2, 3)}
 
@@ -120,41 +114,14 @@ def test_poset_validation_tripwires():
         Poset((0, 1, 2), (2, 4, 0))  # 0 < 1 < 2 without 0 < 2
 
 
-def test_comparability_and_incomparability_are_complements():
-    p = intersection_order(Bichain((1, 2, 3, 4), (2, 1, 4, 3)))
-    comp = comparability_graph(p)
-    inc = incomparability_graph(p)
-    assert comp == complement(inc)
-    chain = intersection_order(Bichain((1, 2, 3), (1, 2, 3)))
-    assert comparability_graph(chain).edge_count() == 3
-    assert incomparability_graph(chain).edge_count() == 0
-
-
-def test_bichain_to_permutation_examples():
-    assert bichain_to_permutation(Bichain((1, 2, 3), (1, 2, 3))) == (1, 2, 3)
-    assert bichain_to_permutation(Bichain((1, 2, 3), (3, 2, 1))) == (3, 2, 1)
-    assert bichain_to_permutation(Bichain((1, 2, 3), (2, 1, 3))) == (2, 1, 3)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.permutations(tuple(range(1, 7))))
-def test_permutation_round_trip(sigma):
-    sigma = tuple(sigma)
-    b = permutation_to_bichain(sigma)
-    assert bichain_to_permutation(b) == sigma
-    # permutation graph (reversed pairs) = incomparability of the bichain order
-    assert permutation_graph(sigma) == incomparability_graph(intersection_order(b))
-
-
-def test_permutation_graph_convention():
-    assert sorted(permutation_graph((2, 1, 3)).edges()) == [(0, 1)]
-    assert permutation_graph((3, 2, 1)).edge_count() == 3
-
-
 def test_realizer_json_round_trip():
     r = _realizer("0101")
     back = realizer_from_json(realizer_to_json(r))
     assert back == r
+    # a document from outside must give both orders one vertex set
+    for first, second in (([0, 1], [0, 2]), ([0, 0, 1], [0, 1, 1])):
+        with pytest.raises(GraphError, match="same vertex set"):
+            realizer_from_json({"first": first, "second": second})
 
 
 def _relabelled(g: Graph, perm: list[int]) -> Graph:
