@@ -52,7 +52,7 @@ from .graphs import (
     embeds,
 )
 from .primes import is_prime
-from .wordgraph import graph_of_word
+from .wordgraph import graph_of_word, letter_masks
 from .words import Word
 
 
@@ -126,45 +126,63 @@ def age_includes(a: AgeApprox, b: AgeApprox) -> InclusionResult:
 # -- word-graph ages by gapped-factor patterns ----------------------------------
 
 
+def _moves(ends: int, pos: tuple[int, int]) -> list[tuple[int, int, int]]:
+    """The moves that append one vertex to a pattern ending at ``ends``.
+
+    This is the move rule of the prefix graph, and its only owner.  The new
+    vertex takes an index with letter c (``pos[c]``, from
+    :func:`~wordgraphs.wordgraph.letter_masks`) one past an end (an adjacent
+    move) or at least two past the lowest end (a gap move).  A letter 0 sees
+    every earlier vertex and a letter 1 none, except that an adjacent move
+    flips the last one.  Each move is ``(base, flip, reach)``.  The new
+    vertex's row into the earlier vertices ``seen``, of which vertex
+    ``last`` is the last, is ``(base & seen) ^ (flip << last)``: all but the
+    last, all, only the last, or none.  ``reach`` is the mask of indices
+    where the longer pattern can end.  Moves that cannot occur are left out.
+    """
+    above_gap = ~(((ends & -ends) << 2) - 1)  # indices >= lowest end + 2
+    moves = []
+    for base, letter_pos in ((-1, pos[0]), (0, pos[1])):
+        for flip, reach in ((1, (ends << 1) & letter_pos),
+                            (0, letter_pos & above_gap)):
+            if reach:
+                moves.append((base, flip, reach))
+    return moves
+
+
 def _extend_patterns(states: dict[tuple[int, ...], list], k: int,
                      pos: tuple[int, int],
                      forms: dict[CanonKey, Graph]) -> dict[tuple[int, ...], list]:
-    """Append one letter to every k-vertex pattern, by an adjacent or a gap move.
+    """Append one letter to every k-vertex pattern, by each of its :func:`_moves`.
 
-    The new vertex k, with letter c, sees an earlier vertex p as a neighbour
-    iff (c == 1) == (p == k - 1 and the move is adjacent): its row is all,
-    none, only the last vertex, or all but the last.  A state maps the
-    pattern's rows to ``[ends, class key, at]``, where ``at`` is the index of
-    the pattern's last vertex in the class's canonical form ``forms[key]``,
-    so the new row mapped into that form is all, none, only ``at`` or all
-    but ``at``.  The child's class is the form plus that row: its canonical
-    search depends only on the parent class and the row, and the LRU of
-    :func:`_canonical_cached` serves every repeat of that pair.
+    A state maps the pattern's rows to ``[ends, class key, at]``, where
+    ``at`` is the index of the pattern's last vertex in the class's
+    canonical form ``forms[key]``, so the new row mapped into that form is
+    the move's row with ``at`` as the last vertex.  The child's class is the
+    form plus that row: its canonical search depends only on the parent
+    class and the row, and the LRU of :func:`_canonical_cached` serves every
+    repeat of that pair.
     """
-    full, last = (1 << k) - 1, 1 << (k - 1)
+    full = (1 << k) - 1
     nxt: dict[tuple[int, ...], list] = {}
     for rows, (ends, key, at) in states.items():
-        above_gap = ~(((ends & -ends) << 2) - 1)  # indices >= lowest end + 2
         form = forms[key].rows
-        for base, letter_pos in ((full, pos[0]), (0, pos[1])):
-            for nbrs, mapped, reach in (
-                    (base ^ last, base ^ (1 << at), (ends << 1) & letter_pos),
-                    (base, base, letter_pos & above_gap)):
-                if not reach:
-                    continue
-                grown = tuple(r | (((nbrs >> i) & 1) << k)
-                              for i, r in enumerate(rows)) + (nbrs,)
-                state = nxt.get(grown)
-                if state is not None:
-                    state[0] |= reach
-                    continue
-                extended = tuple(r | (((mapped >> i) & 1) << k)
-                                 for i, r in enumerate(form)) + (mapped,)
-                child_key, order = _canonical_cached(k + 1, extended)
-                if child_key not in forms:
-                    forms[child_key] = canonical_form(_trusted(k + 1, extended))
-                # vertex k of the extended form is the child's last vertex
-                nxt[grown] = [reach, child_key, order.index(k)]
+        for base, flip, reach in _moves(ends, pos):
+            nbrs = (base & full) ^ (flip << (k - 1))
+            grown = tuple(r | (((nbrs >> i) & 1) << k)
+                          for i, r in enumerate(rows)) + (nbrs,)
+            state = nxt.get(grown)
+            if state is not None:
+                state[0] |= reach
+                continue
+            mapped = (base & full) ^ (flip << at)
+            extended = tuple(r | (((mapped >> i) & 1) << k)
+                             for i, r in enumerate(form)) + (mapped,)
+            child_key, order = _canonical_cached(k + 1, extended)
+            if child_key not in forms:
+                forms[child_key] = canonical_form(_trusted(k + 1, extended))
+            # vertex k of the extended form is the child's last vertex
+            nxt[grown] = [reach, child_key, order.index(k)]
     return nxt
 
 
@@ -182,12 +200,7 @@ def word_age(w: Word, L: int, k_max: int) -> AgeApprox:
     source = graph_of_word(w, L)
     if k_max > source.n:
         raise GraphError("k_max exceeds the source order")
-    # pos[c]: the indices t >= 1 whose letter is c; the letter at t is 1
-    # exactly when the consecutive vertices t - 1 and t are adjacent
-    ones = 0
-    for t in range(1, source.n):
-        ones |= ((source.rows[t] >> (t - 1)) & 1) << t
-    pos = (((1 << source.n) - 2) ^ ones, ones)
+    pos = letter_masks(w, L)
     empty = Graph(0, ())
     levels: dict[int, dict[CanonKey, Graph]] = {0: {canonical_key(empty): empty}}
     vertex = _trusted(1, (0,))
@@ -202,6 +215,66 @@ def word_age(w: Word, L: int, k_max: int) -> AgeApprox:
         levels[k] = {key: forms[key] for key in sorted(keys)}
     return AgeApprox(source=source, source_desc=json.dumps({"word_prefix": L}),
                      k_max=k_max, levels=levels)
+
+
+def in_word_age(h: Graph, w: Word, L: int) -> bool:
+    """Does ``h`` embed in the word graph of the length-L prefix of ``w``?
+
+    Decided from the prefix's letters, with no host graph and no canonical
+    labelling.  An embedding, read in index order, is an order of h's
+    vertices in which each vertex's row into the ones before it is the row
+    of one of the :func:`_moves`; :class:`_OrderSearch` looks for one.
+    """
+    pos = letter_masks(w, L)
+    anywhere = pos[0] | pos[1] | 1  # one vertex ends at any index 0..L
+    search = _OrderSearch(h, pos)
+    return h.n == 0 or any(search.completes(1 << v, v, anywhere)
+                           for v in range(h.n))
+
+
+class _OrderSearch:
+    """Depth-first search over the orders of h's vertices that fit a prefix.
+
+    A vertex may come next when its row into the placed ones is the row of
+    a move with a nonempty reach; its end mask is the union of the reaches
+    of every such move.  What lies below a node depends only on (placed,
+    last, end mask), so the nodes that fail are remembered, and so are the
+    moves of each end mask.  Both memos live as long as the search, which
+    is one :func:`in_word_age` call.
+    """
+
+    def __init__(self, h: Graph, pos: tuple[int, int]) -> None:
+        self.rows = h.rows
+        self.full = (1 << h.n) - 1
+        self.pos = pos
+        self.failed: set[tuple[int, int, int]] = set()
+        self.moves: dict[int, list[tuple[int, int, int]]] = {}  # ends -> _moves
+
+    def completes(self, used: int, last: int, ends: int) -> bool:
+        """Can the placed vertices ``used``, the last one ``last`` ending at
+        ``ends``, be followed by all the others?"""
+        if used == self.full:
+            return True
+        node = (used, last, ends)
+        if node in self.failed:
+            return False
+        moves = self.moves.get(ends)
+        if moves is None:
+            moves = self.moves[ends] = _moves(ends, self.pos)
+        reaches: dict[int, int] = {}
+        for base, flip, reach in moves:
+            row = (base & used) ^ (flip << last)
+            reaches[row] = reaches.get(row, 0) | reach
+        free = self.full ^ used
+        while free:
+            bit = free & -free
+            free ^= bit
+            v = bit.bit_length() - 1
+            reach = reaches.get(self.rows[v] & used)
+            if reach and self.completes(used | bit, v, reach):
+                return True
+        self.failed.add(node)
+        return False
 
 
 # -- bounds ---------------------------------------------------------------------
@@ -250,11 +323,14 @@ def bounds_enumerate(w: Word, L: int, k_max: int) -> list[BoundCertificate]:
 
 
 def validate_bound_certificate(cert: BoundCertificate, w: Word, L: int) -> bool:
-    """Re-check from scratch at scale L: deletions embed, the graph does not."""
-    source = graph_of_word(w, L)
-    if embeds(cert.graph, source):
+    """Re-check from scratch at scale L: deletions embed, the graph does not.
+
+    Membership goes by vertex orders (:func:`in_word_age`), not by the
+    patterns and canonical forms that made the certificate.
+    """
+    if in_word_age(cert.graph, w, L):
         return False
-    return all(embeds(delete_vertex(cert.graph, v), source)
+    return all(in_word_age(delete_vertex(cert.graph, v), w, L)
                for v in range(cert.graph.n))
 
 
@@ -285,7 +361,8 @@ def jonsson_desk_check(age: AgeApprox, prime_only: bool = True,
     misses none), and m(n) is the largest m_s over sizes up to n.  A walk
     stops below that running maximum, where a miss cannot raise it.  The
     first member to miss a host of size ``k_max`` is the witness from then
-    on.
+    on.  Members of order 0 and 1 need no walk: the empty graph embeds in
+    every host, and a vertex in every host but the empty graph.
     """
     members = {size: [g for g in age.members(size)
                       if not prime_only or is_prime(g)]
@@ -294,19 +371,26 @@ def jonsson_desk_check(age: AgeApprox, prime_only: bool = True,
     top = max((s for s, c in level_counts.items() if c), default=0)
     degenerate = top <= 2
     hosts = [h for size in sorted(members, reverse=True) for h in members[size]]
+    empty_host = hosts[-1] if hosts and hosts[-1].n == 0 else None
     cofinality: dict[int, int | None] = {}
     failures: dict[int, tuple[Graph, Graph]] = {}
     worst, witness = 0, None
     for n in range(0, n_max + 1):
         for s in members.get(n, []):
-            for h in hosts:
-                if h.n < worst:
-                    break
-                if not embeds(s, h):
-                    worst = h.n + 1
-                    if worst > age.k_max:
-                        witness = (s, h)
-                    break
+            miss = None
+            if n == 1 and worst == 0:
+                miss = empty_host
+            elif n > 1:
+                for h in hosts:
+                    if h.n < worst:
+                        break
+                    if not embeds(s, h):
+                        miss = h
+                        break
+            if miss is not None:
+                worst = miss.n + 1
+                if worst > age.k_max:
+                    witness = (s, miss)
         cofinality[n] = worst if worst <= age.k_max else None
         if witness is not None:
             failures[n] = witness

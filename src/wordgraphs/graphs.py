@@ -70,14 +70,8 @@ class Graph:
 
     # -- basic accessors -------------------------------------------------
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool((self.rows[i] >> j) & 1)
-
     def degree(self, i: int) -> int:
         return self.rows[i].bit_count()
-
-    def edge_count(self) -> int:
-        return sum(r.bit_count() for r in self.rows) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for i in range(self.n):
@@ -91,19 +85,6 @@ class Graph:
 
     def label_of(self, i: int) -> int:
         return self.labels[i] if self.labels is not None else i
-
-    def index_of_label(self, label: int) -> int:
-        if self.labels is None:
-            if not 0 <= label < self.n:
-                raise GraphError(f"no vertex labelled {label}")
-            return label
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise GraphError(f"no vertex labelled {label}") from None
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(self.degree(i) for i in range(self.n)))
 
 
 def _trusted(n: int, rows: tuple[int, ...],

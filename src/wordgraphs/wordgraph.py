@@ -44,14 +44,23 @@ def _ones_mask(bits: str) -> int:
     return int(bits[::-1], 2) if bits else 0
 
 
+def letter_masks(w: Word | str, L: int | None = None) -> tuple[int, int]:
+    """The letters of the backward word graph's indices, as two masks.
+
+    Index t holds label t - 1, so the letter at label t - 1 sits at index t;
+    index 0 (label -1) has no letter.  Mask c has bit t set iff the letter at
+    index t is c, for t in 1..L.
+    """
+    bits = _prefix_bits(w, L)
+    ones = _ones_mask(bits) << 1
+    return ((1 << (len(bits) + 1)) - 2) ^ ones, ones
+
+
 def graph_of_word(w: Word | str, L: int | None = None) -> Graph:
     """Backward word graph on vertex labels -1, 0, ..., L-1."""
-    bits = _prefix_bits(w, L)
-    n = len(bits) + 1
-    # index t holds label t - 1, so the letter at label t - 1 sits at index t;
+    zeros, ones = letter_masks(w, L)
+    n = (zeros | ones).bit_length() or 1  # indices 0..L, letters from 1
     # a 0 at index j joins j to every index below j - 1, a 1 only to j - 1
-    ones = _ones_mask(bits) << 1
-    zeros = ((1 << n) - 2) ^ ones
     rows = []
     for i in range(n):
         if i == 0:

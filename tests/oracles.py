@@ -8,12 +8,12 @@ word graph, the label-pair realizer check, the strict order of a realizer's
 two linear orders built pair by pair, and the plain embedding backtracking.
 The module oracle by subset enumeration is the one ``verify`` runs, imported
 from there.  Nothing imports the algorithms under test beyond the plain
-Graph container, save three slow routes: the census's generation that
-tries every neighbourhood mask and heights over every subset, and the
-cofinality table that rescans every pair for each m.  They differ from the
-fast routes only in what they try, and reuse the canonical key, form,
-primality test and embedding search, which are checked against brute force
-on their own.
+Graph container, save four slow routes: the census's generation that
+tries every neighbourhood mask and heights over every subset, the
+cofinality table that rescans every pair for each m, and the one-pass table
+that walks every member.  They differ from the fast routes only in what
+they try, and reuse the canonical key, form, primality test and embedding
+search, which are checked against brute force on their own.
 """
 
 from __future__ import annotations
@@ -34,12 +34,28 @@ from wordgraphs.primes import is_prime
 from wordgraphs.verify import modules_by_subsets as brute_modules
 
 
+def has_edge(g: Graph, i: int, j: int) -> bool:
+    return bool((g.rows[i] >> j) & 1)
+
+
+def edge_count(g: Graph) -> int:
+    return sum(r.bit_count() for r in g.rows) // 2
+
+
+def degree_sequence(g: Graph) -> tuple[int, ...]:
+    return tuple(sorted(r.bit_count() for r in g.rows))
+
+
+def index_of_label(g: Graph, label: int) -> int:
+    return g.labels.index(label) if g.labels is not None else label
+
+
 def relabel(g: Graph, perm: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Edge set of g with vertex i renamed perm[i], as a sorted pair tuple."""
     out = []
     for i in range(g.n):
         for j in range(i + 1, g.n):
-            if g.has_edge(i, j):
+            if has_edge(g, i, j):
                 a, b = perm[i], perm[j]
                 out.append((min(a, b), max(a, b)))
     return tuple(sorted(out))
@@ -154,6 +170,31 @@ def rescan_cofinality(members: dict[int, list[Graph]], k_max: int,
                for h in members.get(size, []) for s in small):
             return m
     return None
+
+
+def walk_cofinality(members: dict[int, list[Graph]], k_max: int, n_max: int
+                    ) -> tuple[dict[int, int | None], dict[int, tuple[Graph, Graph]]]:
+    """The desk check's one-pass table with every member walking the hosts,
+    the empty graph and single vertices included: m(0..n_max) and the
+    witness pair behind each None."""
+    hosts = [h for size in sorted(members, reverse=True) for h in members[size]]
+    cofinality: dict[int, int | None] = {}
+    failures: dict[int, tuple[Graph, Graph]] = {}
+    worst, witness = 0, None
+    for n in range(n_max + 1):
+        for s in members.get(n, []):
+            for h in hosts:
+                if h.n < worst:
+                    break
+                if not embeds(s, h):
+                    worst = h.n + 1
+                    if worst > k_max:
+                        witness = (s, h)
+                    break
+        cofinality[n] = worst if worst <= k_max else None
+        if witness is not None:
+            failures[n] = witness
+    return cofinality, failures
 
 
 def pair_scan_module(g: Graph) -> int | None:
@@ -321,7 +362,7 @@ def backtrack_embedding(h: Graph, g: Graph) -> tuple[int, ...] | None:
             for q in range(nh):
                 if q == p or image[q] >= 0:
                     continue
-                narrowed = cands[q] & (grows_v if h.has_edge(p, q)
+                narrowed = cands[q] & (grows_v if has_edge(h, p, q)
                                        else full ^ grows_v)
                 nxt[q] = narrowed
                 if not narrowed & ~(used | (1 << v)):

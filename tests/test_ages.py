@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 import oracles
 from conftest import bit_words, graphs
 from wordgraphs.ages import (
+    BoundCertificate,
     age_csv,
     age_enumerate,
     age_includes,
     age_to_json,
     bounds_enumerate,
     bounds_to_json,
+    in_word_age,
     jonsson_desk_check,
     validate_bound_certificate,
     word_age,
@@ -28,6 +30,7 @@ from wordgraphs.graphs import (
     delete_vertex,
     embeds,
     empty_graph,
+    enumerate_graphs,
     from_edges,
     path,
 )
@@ -160,6 +163,57 @@ def test_bounds_of_all_ones_word():
         assert validate_bound_certificate(cert, ones, 80)
 
 
+_SMALL_GRAPHS = [g for level in enumerate_graphs(5) for g in level]
+
+
+def _assert_orders_agree_with_host(graphs, w, L):
+    host = graph_of_word(w, L)
+    for g in graphs:
+        assert in_word_age(g, w, L) == embeds(g, host), (g, L)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bit_words)
+def test_in_word_age_matches_host_embedding(bits):
+    _assert_orders_agree_with_host(_SMALL_GRAPHS, explicit_word(bits), len(bits))
+
+
+def _certificates_and_deletions(certs):
+    return [g for c in certs
+            for g in [c.graph] + [delete_vertex(c.graph, v) for v in range(c.graph.n)]]
+
+
+@pytest.mark.parametrize("w, L, k", [
+    (fibonacci_word(), 32, 6),
+    (fibonacci_word(), 40, 7),
+    (periodic_word("1"), 40, 4),
+], ids=["fibonacci-6", "fibonacci-7", "ones"])
+def test_in_word_age_on_certificates(w, L, k):
+    certs = bounds_enumerate(w, L, k)
+    graphs_ = _certificates_and_deletions(certs)
+    for scale in (L, 2 * L):
+        _assert_orders_agree_with_host(graphs_, w, scale)
+        assert all(validate_bound_certificate(c, w, scale) for c in certs)
+    _assert_orders_agree_with_host(_SMALL_GRAPHS, w, L)
+
+
+def _forged(g):
+    deletions = tuple(sorted(canonical_key(delete_vertex(g, v)) for v in range(g.n)))
+    return BoundCertificate(graph=g, key=canonical_key(g), deletion_keys=deletions,
+                            non_membership_scale=40)
+
+
+def test_validation_rejects_a_member_and_a_missing_deletion():
+    fib, ones = fibonacci_word(), periodic_word("1")
+    # P_4 is a member of every long enough word graph's age
+    assert in_word_age(path(4), fib, 40)
+    assert not validate_bound_certificate(_forged(path(4)), fib, 40)
+    # the word graph of 1^L is a path: K_4 misses it, and so does its K_3
+    assert not in_word_age(clique(4), ones, 40)
+    assert not in_word_age(clique(3), ones, 40)
+    assert not validate_bound_certificate(_forged(clique(4)), ones, 40)
+
+
 def test_bound_certificate_deletions_recorded():
     ones = periodic_word("1")
     (cert,) = bounds_enumerate(ones, 30, 3)
@@ -229,6 +283,20 @@ def test_jonsson_table_matches_rescan_oracle(source, prime_only):
     assert set(rep.failure_witnesses) == {
         n for n, m in rep.cofinality.items() if m is None}
     _assert_witnesses_miss_a_top_host(age, rep)
+
+
+@pytest.mark.parametrize("k_max", range(5))
+@pytest.mark.parametrize("prime_only", [True, False], ids=["primes", "all"])
+def test_jonsson_matches_walk_of_every_member(k_max, prime_only):
+    for age in (word_age(fibonacci_word(), 30, k_max),
+                word_age(periodic_word("011"), 30, k_max),
+                age_enumerate(path(9), k_max, "path")):
+        rep = jonsson_desk_check(age, prime_only=prime_only, n_max=k_max + 1)
+        members = {size: [g for g in age.members(size)
+                          if not prime_only or oracles.brute_is_prime(g)]
+                   for size in age.levels}
+        assert (rep.cofinality, rep.failure_witnesses) == oracles.walk_cofinality(
+            members, age.k_max, k_max + 1)
 
 
 def test_jonsson_degenerate_clique():

@@ -2,6 +2,7 @@
 
 import pytest
 
+import oracles
 from wordgraphs.catalogue import (
     FAMILIES,
     MISSING_FAMILIES,
@@ -32,7 +33,7 @@ def test_subdivided_star_shapes():
     assert are_isomorphic(subdivided_star(1), path(3))
     assert are_isomorphic(subdivided_star(2), path(5))
     s3 = subdivided_star(3)
-    assert (s3.n, s3.edge_count()) == (7, 6)
+    assert (s3.n, oracles.edge_count(s3)) == (7, 6)
     assert s3.degree(0) == 3  # center
     with pytest.raises(GraphError):
         subdivided_star(0)
@@ -57,9 +58,9 @@ def test_half_graph_shapes():
     assert are_isomorphic(half_graph(1), from_edges(2, [(0, 1)]))
     assert are_isomorphic(half_graph(2), path(4))
     h3 = half_graph(3)
-    assert (h3.n, h3.edge_count()) == (6, 6)
+    assert (h3.n, oracles.edge_count(h3)) == (6, 6)
     # bipartite: the u side is independent
-    assert all(not h3.has_edge(i, j) for i in range(3) for j in range(3) if i < j)
+    assert all(not oracles.has_edge(h3, i, j) for i in range(3) for j in range(3) if i < j)
 
 
 def test_chain_word_prime():

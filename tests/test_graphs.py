@@ -60,11 +60,11 @@ def test_construction_rejects_duplicate_labels():
 
 
 def test_make_families():
-    assert path(5).edge_count() == 4
-    assert complete_bipartite(2, 3).edge_count() == 6
+    assert oracles.edge_count(path(5)) == 4
+    assert oracles.edge_count(complete_bipartite(2, 3)) == 6
     assert clique(1).n == 1
     assert make("path", 5) == path(5)
-    assert make("empty", 3).edge_count() == 0
+    assert oracles.edge_count(make("empty", 3)) == 0
     with pytest.raises(GraphError):
         make("hypercube", 3)
 
@@ -136,7 +136,7 @@ def test_canonical_key_matches_permutation_brute_force(g, h):
 def test_canonical_form_is_isomorphic_relabelling(g):
     form = canonical_form(g)
     assert form.n == g.n
-    assert form.degree_sequence() == g.degree_sequence()
+    assert oracles.degree_sequence(form) == oracles.degree_sequence(g)
     assert canonical_key(form) == canonical_key(g)
 
 
@@ -259,8 +259,8 @@ def twin_blow_ups(draw):
     clique_part = draw(st.lists(st.booleans(), min_size=base.n, max_size=base.n))
     rows = tuple(
         sum(1 << v for v in range(n)
-            if v != u and (base.has_edge(part[u], part[v]) if part[u] != part[v]
-                           else clique_part[part[u]]))
+            if v != u and (oracles.has_edge(base, part[u], part[v])
+                           if part[u] != part[v] else clique_part[part[u]]))
         for u in range(n))
     return Graph(n, rows)
 
