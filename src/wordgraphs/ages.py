@@ -26,7 +26,12 @@ every possible neighborhood to each class of level k and filtering by an
 embedding search into the source is complete.  It is also the independent
 oracle that the tests hold the pattern route to.  Bound enumeration draws
 on the same candidate pool, since a minimal non-member has all its
-one-vertex deletions inside the age.
+one-vertex deletions inside the age, and by canonical deletion it needs only
+part of it: deleting a vertex of maximum degree from a bound leaves a
+member, and in that member's canonical form the deleted vertex becomes a
+neighbourhood mask that gives the new vertex maximum degree, so the bound
+is isomorphic to one of the member's
+:func:`~wordgraphs.graphs.max_degree_extensions`.
 
 Everything about an infinite age is reported at a finite scale and says so:
 a bound certificate records the prefix length at which the non-membership
@@ -50,6 +55,7 @@ from .graphs import (
     canonical_key,
     delete_vertex,
     embeds,
+    max_degree_extensions,
 )
 from .primes import is_prime
 from .wordgraph import graph_of_word, letter_masks
@@ -293,8 +299,15 @@ class BoundCertificate:
 def bounds_enumerate(w: Word, L: int, k_max: int) -> list[BoundCertificate]:
     """Bound certificates of the word-graph age, sizes up to ``k_max``.
 
-    Candidates are one-vertex extensions of members (a bound's deletions all
-    lie in the age, so deleting its last vertex lands in a member class).
+    Candidates are one-vertex extensions of members: a bound's deletions all
+    lie in the age, so deleting its vertex of maximum degree lands in a
+    member class, and the bound is isomorphic to one of that member's
+    :func:`~wordgraphs.graphs.max_degree_extensions` (one per orbit of the
+    member's automorphism group, new vertex of maximum degree).  A candidate
+    is a bound iff it is not a member and every deletion is; the deletion
+    keys stop at the first one outside the level below.  Certificates are
+    canonical forms sorted by (order, key), so they do not depend on which
+    isomorphic candidate found them.
     """
     if L < k_max:
         raise GraphError("prefix length must be at least k_max")
@@ -302,18 +315,22 @@ def bounds_enumerate(w: Word, L: int, k_max: int) -> list[BoundCertificate]:
     certificates: list[BoundCertificate] = []
     seen: set[CanonKey] = set()
     for k in range(1, k_max + 1):
-        for member in age.levels[k - 1].values():
-            for nbrs in range(1 << (k - 1)):
-                cand = add_vertex(member, nbrs)
+        below = age.levels[k - 1]
+        for member in below.values():
+            for cand in max_degree_extensions(member):
                 key = canonical_key(cand)
                 if key in seen:
                     continue
                 seen.add(key)
                 if key in age.levels[k]:
                     continue
-                deletions = [delete_vertex(cand, v) for v in range(cand.n)]
-                del_keys = [canonical_key(d) for d in deletions]
-                if all(dk in age.levels[k - 1] for dk in del_keys):
+                del_keys = []
+                for v in range(cand.n):
+                    dk = canonical_key(delete_vertex(cand, v))
+                    if dk not in below:
+                        break
+                    del_keys.append(dk)
+                else:
                     certificates.append(BoundCertificate(
                         graph=canonical_form(cand), key=key,
                         deletion_keys=tuple(sorted(del_keys)),

@@ -247,10 +247,12 @@ def make(family: str, *params: int) -> Graph:
 # is the permutation taking the best leaf's order to that of another leaf of
 # minimum code, times a permutation inside the best leaf's cells, which are
 # singletons or twin cells, whose permutations are all automorphisms.  Their
-# orbits on neighbourhood masks cut the extensions :func:`enumerate_graphs`
-# tries; a degree test, invariant under the same group, cuts them again
-# before any canonical search, to the masks that give the new vertex maximum
-# degree.
+# orbits on neighbourhood masks cut the one-vertex extensions of a graph; a
+# degree test, invariant under the same group, cuts them again before any
+# canonical search, to the masks that give the new vertex maximum degree.
+# :func:`max_degree_extensions` owns that rule; the census
+# (:func:`enumerate_graphs`) and the bound candidates
+# (:func:`~wordgraphs.ages.bounds_enumerate`) both extend through it.
 
 
 def _refine(rows: tuple[int, ...], cells: list[list[int]],
@@ -435,6 +437,31 @@ def _orbit_representatives(n: int, gens: list[tuple[int, ...]]) -> list[int]:
     return reps
 
 
+def max_degree_extensions(g: Graph) -> Iterator[Graph]:
+    """One-vertex extensions of ``g`` by canonical deletion of a vertex of
+    maximum degree (McKay, J. Algorithms 26, 1998).
+
+    Yields ``add_vertex(g, nbrs)`` for the smallest mask ``nbrs`` of each
+    orbit of g's automorphism group (generators from
+    :func:`_automorphism_generators`), keeping only the masks that give the
+    new vertex maximum degree: ``popcount(nbrs)`` at least every degree of
+    g, and no neighbour of that same degree (it would gain one).  Degrees
+    are invariant under the group, so the test keeps or drops whole orbits.
+    Every graph with a vertex of maximum degree whose deletion is isomorphic
+    to g is isomorphic to one extension yielded.
+    """
+    degrees = [row.bit_count() for row in g.rows]
+    top = max(degrees, default=0)
+    at = [0] * (g.n + 1)  # at[d]: the vertices of degree d
+    for v, d in enumerate(degrees):
+        at[d] |= 1 << v
+    for nbrs in _orbit_representatives(g.n, _automorphism_generators(g)):
+        d = nbrs.bit_count()
+        if d < top or nbrs & at[d]:
+            continue  # some vertex outranks the new one in degree
+        yield add_vertex(g, nbrs)
+
+
 # -- induced-subgraph embedding -------------------------------------------
 
 
@@ -611,31 +638,17 @@ def enumerate_graphs(n_max: int) -> list[list[Graph]]:
     Level ``k + 1`` is built by attaching one vertex to each level-``k``
     representative, deduplicating by canonical key.  Exhaustive: deleting a
     vertex of maximum degree from any class leaves a class of the previous
-    level, so only neighbourhoods that give the new vertex maximum degree are
-    tried: ``popcount(nbrs)`` at least every parent degree, and no neighbour
-    of that same degree (it would gain one).  Two neighbourhoods in one orbit
-    of the parent's automorphism group give isomorphic extensions, so only
-    the smallest mask of each orbit is tried (McKay, J. Algorithms 26, 1998);
-    the generators come from the parent's canonical search
-    (:func:`_automorphism_generators`).  Degrees are invariant under that
-    group, so the degree test keeps whole orbits.  The level is the same set
-    of keys, sorted, so it does not depend on which masks are tried.  Levels
-    are cached across calls.
+    level, so only the extensions of :func:`max_degree_extensions`, the
+    owner of that rule, are tried: one per orbit of the parent's
+    automorphism group, with the new vertex of maximum degree.  The level is
+    the same set of keys, sorted, so it does not depend on which masks are
+    tried.  Levels are cached across calls.
     """
     while len(_LEVEL_CACHE) <= n_max:
         k = len(_LEVEL_CACHE) - 1
         seen: dict[CanonKey, Graph] = {}
         for g in _LEVEL_CACHE[k]:
-            degrees = [row.bit_count() for row in g.rows]
-            top = max(degrees, default=0)
-            at = [0] * (k + 1)  # at[d]: the vertices of degree d
-            for v, d in enumerate(degrees):
-                at[d] |= 1 << v
-            for nbrs in _orbit_representatives(k, _automorphism_generators(g)):
-                d = nbrs.bit_count()
-                if d < top or nbrs & at[d]:
-                    continue  # some vertex outranks the new one in degree
-                ext = add_vertex(g, nbrs)
+            for ext in max_degree_extensions(g):
                 key = canonical_key(ext)
                 if key not in seen:
                     seen[key] = canonical_form(ext)

@@ -272,15 +272,20 @@ def recurrence_bound(w: Word, n: int, L: int) -> int | None:
     if n == 0:
         return 0
     p = w.prefix(L)
-    positions: dict[str, list[int]] = {}
-    for i in range(L - n + 1):
-        positions.setdefault(p[i:i + n], []).append(i)
+    # one pass: a window must reach a factor's first end, span each gap
+    # between consecutive starts, and reach from its last start to the end
+    latest: dict[str, int] = {}  # factor -> its latest start so far
     m = n
-    for occ in positions.values():
-        need = max(occ[0] + n, L - occ[-1])
-        for a, b in zip(occ, occ[1:]):
-            need = max(need, b - a + n - 1)
-        m = max(m, need)
+    for i in range(L - n + 1):
+        f = p[i:i + n]
+        prev = latest.get(f)
+        need = i + n if prev is None else i - prev + n - 1
+        if need > m:
+            m = need
+        latest[f] = i
+    for i in latest.values():
+        if L - i > m:
+            m = L - i
     return m if m <= L // 2 else None
 
 

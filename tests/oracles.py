@@ -8,12 +8,14 @@ word graph, the label-pair realizer check, the strict order of a realizer's
 two linear orders built pair by pair, and the plain embedding backtracking.
 The module oracle by subset enumeration is the one ``verify`` runs, imported
 from there.  Nothing imports the algorithms under test beyond the plain
-Graph container, save four slow routes: the census's generation that
-tries every neighbourhood mask and heights over every subset, the
-cofinality table that rescans every pair for each m, and the one-pass table
-that walks every member.  They differ from the fast routes only in what
-they try, and reuse the canonical key, form, primality test and embedding
-search, which are checked against brute force on their own.
+Graph container, save five slow routes: the census's generation that
+tries every neighbourhood mask and heights over every subset, the bound
+candidates that extend every word-age member by every mask, the cofinality
+table that rescans every pair for each m, and the one-pass table that walks
+every member.  They differ from the fast routes only in what they try, and
+reuse the canonical key, form, primality test, embedding search and word
+age, which are checked against brute force or the extension route on their
+own.
 """
 
 from __future__ import annotations
@@ -21,17 +23,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from wordgraphs.ages import BoundCertificate, word_age
 from wordgraphs.graphs import (
     Graph,
     GraphError,
     add_vertex,
     canonical_form,
     canonical_key,
+    delete_vertex,
     embeds,
     induced_subgraph,
 )
 from wordgraphs.primes import is_prime
 from wordgraphs.verify import modules_by_subsets as brute_modules
+from wordgraphs.words import Word
 
 
 def has_edge(g: Graph, i: int, j: int) -> bool:
@@ -132,6 +137,34 @@ def all_masks_levels(n_max: int) -> list[list[Graph]]:
                     seen[key] = canonical_form(ext)
         levels.append([seen[key] for key in sorted(seen)])
     return levels
+
+
+def all_masks_bounds(w: Word, L: int, k_max: int) -> list[BoundCertificate]:
+    """Bound certificates of the word age at prefix L, each level-(k-1)
+    member extended by all 2^(k-1) neighbourhood masks, every deletion key
+    computed, sorted by (order, key)."""
+    age = word_age(w, L, k_max)
+    certificates = []
+    seen: set[bytes] = set()
+    for k in range(1, k_max + 1):
+        for member in age.levels[k - 1].values():
+            for nbrs in range(1 << (k - 1)):
+                cand = add_vertex(member, nbrs)
+                key = canonical_key(cand)
+                if key in seen:
+                    continue
+                seen.add(key)
+                if key in age.levels[k]:
+                    continue
+                del_keys = [canonical_key(delete_vertex(cand, v))
+                            for v in range(cand.n)]
+                if all(dk in age.levels[k - 1] for dk in del_keys):
+                    certificates.append(BoundCertificate(
+                        graph=canonical_form(cand), key=key,
+                        deletion_keys=tuple(sorted(del_keys)),
+                        non_membership_scale=L))
+    certificates.sort(key=lambda c: (c.graph.n, c.key))
+    return certificates
 
 
 _EXHAUSTIVE_HEIGHTS: dict[bytes, int] = {}

@@ -233,6 +233,34 @@ def test_fibonacci_bound_counts_grow_and_persist():
     assert {c.key for c in per_k[5]} <= {c.key for c in per_k[6]}
 
 
+def _certificate_rows(certs):
+    return [(c.graph.rows, c.key, c.deletion_keys, c.non_membership_scale)
+            for c in certs]
+
+
+@pytest.mark.parametrize("w, L, k", [
+    (fibonacci_word(), 32, 6),
+    (fibonacci_word(), 40, 7),
+    (periodic_word("01"), 60, 6),
+    (periodic_word("011"), 60, 6),
+    (periodic_word("1"), 40, 4),
+    (mechanical_word(ContinuedFraction((3,), (1,)), "slope"), 60, 6),
+], ids=["fibonacci-6", "fibonacci-7", "01", "011", "ones", "cf-3-1"])
+def test_bounds_match_all_masks_oracle(w, L, k):
+    # candidates by canonical deletion give the certificates of every mask
+    assert _certificate_rows(bounds_enumerate(w, L, k)) == \
+        _certificate_rows(oracles.all_masks_bounds(w, L, k))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.text(alphabet="01", min_size=12, max_size=40),
+       st.integers(min_value=1, max_value=5))
+def test_bounds_match_all_masks_oracle_on_explicit_words(bits, k):
+    w = explicit_word(bits)
+    assert _certificate_rows(bounds_enumerate(w, len(bits), k)) == \
+        _certificate_rows(oracles.all_masks_bounds(w, len(bits), k))
+
+
 def test_jonsson_path_age():
     age = age_enumerate(path(30), 8, "path")
     rep = jonsson_desk_check(age, prime_only=True, n_max=5)

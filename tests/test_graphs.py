@@ -38,6 +38,7 @@ from wordgraphs.graphs import (
     induced_subgraph,
     line_graph,
     make,
+    max_degree_extensions,
     path,
 )
 from wordgraphs.wordgraph import graph_of_word, graph_of_word_forward
@@ -460,6 +461,22 @@ def test_twin_transpositions_alone_generate(g):
     assert all(sum(a != b for a, b in enumerate(perm)) == 2
                for perm in _automorphism_generators(g))
     _check_generators(g)
+
+
+def _new_vertex_has_max_degree(ext: Graph) -> bool:
+    return ext.degree(ext.n - 1) == max(ext.degree(v) for v in range(ext.n))
+
+
+def test_max_degree_extensions_on_every_class_through_order_six():
+    for level in enumerate_graphs(6):
+        for g in level:
+            yielded = list(max_degree_extensions(g))
+            assert all(_new_vertex_has_max_degree(ext) for ext in yielded)
+            keys = {canonical_key(ext) for ext in yielded}
+            for nbrs in range(1 << g.n):
+                ext = add_vertex(g, nbrs)
+                if _new_vertex_has_max_degree(ext):
+                    assert canonical_key(ext) in keys, (g, nbrs)
 
 
 # -- refinement against the rescanning oracle --------------------------------

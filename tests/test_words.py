@@ -143,6 +143,13 @@ def test_recurrence_bound_examples():
     # 100111...: the factor 10 never recurs, so no honest bound exists
     w = explicit_word("100" + "1" * 97)
     assert recurrence_bound(w, 2, 100) is None
+    # n = L: the one factor is the whole prefix, which certifies nothing
+    assert recurrence_bound(periodic_word("1"), 1, 1) is None
+    assert recurrence_bound(periodic_word("01"), 10, 10) is None
+    # n = L - 1: "11" holds its one 1-letter factor in every 1-letter window
+    assert recurrence_bound(periodic_word("1"), 1, 2) == 1
+    assert recurrence_bound(periodic_word("1"), 9, 10) is None
+    assert recurrence_bound(periodic_word("01"), 9, 10) is None
 
 
 @settings(max_examples=25, deadline=None)
