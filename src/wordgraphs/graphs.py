@@ -226,18 +226,29 @@ def make(family: str, *params: int) -> Graph:
 #
 # Exact canonical labelling: equitable refinement (cells split by neighbor
 # counts, subcells ordered by count) followed by individualization search on
-# the first non-singleton cell.  Refinement scans the cells in order as
-# splitters and, after each split, starts again from the first splitter; a
-# splitter cell that splits no cell is settled, since it cannot split any
-# cell of a finer partition either, so its mask is skipped on every later
-# scan, and a search node starts from the masks settled at its parent (whose
-# partition it refines).  Skipping leaves the sequence of splits, and so the
-# ordered partition, unchanged.  Twin cells (identical rows outside the cell,
-# complete or empty inside) admit any internal order without changing the
-# encoding, so they never branch; this keeps cliques, independent sets and
-# unions of twins linear.  The minimum upper-triangle encoding over all search
-# leaves is the canonical form; exactness, not hashing, because age sets and
-# census counts deduplicate by key.
+# the first non-singleton cell.  Each cell travels with its vertex mask: a
+# search node's child gets the parent's masks with the individualized vertex's
+# bit and the rest of its cell, and refinement replaces the masks of a cell
+# it splits.  Refinement scans the cells in order as splitters, and for each
+# one tests the cells in order, comparing every vertex's neighbor count in the
+# splitter with the cell's first vertex's (the subcells are built only when
+# the cell splits).  A splitter cell that splits no cell is settled, since it
+# cannot split any cell of a finer partition either, so its mask is skipped on
+# every later scan, and a search node starts from the masks settled at its
+# parent (whose partition it refines).  After a split the scan resumes at the
+# smaller of the splitter's and the split cell's index: every splitter before
+# the splitter is settled, every cell before the split cell is unchanged, so
+# a scan from the first splitter would skip all of those again.  Neither the
+# skipping nor the resuming changes the sequence of splits, and so the ordered
+# partition is that of a refinement rescanning every splitter after each
+# split.  Twin cells (identical rows outside the cell, complete or empty
+# inside) admit any internal order without changing the encoding, so they
+# never branch; this keeps cliques, independent sets and unions of twins
+# linear.  The minimum upper-triangle encoding over all search leaves is the
+# canonical form; exactness, not hashing, because age sets and census counts
+# deduplicate by key.  Each leaf is encoded once, row by row, each row's
+# segment from its neighbours later in the order, and the search returns the
+# best leaf's code with its order.
 #
 # The same walk yields generators of the automorphism group.  The tree is
 # built from label-free choices only (refinement, first non-twin cell, every
@@ -255,44 +266,55 @@ def make(family: str, *params: int) -> Graph:
 # (:func:`~wordgraphs.ages.bounds_enumerate`) both extend through it.
 
 
-def _refine(rows: tuple[int, ...], cells: list[list[int]],
-            settled: set[int]) -> tuple[list[list[int]], set[int]]:
-    """Equitable refinement of ``cells``, with the splitter masks settled on it.
+def _refine(rows: tuple[int, ...], cells: list[list[int]], masks: list[int],
+            settled: set[int]) -> tuple[list[list[int]], list[int], set[int]]:
+    """Equitable refinement of ``cells``, whose vertex masks are ``masks``,
+    with the splitter masks settled on it.
 
-    ``settled`` holds masks settled on a coarser partition; it is copied, not
-    extended, because sibling search nodes refine different partitions.
+    ``cells`` and ``masks`` are refined in place and returned.  ``settled``
+    holds masks settled on a coarser partition; it is copied, not extended,
+    because sibling search nodes refine different partitions.
     """
     settled = set(settled)
-    while True:
-        for splitter in cells:
-            smask = 0
-            for v in splitter:
-                smask |= 1 << v
-            if smask in settled:
+    si = 0
+    while si < len(cells):
+        smask = masks[si]
+        if smask in settled:
+            si += 1
+            continue
+        for di, cell in enumerate(cells):
+            if len(cell) <= 1:
                 continue
-            for di, cell in enumerate(cells):
-                if len(cell) <= 1:
-                    continue
-                groups: dict[int, list[int]] = {}
-                for v in cell:
-                    groups.setdefault((rows[v] & smask).bit_count(), []).append(v)
-                if len(groups) > 1:
-                    cells[di:di + 1] = [groups[c] for c in sorted(groups)]
+            count = (rows[cell[0]] & smask).bit_count()
+            for v in cell:
+                if (rows[v] & smask).bit_count() != count:
                     break
             else:
-                settled.add(smask)
                 continue
-            break  # a cell split: scan again from the first splitter
+            groups: dict[int, list[int]] = {}
+            for v in cell:
+                groups.setdefault((rows[v] & smask).bit_count(), []).append(v)
+            parts = [groups[c] for c in sorted(groups)]
+            cells[di:di + 1] = parts
+            part_masks = []
+            for part in parts:
+                pmask = 0
+                for v in part:
+                    pmask |= 1 << v
+                part_masks.append(pmask)
+            masks[di:di + 1] = part_masks
+            if di < si:  # cells before di are unchanged, splitters before si settled
+                si = di
+            break
         else:
-            return cells, settled
+            settled.add(smask)
+            si += 1
+    return cells, masks, settled
 
 
-def _is_twin_cell(rows: tuple[int, ...], cell: list[int]) -> bool:
+def _is_twin_cell(rows: tuple[int, ...], cell: list[int], cmask: int) -> bool:
     if len(cell) <= 1:
         return True
-    cmask = 0
-    for v in cell:
-        cmask |= 1 << v
     outside = rows[cell[0]] & ~cmask
     if any(rows[v] & ~cmask != outside for v in cell[1:]):
         return False
@@ -303,31 +325,43 @@ def _is_twin_cell(rows: tuple[int, ...], cell: list[int]) -> bool:
 
 
 def _encode(rows: tuple[int, ...], order: list[int]) -> int:
+    """The upper triangle of the adjacency matrix in ``order``, read row by
+    row as one integer, each row's later vertices from high bit to low."""
+    n = len(order)
+    place = [0] * n  # place[w]: w's bit within any row's segment
+    for i, v in enumerate(order):
+        place[v] = 1 << (n - 1 - i)
+    later = (1 << n) - 1
     code = 0
     for i, v in enumerate(order):
-        rv = rows[v]
-        for w in order[i + 1:]:
-            code = (code << 1) | ((rv >> w) & 1)
+        later ^= 1 << v
+        segment = 0
+        nbrs = rows[v] & later
+        while nbrs:
+            low = nbrs & -nbrs
+            segment |= place[low.bit_length() - 1]
+            nbrs ^= low
+        code = (code << (n - 1 - i)) | segment
     return code
 
 
-def _canonical_order(g: Graph, leaves: list | None = None) -> list[int]:
-    """The first leaf order of minimum code; ``leaves``, if given, receives
-    ``(code, order, cells)`` for every leaf in walk order."""
+def _canonical_order(g: Graph, leaves: list | None = None) -> tuple[list[int], int]:
+    """The first leaf order of minimum code, and that code; ``leaves``, if
+    given, receives ``(code, order, cells)`` for every leaf in walk order."""
     if g.n > CORE_WIDTH:
         raise GraphError(f"canonical form capped at {CORE_WIDTH} vertices")
     rows = g.rows
     if g.n <= 1:
-        return list(range(g.n))
-    best_code: int | None = None
+        return list(range(g.n)), 0
+    best_code = -1
     best_order: list[int] = []
 
-    def walk(cells: list[list[int]], settled: set[int]) -> None:
+    def walk(cells: list[list[int]], masks: list[int], settled: set[int]) -> None:
         nonlocal best_code, best_order
-        cells, settled = _refine(rows, cells, settled)
+        cells, masks, settled = _refine(rows, cells, masks, settled)
         target = -1
         for ci, cell in enumerate(cells):
-            if len(cell) > 1 and not _is_twin_cell(rows, cell):
+            if len(cell) > 1 and not _is_twin_cell(rows, cell, masks[ci]):
                 target = ci
                 break
         if target < 0:
@@ -335,23 +369,26 @@ def _canonical_order(g: Graph, leaves: list | None = None) -> list[int]:
             code = _encode(rows, order)
             if leaves is not None:
                 leaves.append((code, order, cells))
-            if best_code is None or code < best_code:
+            if best_code < 0 or code < best_code:
                 best_code = code
                 best_order = order
             return
-        cell = cells[target]
+        cell, mask = cells[target], masks[target]
+        cells_before, cells_after = cells[:target], cells[target + 1:]
+        masks_before, masks_after = masks[:target], masks[target + 1:]
         for v in sorted(cell):
             rest = [w for w in cell if w != v]
-            walk(cells[:target] + [[v], rest] + cells[target + 1:], settled)
+            bit = 1 << v
+            walk(cells_before + [[v], rest] + cells_after,
+                 masks_before + [bit, mask ^ bit] + masks_after, settled)
 
-    walk([list(range(g.n))], set())
-    return best_order
+    walk([list(range(g.n))], [(1 << g.n) - 1], set())
+    return best_order, best_code
 
 
 @lru_cache(maxsize=1 << 18)
 def _canonical_cached(n: int, rows: tuple[int, ...]) -> tuple[CanonKey, tuple[int, ...]]:
-    order = _canonical_order(_trusted(n, rows))
-    code = _encode(rows, order)
+    order, code = _canonical_order(_trusted(n, rows))
     nbytes = (n * (n - 1) // 2 + 7) // 8
     key = bytes([n]) + code.to_bytes(nbytes, "big")
     return key, tuple(order)

@@ -3,9 +3,10 @@
 Everything here enumerates: permutations for isomorphism, subsets for
 modules, embeddings and ages.  The plain versions of the kernels that run
 on bitmasks are kept here too: the lexicographic pair-closure scan, the
-refinement that rescans every splitter after each split, the pair-by-pair
-word graph, the label-pair realizer check, the strict order of a realizer's
-two linear orders built pair by pair, and the plain embedding backtracking.
+refinement that rescans every splitter after each split, the canonical
+search on it that encodes each leaf pair by pair, the pair-by-pair word
+graph, the label-pair realizer check, the strict order of a realizer's two
+linear orders built pair by pair, and the plain embedding backtracking.
 The module oracle by subset enumeration is the one ``verify`` runs, imported
 from there.  Nothing imports the algorithms under test beyond the plain
 Graph container, save five slow routes: the census's generation that
@@ -271,6 +272,66 @@ def rescan_refine(rows: tuple[int, ...], cells: list[list[int]]) -> list[list[in
             break
         else:
             return cells
+
+
+def _is_twin_cell(rows: tuple[int, ...], cell: list[int]) -> bool:
+    """Identical rows outside the cell, and the cell complete or empty."""
+    cmask = sum(1 << v for v in cell)
+    outside = rows[cell[0]] & ~cmask
+    if any(rows[v] & ~cmask != outside for v in cell):
+        return False
+    inner = [rows[v] & cmask for v in cell]
+    return all(x == 0 for x in inner) or all(
+        x == cmask ^ (1 << v) for x, v in zip(inner, cell))
+
+
+def encode_pairs(rows: tuple[int, ...], order: list[int]) -> int:
+    """The upper triangle of the adjacency matrix in ``order``, pair by pair."""
+    code = 0
+    for i, v in enumerate(order):
+        for w in order[i + 1:]:
+            code = (code << 1) | ((rows[v] >> w) & 1)
+    return code
+
+
+def canonical_order(g: Graph, leaves: list | None = None) -> tuple[list[int], int]:
+    """The canonical search with the rescanning refinement, each cell's mask
+    rebuilt from its list and each leaf encoded pair by pair: the first leaf
+    order of minimum code and that code; ``leaves``, if given, receives
+    ``(code, order, cells)`` for every leaf in walk order."""
+    rows = g.rows
+    if g.n <= 1:
+        return list(range(g.n)), 0
+    best: list = []
+
+    def walk(cells: list[list[int]]) -> None:
+        cells = rescan_refine(rows, cells)
+        target = next((ci for ci, cell in enumerate(cells)
+                       if len(cell) > 1 and not _is_twin_cell(rows, cell)), None)
+        if target is None:
+            order = [v for cell in cells for v in sorted(cell)]
+            code = encode_pairs(rows, order)
+            if leaves is not None:
+                leaves.append((code, order, cells))
+            if not best or code < best[1]:
+                best[:] = [order, code]
+            return
+        cell = cells[target]
+        for v in sorted(cell):
+            walk(cells[:target] + [[v], [w for w in cell if w != v]] + cells[target + 1:])
+
+    walk([list(range(g.n))])
+    return best[0], best[1]
+
+
+def canonical_key_and_form(g: Graph) -> tuple[bytes, Graph]:
+    """Key (order byte, then the code's bytes) and relabelled graph of
+    :func:`canonical_order`."""
+    order, code = canonical_order(g)
+    key = bytes([g.n]) + code.to_bytes((g.n * (g.n - 1) // 2 + 7) // 8, "big")
+    pos = {v: i for i, v in enumerate(order)}
+    rows = [sum(1 << pos[w] for w in range(g.n) if has_edge(g, v, w)) for v in order]
+    return key, Graph(g.n, tuple(rows))
 
 
 def word_graph_rows(bits: str, forward: bool = False) -> tuple[int, ...]:

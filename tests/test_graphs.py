@@ -126,6 +126,12 @@ def test_canonical_key_overflow():
         canonical_key(empty_graph(CORE_WIDTH + 1))
 
 
+def test_canonical_key_and_form_at_core_width():
+    g = graph_of_word(fibonacci_word(), CORE_WIDTH - 1)
+    assert g.n == CORE_WIDTH
+    assert (canonical_key(g), canonical_form(g)) == oracles.canonical_key_and_form(g)
+
+
 @settings(max_examples=150, deadline=None)
 @given(graphs(max_n=6), graphs(max_n=6))
 def test_canonical_key_matches_permutation_brute_force(g, h):
@@ -484,20 +490,29 @@ def test_max_degree_extensions_on_every_class_through_order_six():
 word_graph_bits = st.text(alphabet="01", max_size=63)
 
 
+def _cell_masks(cells: list[list[int]]) -> list[int]:
+    return [sum(1 << v for v in cell) for cell in cells]
+
+
 def _check_refinement(rows: tuple[int, ...]) -> None:
     """Equal ordered partitions from the unit partition, then for every
     vertex individualized in its cell; the children all start from the one
-    set of masks settled at the parent, as search nodes do."""
+    set of masks settled at the parent, as search nodes do, and every cell
+    comes back with its own vertex mask."""
     unit = [list(range(len(rows)))]
-    cells, settled = _refine(rows, [list(c) for c in unit], set())
+    cells, masks, settled = _refine(rows, [list(c) for c in unit], _cell_masks(unit), set())
     assert cells == oracles.rescan_refine(rows, unit)
+    assert masks == _cell_masks(cells)
     for t, cell in enumerate(cells):
         if len(cell) < 2:
             continue
         for v in cell:
             child = cells[:t] + [[v], [w for w in cell if w != v]] + cells[t + 1:]
             expected = oracles.rescan_refine(rows, child)
-            assert _refine(rows, [list(c) for c in child], settled)[0] == expected
+            got, got_masks, _ = _refine(rows, [list(c) for c in child],
+                                        _cell_masks(child), settled)
+            assert got == expected
+            assert got_masks == _cell_masks(got)
 
 
 @settings(max_examples=300, deadline=None)
@@ -510,6 +525,37 @@ def test_refine_matches_rescanning_oracle(g):
 @given(word_graph_bits)
 def test_refine_matches_rescanning_oracle_on_word_graphs(bits):
     _check_refinement(graph_of_word(bits).rows)
+
+
+# -- canonical search against the plain search ---------------------------------
+
+
+def _check_canonical_search(g: Graph) -> None:
+    """Equal best (order, code) and equal leaves, in walk order, from the
+    kernel and from the rescanning, pair-by-pair search."""
+    leaves: list = []
+    expected_leaves: list = []
+    assert _canonical_order(g, leaves) == oracles.canonical_order(g, expected_leaves)
+    assert leaves == expected_leaves
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=12))
+def test_canonical_search_matches_plain_search(g):
+    _check_canonical_search(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(word_graph_bits)
+def test_canonical_search_matches_plain_search_on_word_graphs(bits):
+    _check_canonical_search(graph_of_word(bits))
+    _check_canonical_search(graph_of_word_forward(bits))
+
+
+def test_canonical_search_matches_plain_search_on_every_class_through_order_seven():
+    for level in enumerate_graphs(7):
+        for g in level:
+            _check_canonical_search(g)
 
 
 # -- graphs the kernel builds without the constructor's checks -----------------
