@@ -12,11 +12,8 @@ operation accepts arbitrary order since Python integers are unbounded.
 
 The induced-embedding search (:func:`embedding`) keeps one candidate mask
 per unmapped pattern vertex, with the used host vertices removed, and places
-the last two pattern vertices by one scan with no recursion.  It remembers the
-three-left nodes whose subtrees held no image, and skips a node it has already
-proved empty; the memo is cleared whenever the root moves to its next
-candidate.  It visits the nodes of plain backtracking in the same order,
-minus those empty subtrees, so its images are the same.
+the last two pattern vertices by one scan with no recursion.  It visits the
+nodes of plain backtracking in the same order, so its images are the same.
 """
 
 from __future__ import annotations
@@ -273,11 +270,13 @@ def _refine(rows: tuple[int, ...], cells: list[list[int]], masks: list[int],
 
     ``cells`` and ``masks`` are refined in place and returned.  ``settled``
     holds masks settled on a coarser partition; it is copied, not extended,
-    because sibling search nodes refine different partitions.
+    because sibling search nodes refine different partitions.  A discrete
+    partition is returned at once: it is a leaf, so its settled masks go unused.
     """
+    n = len(rows)
     settled = set(settled)
     si = 0
-    while si < len(cells):
+    while si < len(cells) < n:
         smask = masks[si]
         if smask in settled:
             si += 1
@@ -519,21 +518,9 @@ def embedding(h: Graph, g: Graph) -> tuple[int, ...] | None:
     call, and the branched vertex's pattern row picks one of the two for each
     unmapped vertex once per node.  A candidate's child masks go into one list
     per node, which the child only reads before the next candidate refills it.
-    The nodes with three vertices left are unrolled.  With two left, the
-    picked vertex ``p`` takes the first candidate ``v`` whose narrowed mask
-    for the other vertex ``q`` is nonempty, and ``q`` takes that mask's
-    lowest bit, as one more level of branching would.
-
-    A three-left node's subtree depends only on its unmapped vertices and
-    their candidate masks, since the used host vertices are already out of
-    the masks.  A node records that state in a set just before it returns
-    False, and a node whose state is in the set returns False at once: it
-    would walk the same empty subtree again.  Nothing is recorded on success,
-    and a skipped subtree holds no image, so the search returns the plain
-    backtracking's image (the first in its walk order).  The set is cleared
-    each time the root moves to its next candidate, which keeps most repeats
-    (they are siblings and cousins under one root choice) and bounds the set
-    by the work under one root candidate, not by the whole search.
+    With two left, the picked vertex ``p`` takes the first candidate ``v``
+    whose narrowed mask for the other vertex ``q`` is nonempty, and ``q``
+    takes that mask's lowest bit, as one more level of branching would.
     """
     nh, ng = h.n, g.n
     if nh == 0:
@@ -577,40 +564,6 @@ def embedding(h: Graph, g: Graph) -> tuple[int, ...] | None:
             cp ^= low
         return False
 
-    # three-left states (todo, then cands) proved empty under the root's
-    # current candidate
-    failed: set[tuple[int, ...]] = set()
-
-    def last_three(todo: list[int], cands: list[int]) -> bool:
-        # solve() unrolled for three vertices, the most common inner node
-        c0, c1, c2 = cands
-        state = (todo[0], todo[1], todo[2], c0, c1, c2)
-        if state in failed:
-            return False
-        n0, n1, n2 = c0.bit_count(), c1.bit_count(), c2.bit_count()
-        if n0 <= n1 and n0 <= n2:
-            p, a, b, cp, ca, cb = todo[0], todo[1], todo[2], c0, c1, c2
-        elif n1 <= n2:
-            p, a, b, cp, ca, cb = todo[1], todo[0], todo[2], c1, c0, c2
-        else:
-            p, a, b, cp, ca, cb = todo[2], todo[0], todo[1], c2, c0, c1
-        hp = hrows[p]
-        sa = grows if (hp >> a) & 1 else nonrows
-        sb = grows if (hp >> b) & 1 else nonrows
-        while cp:
-            low = cp & -cp
-            v = low.bit_length() - 1
-            cp ^= low
-            xa = ca & sa[v]
-            if xa:
-                xb = cb & sb[v]
-                if xb:
-                    image[p] = v
-                    if last_two(a, b, xa, xb):
-                        return True
-        failed.add(state)
-        return False
-
     def solve(todo: list[int], cands: list[int]) -> bool:
         k = len(todo)
         i, count = 0, cands[0].bit_count()
@@ -623,16 +576,13 @@ def embedding(h: Graph, g: Graph) -> tuple[int, ...] | None:
         rest_cands = cands[:i] + cands[i + 1:]
         hp = hrows[p]
         sels = [grows if (hp >> q) & 1 else nonrows for q in rest]
-        child = last_three if k == 4 else solve
-        root = k == nh
+        two = k == 3
         nxt = [0] * (k - 1)  # refilled per candidate; the child only reads it
         cp = cands[i]
         while cp:
             low = cp & -cp
             v = low.bit_length() - 1
             cp ^= low
-            if root:
-                failed.clear()
             for j in range(k - 1):
                 x = rest_cands[j] & sels[j][v]
                 if not x:
@@ -640,7 +590,8 @@ def embedding(h: Graph, g: Graph) -> tuple[int, ...] | None:
                 nxt[j] = x
             else:
                 image[p] = v
-                if child(rest, nxt):
+                if (last_two(rest[0], rest[1], nxt[0], nxt[1]) if two
+                        else solve(rest, nxt)):
                     return True
         return False
 
@@ -650,7 +601,7 @@ def embedding(h: Graph, g: Graph) -> tuple[int, ...] | None:
     elif nh == 2:
         found = last_two(0, 1, base[0], base[1])
     else:
-        found = (last_three if nh == 3 else solve)(list(range(nh)), base)
+        found = solve(list(range(nh)), base)
     # solve reaches itself through its closure cell; emptying the cell frees
     # the search state now rather than at a later cyclic collection, which
     # would let the host rows of many calls pile up as garbage

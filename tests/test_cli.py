@@ -50,8 +50,10 @@ def test_graph_command_and_complement_flag(capsys):
     assert from_graph6(zero.splitlines()[0]).n == 1
 
 
-def test_prime_command(capsys):
-    code, out = run(capsys, "prime", "--g6", to_graph6(path(4)))
+def test_prime_command(capsys, tmp_path):
+    g6file = tmp_path / "p4.g6"
+    g6file.write_text(to_graph6(path(4)) + "\n")
+    code, out = run(capsys, "prime", "--g6", str(g6file))
     doc = json.loads(out)
     assert code == 0
     assert doc["prime"] and doc["critically_prime"]
@@ -185,6 +187,16 @@ def test_empty_graph6_file_exits_2(capsys, tmp_path, command):
     assert captured.out == "" and "empty graph6 string" in captured.err
 
 
+@pytest.mark.parametrize("command", ["prime", "detect"])
+def test_missing_graph6_file_exits_2(capsys, tmp_path, command):
+    # --g6 always names a file; a missing one is never read as graph6 text
+    missing = tmp_path / "C~"
+    argv = [command, "--g6", str(missing)] + (["--n", "3"] if command == "detect" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and str(missing) in captured.err
+
+
 @pytest.mark.parametrize("argv,config,message", [
     (["age", "--fib", "--k-max", "-1"], None, "k_max must be nonnegative"),
     (["jonsson", "--fib", "--length", "10", "--k-max", "3", "--n-max", "-1"], None,
@@ -212,12 +224,14 @@ def test_outdir_environment_variable(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "w.txt").read_text().strip() == "01001010"
 
 
-def test_config_error_exit_codes(capsys):
+def test_config_error_exit_codes(capsys, tmp_path):
     assert main(["word", "--length", "5"]) == 2  # no generator picked
     capsys.readouterr()
     assert main(["word", "--fib", "--periodic", "1", "--length", "5"]) == 2
     capsys.readouterr()
-    assert main(["detect", "--g6", "!!notgraph6!!", "--n", "2"]) == 2
+    bad = tmp_path / "bad.g6"
+    bad.write_text("!!notgraph6!!\n")
+    assert main(["detect", "--g6", str(bad), "--n", "2"]) == 2
     capsys.readouterr()
     # a word flag that nothing reads
     assert main(["word", "--fib", "--intercept", "slope"]) == 2

@@ -250,9 +250,9 @@ def test_embedding_matches_backtracking_on_bound_certificates():
                 assert _same_image(delete_vertex(cert.graph, v), host) is not None
 
 
-# The failed-state memo of `embedding` acts on searches with four or more
-# pattern vertices; these patterns, of 5-7 vertices in 30-70-vertex hosts, give
-# it deep failing subtrees, and twin-heavy ones give it many repeated states.
+# Patterns of 5-7 vertices in word-graph hosts of 30-70 vertices: searches with
+# deep failing subtrees, where twin-heavy patterns meet the same candidate
+# masks again and again under one root candidate.
 
 
 @st.composite
@@ -283,8 +283,8 @@ def test_embedding_matches_backtracking_with_failed_states(h, bits, data):
 
 def test_embedding_matches_backtracking_on_heaviest_certificates():
     # the three bounds of Fibonacci at k = 6 whose failing searches into the
-    # 65-vertex host revisit the most failed states, in three vertex orders;
-    # their one-vertex deletions embed, after failing subtrees of their own
+    # 65-vertex host walk the same empty subtrees most often, in three vertex
+    # orders; their one-vertex deletions embed, after failing subtrees of their own
     host = graph_of_word(fibonacci_word(), 64)
     for g6 in ("E?Fg", "EFz_", "EFzg"):  # EFz_ is K3,3
         cert = from_graph6(g6)
@@ -296,19 +296,21 @@ def test_embedding_matches_backtracking_on_heaviest_certificates():
 
 
 def test_embedding_matches_backtracking_where_candidate_masks_repeat():
-    # under one root candidate, three-left nodes with unmapped vertices
-    # (2, 3, 6) and then (4, 5, 6) have the same candidate masks; the first
-    # fails, the second holds the image, so a failed state must name its
-    # unmapped vertices as well as their masks (found by random search)
+    # under one root candidate, nodes with unmapped vertices (2, 3, 6) and
+    # then (4, 5, 6) have the same candidate masks; the first subtree is
+    # empty, the second holds the image (found by random search)
     h, g = from_graph6("Fj~zo"), from_graph6("PZBWCcs]jrpjnPyS{gel_x{W")
     assert _same_image(h, g) == (13, 2, 3, 10, 9, 1, 8)
 
 
-def test_embedding_matches_backtracking_on_detect_members():
-    host = graph_of_word(fibonacci_word(), 100)
+@pytest.mark.parametrize("length", [60, 100])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_embedding_matches_backtracking_on_detect_members(n, length):
+    # the searches of `detect`: each family member into a Fibonacci word graph
+    host = graph_of_word(fibonacci_word(), length)
     for family in FAMILIES:
         for complemented in (False, True):
-            _same_image(family_member(family, 4, complemented), host)
+            _same_image(family_member(family, n, complemented), host)
 
 
 def test_embedding_leaves_no_cyclic_garbage():
