@@ -90,8 +90,8 @@ def _add_word_flags(p: argparse.ArgumentParser) -> None:
                    help="substitution seed letter (default 0)")
     g.add_argument("--intercept", default="0",
                    help="mechanical intercept: rational or 'slope'")
-    g.add_argument("--word-json", metavar="DOC",
-                   help="full generator descriptor, JSON text or file path")
+    g.add_argument("--word-json", metavar="FILE",
+                   help="JSON file holding a full generator descriptor")
     g.add_argument("--complement-word", action="store_true",
                    help="flip every letter of the chosen word")
 
@@ -122,10 +122,7 @@ def _word_from_args(args: argparse.Namespace) -> Word:
     if args.intercept != "0" and not (args.sturmian or args.cf):
         raise WordError("--intercept applies only to --sturmian and --cf")
     if args.word_json:
-        doc = args.word_json
-        if os.path.exists(doc):
-            doc = Path(doc).read_text()
-        w = word_from_json(doc)
+        w = word_from_json(Path(args.word_json).read_text())
     elif args.explicit is not None:
         w = explicit_word(args.explicit)
     elif args.periodic is not None:

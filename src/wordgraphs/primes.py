@@ -8,7 +8,10 @@ graphs).  That convention lives in :func:`is_prime` only.
 
 The primality test needs only n - 1 pair closures.  It grows the smallest
 module containing {0, x} by splitter closure for every other vertex x; a
-proper closure is a nontrivial module through 0.  If none is proper, it
+proper closure is a nontrivial module through 0.  A closure grows in waves
+from the vertices just added: every vertex still outside agrees with 0 on
+the mask, so a new member y forces in exactly the outside vertices that
+tell y from 0, and each vertex is read once.  If none is proper, it
 refines V - {0} into the maximal modules that avoid 0: start from the
 neighbours and non-neighbours of 0, split a part whenever an outside vertex
 sees some but not all of it, and recheck only the new pieces.  A module
@@ -26,11 +29,14 @@ inside it, is the tests' independent oracle for both the test and the
 witness, beside the exhaustive-subset method.
 
 Heights are computed by dynamic programming over canonical keys; the memo
-table is shared and idempotent (all writers compute equal values).  The
-recursion visits only the subgraphs that drop one or two vertices, which by
-the Schmerl-Trotter extension theorem (Discrete Math. 113, 1993) hold a
-prime of the largest height below (see :func:`prime_height`); the
-all-subsets recursion is the tests' oracle.
+table is shared and idempotent (all writers compute equal values), and
+``HEIGHT_CAP`` bounds it to one entry per prime class of order at most 8,
+4,965 entries in all.  The recursion visits only the subgraphs that drop
+one or two vertices, which by the Schmerl-Trotter extension theorem
+(Discrete Math. 113, 1993) hold a prime of the largest height below, and
+stops at the first single drop whose height reaches the bound for its
+order (see :func:`prime_height`); the all-subsets recursion is the tests'
+oracle.
 """
 
 from __future__ import annotations
@@ -67,23 +73,28 @@ class PrimeHeightRecord:
 
 
 def _pair_closure(g: Graph, u: int, v: int) -> int:
-    """Smallest module containing {u, v}, as a bitmask (may be all of V)."""
+    """Smallest module containing {u, v}, as a bitmask (may be all of V).
+
+    Every vertex left outside is uniform on the mask, so it agrees with u;
+    a vertex y joining the mask therefore forces in exactly the outside
+    vertices that tell y from u, ``(rows[y] ^ rows[u]) & outside``.
+    """
+    rows = g.rows
+    row_u = rows[u]
     full = (1 << g.n) - 1
-    mask = (1 << u) | (1 << v)
-    size = 2
-    while True:
-        grown = False
-        outside = full ^ mask
-        for x in range(g.n):
-            if not (outside >> x) & 1:
-                continue
-            hits = (g.rows[x] & mask).bit_count()
-            if hits not in (0, size):
-                mask |= 1 << x
-                size += 1
-                grown = True
-        if not grown or mask == full:
-            return mask
+    outside = full ^ (1 << u) ^ (1 << v)
+    new = (row_u ^ rows[v]) & outside
+    while new:
+        outside ^= new
+        if not outside:
+            return full
+        forced = 0
+        while new:  # each vertex of the wave, lowest first
+            low = new & -new
+            forced |= rows[low.bit_length() - 1] ^ row_u
+            new ^= low
+        new = forced & outside
+    return full ^ outside
 
 
 def _splits_uniform(g: Graph, part: int, outside: int) -> list[int]:
@@ -193,9 +204,19 @@ def schmerl_trotter_pair(g: Graph) -> tuple[int, int] | None:
 
 # -- heights ----------------------------------------------------------------
 
+HEIGHT_CAP = 8
+
+# one entry per prime class of order <= HEIGHT_CAP: at most 4,965 entries
 _HEIGHT_MEMO: dict[CanonKey, int] = {}
 
-HEIGHT_CAP = 8
+
+def _height_bound(m: int) -> int:
+    """Largest height a prime of order m can have (no prime has order 3).
+
+    Height grows strictly along embeddings, so a chain below a prime of
+    order m uses distinct orders from {0, 1, 2, 4, ..., m - 1}.
+    """
+    return m if m <= 2 else m - 1
 
 
 def prime_height(g: Graph) -> PrimeHeightRecord:
@@ -210,9 +231,11 @@ def prime_height(g: Graph) -> PrimeHeightRecord:
     Math. 113, 1993), hence in one of order n - 1 or n - 2, and one of
     order <= 2 lies in a P4, which every prime of order >= 4 contains.  No
     graph of order 3 is prime, and below that the one- and two-vertex drops
-    are every proper subset.  A pair is skipped when dropping one of its
-    vertices alone leaves a prime.  The all-subsets recursion is the tests'
-    oracle.
+    are every proper subset.  The single drops come first, in vertex order,
+    and the search stops at the first one whose height reaches the bound
+    for its order (:func:`_height_bound`), since no drop can beat it.  A
+    pair is skipped when dropping one of its vertices alone leaves a prime.
+    The all-subsets recursion is the tests' oracle.
     """
     if g.n > HEIGHT_CAP:
         raise GraphError(f"prime_height capped at {HEIGHT_CAP} vertices")
@@ -221,22 +244,27 @@ def prime_height(g: Graph) -> PrimeHeightRecord:
 
     def height_of(h: Graph, key: CanonKey) -> int:
         memo = _HEIGHT_MEMO.get(key)
-        if memo is not None:
-            return memo
+        if memo is None:
+            memo = _HEIGHT_MEMO[key] = best_below(h) + 1
+        return memo
 
+    def best_below(h: Graph) -> int:
         def sub_height(mask: int) -> int:
             sub = induced_subgraph(h, _bits(mask))
             return height_of(sub, canonical_key(sub)) if is_prime(sub) else -1
 
         full = (1 << h.n) - 1
-        singles = [sub_height(full ^ (1 << u)) for u in range(h.n)]
+        top = _height_bound(h.n - 1)
+        singles = []
+        for u in range(h.n):
+            singles.append(sub_height(full ^ (1 << u)))
+            if singles[-1] == top:
+                return top  # no deletion can beat the order bound
         # a pair through u lies inside h - u; if that is prime, it wins
         spare = [u for u in range(h.n) if singles[u] < 0]
-        best = max(singles + [sub_height(full ^ (1 << u) ^ (1 << v))
+        return max(singles + [sub_height(full ^ (1 << u) ^ (1 << v))
                               for i, u in enumerate(spare) for v in spare[i + 1:]],
                    default=-1)
-        _HEIGHT_MEMO[key] = best + 1
-        return best + 1
 
     key = canonical_key(g)
     return PrimeHeightRecord(key=key, order=g.n, height=height_of(g, key))

@@ -231,24 +231,34 @@ def walk_cofinality(members: dict[int, list[Graph]], k_max: int, n_max: int
     return cofinality, failures
 
 
+def pair_closure(g: Graph, u: int, v: int) -> int:
+    """Smallest module containing {u, v}, as a bitmask, by round-robin growth.
+
+    Each round adds every outside vertex that sees some but not all of the
+    mask, until a round adds none or the mask is all of V.
+    """
+    full = (1 << g.n) - 1
+    mask = (1 << u) | (1 << v)
+    grown = True
+    while grown and mask != full:
+        grown = False
+        for x in range(g.n):
+            if not (mask >> x) & 1 and (g.rows[x] & mask) not in (0, mask):
+                mask |= 1 << x
+                grown = True
+    return mask
+
+
 def pair_scan_module(g: Graph) -> int | None:
     """First proper pair closure in lexicographic pair order, as a bitmask.
 
-    Grows the closure of every pair {u, v} by adding each outside vertex
-    that sees some but not all of it; a nontrivial module contains the
-    closure of any pair inside it, so scanning all pairs is complete.
+    A nontrivial module contains the closure of any pair inside it, so
+    scanning all pairs is complete.
     """
     full = (1 << g.n) - 1
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            mask = (1 << u) | (1 << v)
-            grown = True
-            while grown and mask != full:
-                grown = False
-                for x in range(g.n):
-                    if not (mask >> x) & 1 and (g.rows[x] & mask) not in (0, mask):
-                        mask |= 1 << x
-                        grown = True
+            mask = pair_closure(g, u, v)
             if mask != full:
                 return mask
     return None

@@ -71,15 +71,32 @@ def test_prime_command_from_word(capsys):
     ("[1]", "must be a JSON object"),
     ('{"kind": "explicit"}', "lacks 'bits'"),
 ])
-def test_malformed_word_json_exits_2(capsys, doc, message):
-    assert main(["prime", "--word-json", doc, "--length", "3"]) == 2
+def test_malformed_word_json_exits_2(capsys, tmp_path, doc, message):
+    doc_file = tmp_path / "word.json"
+    doc_file.write_text(doc)
+    assert main(["prime", "--word-json", str(doc_file), "--length", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
     # a prefix of --word-json is not expanded to it
     with pytest.raises(SystemExit) as exc:
-        main(["prime", "--word", doc, "--length", "3"])
+        main(["prime", "--word", str(doc_file), "--length", "3"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --word" in capsys.readouterr().err
+
+
+def test_word_json_names_a_file(capsys, tmp_path):
+    missing = tmp_path / "nosuch.json"
+    assert main(["word", "--word-json", str(missing), "--length", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "No such file" in captured.err
+    assert str(missing) in captured.err
+    # a JSON literal is a file name too, never parsed as the descriptor
+    doc = '{"kind": "explicit", "bits": "0110"}'
+    assert main(["word", "--word-json", doc, "--length", "3"]) == 2
+    assert "No such file" in capsys.readouterr().err
+    doc_file = tmp_path / "word.json"
+    doc_file.write_text(doc)
+    assert run(capsys, "word", "--word-json", str(doc_file), "--length", "3") == (0, "011\n")
 
 
 def test_age_and_bounds_commands(capsys):

@@ -102,6 +102,21 @@ def test_witness_is_first_proper_pair_closure_with_a_twin(g, data):
     assert _witness_mask(twin) == oracles.pair_scan_module(twin)
 
 
+def _assert_closures_match_oracle(g: Graph) -> None:
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            assert _pair_closure(g, u, v) == oracles.pair_closure(g, u, v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=9, min_n=1), st.data())
+def test_pair_closure_matches_round_robin_oracle_with_a_twin(g, data):
+    # the twin makes proper closures common, not only full ones
+    v = data.draw(st.integers(min_value=0, max_value=g.n - 1))
+    true_twin = data.draw(st.booleans())
+    _assert_closures_match_oracle(add_vertex(g, g.rows[v] | (true_twin << v)))
+
+
 def _fibonacci_with_twin(twin_of: int) -> Graph:
     """Fibonacci L=99 word graph (prime) plus a false twin of one vertex."""
     g = graph_of_word(fibonacci_word(), 99)
@@ -121,6 +136,11 @@ def test_module_found_by_a_closure_through_vertex_zero():
     assert _pair_closure(g, 0, 100) == (1 << 0) | (1 << 100)
     assert not is_prime(g)
     assert find_nontrivial_module(g).vertices == (0, 100)
+
+
+@pytest.mark.parametrize("twin_of", [0, 99])
+def test_pair_closure_matches_round_robin_oracle_on_101_vertices(twin_of):
+    _assert_closures_match_oracle(_fibonacci_with_twin(twin_of))
 
 
 def test_fibonacci_word_graph_of_length_100_is_prime():
@@ -175,6 +195,13 @@ def test_prime_height_matches_all_subsets_oracle():
     for n in range(8):
         for g in prime_graphs_of_order(n):
             assert prime_height(g).height == oracles.exhaustive_prime_height(g)
+
+
+def test_prime_height_within_the_order_bound_through_order_seven():
+    # the early exit in prime_height stops at this bound; no prime has order 3
+    for n in range(8):
+        for g in prime_graphs_of_order(n):
+            assert oracles.exhaustive_prime_height(g) <= (n if n <= 2 else n - 1)
 
 
 def test_prime_height_matches_all_subsets_oracle_at_order_eight():
