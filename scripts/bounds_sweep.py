@@ -48,9 +48,9 @@ def main() -> int:
             print(f"{name:18s} k={k} L={L}: {len(certs)} bounds "
                   f"(stable at 2L: {stable})")
         with open(args.outdir / f"{name}.csv", "w", newline="") as fp:
-            csv.writer(fp).writerows(rows)
+            csv.writer(fp, lineterminator="\n").writerows(rows)
     with open(args.outdir / "summary.csv", "w", newline="") as fp:
-        csv.writer(fp).writerows(summary)
+        csv.writer(fp, lineterminator="\n").writerows(summary)
     print(f"wrote {args.outdir}/summary.csv")
     return 0
 

@@ -51,7 +51,7 @@ def main() -> int:
         print(f"order {n}: {len(level)} classes, {len(primes)} prime, "
               f"{critical} critically prime", file=sys.stderr)
     out = open(args.out, "w", newline="") if args.out else sys.stdout
-    csv.writer(out).writerows(rows)
+    csv.writer(out, lineterminator="\n").writerows(rows)
     if args.out:
         out.close()
         print(f"wrote {args.out}")

@@ -30,7 +30,6 @@ from .graphs import (
     CanonKey,
     Graph,
     GraphError,
-    are_isomorphic,
     canonical_form,
     canonical_key,
     complement,

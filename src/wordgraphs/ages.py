@@ -14,11 +14,13 @@ fixed by the letters at t2..tk and the k - 1 flags "t(i+1) = t(i) + 1".
 Level by level, each such gapped-factor pattern keeps the bitmask of indices
 where it can end; appending letter c is an adjacent move (ends shifted by
 one, intersected with the indices of c) or a gap move (indices of c at
-least two past the lowest end).  A pattern occurs iff its mask is nonzero,
-so the levels are exact; patterns with equal graphs merge their masks.  A
-pattern of level k + 1 is a pattern of level k plus one vertex, so its class
-is the parent's canonical form plus the new row mapped into it: one canonical
-search per parent class and new row, however many patterns share them.
+least two past the lowest end).  Both moves distribute over a union of end
+masks, so what can follow a pattern depends only on its class, where its
+last vertex sits in the class's canonical form, and its mask: patterns that
+agree on the first two share one state and OR their masks.  A state occurs
+iff its mask is nonzero, so the levels are exact.  A state of level k + 1 is
+a state of level k plus one vertex, so its class is the parent's canonical
+form plus the new row mapped into it.
 
 Generic sources (``age_enumerate``) take the extension route: every member
 of size k+1 contains a member of size k, so attaching a new vertex with
@@ -156,31 +158,24 @@ def _moves(ends: int, pos: tuple[int, int]) -> list[tuple[int, int, int]]:
     return moves
 
 
-def _extend_patterns(states: dict[tuple[int, ...], list], k: int,
+def _extend_patterns(states: dict[tuple[CanonKey, int], int], k: int,
                      pos: tuple[int, int],
-                     forms: dict[CanonKey, Graph]) -> dict[tuple[int, ...], list]:
-    """Append one letter to every k-vertex pattern, by each of its :func:`_moves`.
+                     forms: dict[CanonKey, Graph]) -> dict[tuple[CanonKey, int], int]:
+    """Append one letter to every k-vertex state, by each of its :func:`_moves`.
 
-    A state maps the pattern's rows to ``[ends, class key, at]``, where
-    ``at`` is the index of the pattern's last vertex in the class's
+    A state maps ``(class key, at)`` to the OR of its patterns' end masks,
+    where ``at`` is the index of the patterns' last vertex in the class's
     canonical form ``forms[key]``, so the new row mapped into that form is
     the move's row with ``at`` as the last vertex.  The child's class is the
-    form plus that row: its canonical search depends only on the parent
-    class and the row, and the LRU of :func:`_canonical_cached` serves every
-    repeat of that pair.
+    form plus that row, and its ``at`` is where the new vertex lands in the
+    child's form; the LRU of :func:`_canonical_cached` serves every repeat
+    of a (parent class, row) pair.
     """
     full = (1 << k) - 1
-    nxt: dict[tuple[int, ...], list] = {}
-    for rows, (ends, key, at) in states.items():
+    nxt: dict[tuple[CanonKey, int], int] = {}
+    for (key, at), ends in states.items():
         form = forms[key].rows
         for base, flip, reach in _moves(ends, pos):
-            nbrs = (base & full) ^ (flip << (k - 1))
-            grown = tuple(r | (((nbrs >> i) & 1) << k)
-                          for i, r in enumerate(rows)) + (nbrs,)
-            state = nxt.get(grown)
-            if state is not None:
-                state[0] |= reach
-                continue
             mapped = (base & full) ^ (flip << at)
             extended = tuple(r | (((mapped >> i) & 1) << k)
                              for i, r in enumerate(form)) + (mapped,)
@@ -188,20 +183,19 @@ def _extend_patterns(states: dict[tuple[int, ...], list], k: int,
             if child_key not in forms:
                 forms[child_key] = canonical_form(_trusted(k + 1, extended))
             # vertex k of the extended form is the child's last vertex
-            nxt[grown] = [reach, child_key, order.index(k)]
+            child = (child_key, order.index(k))
+            nxt[child] = nxt.get(child, 0) | reach
     return nxt
 
 
 def word_age(w: Word, L: int, k_max: int) -> AgeApprox:
     """Age of the word graph at prefix ``L``, enumerated without any search.
 
-    States of level k map a k-vertex pattern graph (its vertices in position
-    order) to the bitmask of source indices where the pattern can end, and
-    to its class: the canonical key and where the pattern's last vertex sits
-    in the canonical form.  States stay distinct, since their end masks
-    differ, but the canonical search runs once per parent class and new row
-    (see :func:`_extend_patterns`), not once per state.  A level is the set
-    of its states' keys, sorted, with the canonical forms as members.
+    States of level k map a class and the position of the last vertex in
+    its canonical form to the bitmask of source indices where some k-vertex
+    pattern with that class and last vertex can end (see
+    :func:`_extend_patterns`).  A level is the set of its states' class
+    keys, sorted, with the canonical forms as members.
     """
     source = graph_of_word(w, L)
     if k_max > source.n:
@@ -213,74 +207,69 @@ def word_age(w: Word, L: int, k_max: int) -> AgeApprox:
     vertex_key = canonical_key(vertex)
     forms = {vertex_key: vertex}  # class key -> canonical form, every level
     # one vertex ends anywhere in 0..L
-    states = {(0,): [(1 << source.n) - 1, vertex_key, 0]}
+    states = {(vertex_key, 0): (1 << source.n) - 1}
     for k in range(1, k_max + 1):
         if k > 1:
             states = _extend_patterns(states, k - 1, pos, forms)
-        keys = {key for _, key, _ in states.values()}
+        keys = {key for key, _ in states}
         levels[k] = {key: forms[key] for key in sorted(keys)}
     return AgeApprox(source=source, source_desc=json.dumps({"word_prefix": L}),
                      k_max=k_max, levels=levels)
 
 
-def in_word_age(h: Graph, w: Word, L: int) -> bool:
-    """Does ``h`` embed in the word graph of the length-L prefix of ``w``?
+def subsets_in_word_age(h: Graph, w: Word, L: int) -> set[int]:
+    """The vertex masks S of ``h`` such that h[S] embeds in the word graph
+    of the length-L prefix of ``w``.
 
     Decided from the prefix's letters, with no host graph and no canonical
-    labelling.  An embedding, read in index order, is an order of h's
-    vertices in which each vertex's row into the ones before it is the row
-    of one of the :func:`_moves`; :class:`_OrderSearch` looks for one.
+    labelling.  An embedding of h[S], read in index order, is an order of S
+    in which each vertex's row into the ones before it is the row of one of
+    the :func:`_moves`.  One forward pass grows all such orders at once, a
+    vertex at a time: a state ``(placed, last)`` holds the OR of the end
+    masks of every order of ``placed`` that ends at ``last``, since the moves
+    distribute over that union.  There are at most n 2^(n-1) states, and
+    far fewer distinct end masks, so the moves of each are kept.  A move's
+    row sees all of the placed vertices before ``last`` or none of them,
+    and ``last`` or not, so the vertices that fit it come from two masks
+    kept per placed set: the vertices that see all of it, and none of it.
     """
     pos = letter_masks(w, L)
-    anywhere = pos[0] | pos[1] | 1  # one vertex ends at any index 0..L
-    search = _OrderSearch(h, pos)
-    return h.n == 0 or any(search.completes(1 << v, v, anywhere)
-                           for v in range(h.n))
+    rows, full = h.rows, (1 << h.n) - 1
+    # one vertex ends at any index 0..L
+    states = {(1 << v, v): pos[0] | pos[1] | 1 for v in range(h.n)}
+    found = {0}
+    moves: dict[int, list[tuple[int, int, int]]] = {}  # ends -> _moves
+    sees_all, sees_none = {0: full}, {0: full}  # placed set -> vertex mask
+    while states:
+        found.update(used for used, _ in states)
+        nxt: dict[tuple[int, int], int] = {}
+        for (used, last), ends in states.items():
+            ends_moves = moves.get(ends)
+            if ends_moves is None:
+                ends_moves = moves[ends] = _moves(ends, pos)
+            rest, row = used ^ (1 << last), rows[last]
+            on_all, on_none = sees_all[rest], sees_none[rest]
+            if used not in sees_all:
+                sees_all[used], sees_none[used] = on_all & row, on_none & ~row
+            free = full ^ used
+            for base, flip, reach in ends_moves:
+                # the move's row sees all of rest iff base, and last iff
+                # its bit there, (base ^ flip) & 1, is set
+                fit = ((on_all if base else on_none)
+                       & (row if (base ^ flip) & 1 else ~row) & free)
+                while fit:
+                    bit = fit & -fit
+                    fit ^= bit
+                    child = (used | bit, bit.bit_length() - 1)
+                    nxt[child] = nxt.get(child, 0) | reach
+        states = nxt
+    return found
 
 
-class _OrderSearch:
-    """Depth-first search over the orders of h's vertices that fit a prefix.
-
-    A vertex may come next when its row into the placed ones is the row of
-    a move with a nonempty reach; its end mask is the union of the reaches
-    of every such move.  What lies below a node depends only on (placed,
-    last, end mask), so the nodes that fail are remembered, and so are the
-    moves of each end mask.  Both memos live as long as the search, which
-    is one :func:`in_word_age` call.
-    """
-
-    def __init__(self, h: Graph, pos: tuple[int, int]) -> None:
-        self.rows = h.rows
-        self.full = (1 << h.n) - 1
-        self.pos = pos
-        self.failed: set[tuple[int, int, int]] = set()
-        self.moves: dict[int, list[tuple[int, int, int]]] = {}  # ends -> _moves
-
-    def completes(self, used: int, last: int, ends: int) -> bool:
-        """Can the placed vertices ``used``, the last one ``last`` ending at
-        ``ends``, be followed by all the others?"""
-        if used == self.full:
-            return True
-        node = (used, last, ends)
-        if node in self.failed:
-            return False
-        moves = self.moves.get(ends)
-        if moves is None:
-            moves = self.moves[ends] = _moves(ends, self.pos)
-        reaches: dict[int, int] = {}
-        for base, flip, reach in moves:
-            row = (base & used) ^ (flip << last)
-            reaches[row] = reaches.get(row, 0) | reach
-        free = self.full ^ used
-        while free:
-            bit = free & -free
-            free ^= bit
-            v = bit.bit_length() - 1
-            reach = reaches.get(self.rows[v] & used)
-            if reach and self.completes(used | bit, v, reach):
-                return True
-        self.failed.add(node)
-        return False
+def in_word_age(h: Graph, w: Word, L: int) -> bool:
+    """Does ``h`` embed in the word graph of the length-L prefix of ``w``?
+    (:func:`subsets_in_word_age`, the full vertex set.)"""
+    return (1 << h.n) - 1 in subsets_in_word_age(h, w, L)
 
 
 # -- bounds ---------------------------------------------------------------------
@@ -342,13 +331,13 @@ def bounds_enumerate(w: Word, L: int, k_max: int) -> list[BoundCertificate]:
 def validate_bound_certificate(cert: BoundCertificate, w: Word, L: int) -> bool:
     """Re-check from scratch at scale L: deletions embed, the graph does not.
 
-    Membership goes by vertex orders (:func:`in_word_age`), not by the
-    patterns and canonical forms that made the certificate.
+    One pass of :func:`subsets_in_word_age`, which goes by vertex orders,
+    not by the patterns and canonical forms that made the certificate.
     """
-    if in_word_age(cert.graph, w, L):
-        return False
-    return all(in_word_age(delete_vertex(cert.graph, v), w, L)
-               for v in range(cert.graph.n))
+    found = subsets_in_word_age(cert.graph, w, L)
+    full = (1 << cert.graph.n) - 1
+    return full not in found and all(full ^ (1 << v) in found
+                                     for v in range(cert.graph.n))
 
 
 # -- Joensson desk check ------------------------------------------------------------

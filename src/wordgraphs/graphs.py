@@ -411,10 +411,6 @@ def canonical_form(g: Graph) -> Graph:
     return _trusted(g.n, tuple(rows))
 
 
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    return g.n == h.n and canonical_key(g) == canonical_key(h)
-
-
 def _automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     """Generators of the automorphism group of ``g``, each as the image tuple
     ``perm[v]``, read off the leaves of its canonical search (see above):

@@ -9,14 +9,16 @@ graph, the label-pair realizer check, the strict order of a realizer's two
 linear orders built pair by pair, and the plain embedding backtracking.
 The module oracle by subset enumeration is the one ``verify`` runs, imported
 from there.  Nothing imports the algorithms under test beyond the plain
-Graph container, save five slow routes: the census's generation that
+Graph container, save six slow routes: the census's generation that
 tries every neighbourhood mask and heights over every subset, the bound
 candidates that extend every word-age member by every mask, the cofinality
-table that rescans every pair for each m, and the one-pass table that walks
-every member.  They differ from the fast routes only in what they try, and
-reuse the canonical key, form, primality test, embedding search and word
-age, which are checked against brute force or the extension route on their
-own.
+table that rescans every pair for each m, the one-pass table that walks
+every member, and the word age with one state per gapped-factor pattern.
+They differ from the fast routes only in what they try, and reuse the
+canonical key, form, primality test, embedding search, word age and move
+rule, which are checked against brute force or the extension route on their
+own.  ``are_isomorphic`` compares canonical keys, for tests that only need
+a yes or no.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from wordgraphs.ages import BoundCertificate, word_age
+from wordgraphs.ages import BoundCertificate, _moves, word_age
 from wordgraphs.graphs import (
     Graph,
     GraphError,
@@ -37,6 +39,7 @@ from wordgraphs.graphs import (
 )
 from wordgraphs.primes import is_prime
 from wordgraphs.verify import modules_by_subsets as brute_modules
+from wordgraphs.wordgraph import graph_of_word, letter_masks
 from wordgraphs.words import Word
 
 
@@ -79,6 +82,10 @@ def brute_canonical(g: Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
 
 def brute_isomorphic(g: Graph, h: Graph) -> bool:
     return g.n == h.n and brute_canonical(g) == brute_canonical(h)
+
+
+def are_isomorphic(g: Graph, h: Graph) -> bool:
+    return g.n == h.n and canonical_key(g) == canonical_key(h)
 
 
 def brute_embeds(h: Graph, g: Graph) -> bool:
@@ -166,6 +173,30 @@ def all_masks_bounds(w: Word, L: int, k_max: int) -> list[BoundCertificate]:
                         non_membership_scale=L))
     certificates.sort(key=lambda c: (c.graph.n, c.key))
     return certificates
+
+
+def rows_keyed_word_age(w: Word, L: int, k_max: int) -> dict[int, dict[bytes, Graph]]:
+    """The levels of ``word_age``, with one state per gapped-factor pattern:
+    its rows in index order map to its end mask, grown by the same move
+    rule, and each pattern's class is labelled on its own."""
+    pos = letter_masks(w, L)
+    empty = Graph(0, ())
+    levels = {0: {canonical_key(empty): empty}}
+    states = {(0,): (1 << graph_of_word(w, L).n) - 1}
+    for k in range(1, k_max + 1):
+        if k > 1:
+            nxt: dict[tuple[int, ...], int] = {}
+            for rows, ends in states.items():
+                for base, flip, reach in _moves(ends, pos):
+                    nbrs = (base & ((1 << (k - 1)) - 1)) ^ (flip << (k - 2))
+                    grown = tuple(r | (((nbrs >> i) & 1) << (k - 1))
+                                  for i, r in enumerate(rows)) + (nbrs,)
+                    nxt[grown] = nxt.get(grown, 0) | reach
+            states = nxt
+        forms = {canonical_key(Graph(k, rows)): canonical_form(Graph(k, rows))
+                 for rows in states}
+        levels[k] = {key: forms[key] for key in sorted(forms)}
+    return levels
 
 
 _EXHAUSTIVE_HEIGHTS: dict[bytes, int] = {}

@@ -18,6 +18,7 @@ from wordgraphs.ages import (
     bounds_to_json,
     in_word_age,
     jonsson_desk_check,
+    subsets_in_word_age,
     validate_bound_certificate,
     word_age,
 )
@@ -32,6 +33,7 @@ from wordgraphs.graphs import (
     empty_graph,
     enumerate_graphs,
     from_edges,
+    induced_subgraph,
     path,
 )
 from wordgraphs.wordgraph import graph_of_word
@@ -101,6 +103,33 @@ def test_word_age_matches_extension_route(bits, data):
 ], ids=["ones", "011", "cf-2-(1)", "cf-3-(1)", "fibonacci"])
 def test_word_age_matches_extension_route_fixed(w, L, k):
     _assert_same_as_extension_route(w, L, k)
+
+
+def _assert_same_as_rows_keyed_oracle(w, L, k):
+    """States merged by (class, last-vertex position) give the levels and
+    forms of one state per pattern."""
+    fast = word_age(w, L, k).levels
+    slow = oracles.rows_keyed_word_age(w, L, k)
+    assert list(fast) == list(slow)
+    for size in slow:
+        assert list(fast[size].items()) == list(slow[size].items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(bit_words, st.data())
+def test_word_age_matches_rows_keyed_oracle(bits, data):
+    k = data.draw(st.integers(min_value=0, max_value=min(6, len(bits) + 1)))
+    _assert_same_as_rows_keyed_oracle(explicit_word(bits), len(bits), k)
+
+
+@pytest.mark.parametrize("w, L, k", [
+    (fibonacci_word(), 60, 8),
+    # the Sturmian pair of verify's sturmian-pair-ages check
+    (mechanical_word(ContinuedFraction((2,), (1,)), "slope"), 100, 6),
+    (mechanical_word(ContinuedFraction((3,), (1,)), "slope"), 100, 6),
+], ids=["fibonacci-8", "cf-2-(1)", "cf-3-(1)"])
+def test_word_age_matches_rows_keyed_oracle_fixed(w, L, k):
+    _assert_same_as_rows_keyed_oracle(w, L, k)
 
 
 def test_word_age_rejects_k_max_beyond_source():
@@ -176,6 +205,22 @@ def _assert_orders_agree_with_host(graphs, w, L):
 @given(bit_words)
 def test_in_word_age_matches_host_embedding(bits):
     _assert_orders_agree_with_host(_SMALL_GRAPHS, explicit_word(bits), len(bits))
+
+
+_PREFIXES = st.one_of(
+    bit_words.map(lambda bits: (explicit_word(bits), len(bits))),
+    st.integers(min_value=0, max_value=40).map(lambda L: (fibonacci_word(), L)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=6), _PREFIXES)
+def test_subsets_in_word_age_match_host_embedding(h, prefix):
+    w, L = prefix
+    host = graph_of_word(w, L)
+    want = {s for s in range(1 << h.n)
+            if embeds(induced_subgraph(h, [v for v in range(h.n) if s >> v & 1]),
+                      host)}
+    assert subsets_in_word_age(h, w, L) == want
 
 
 def _certificates_and_deletions(certs):

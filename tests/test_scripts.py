@@ -19,8 +19,10 @@ def test_prime_census_script_rows():
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run(
         [sys.executable, "scripts/prime_census.py", "--n-max", "6"],
-        cwd=ROOT, env=env, capture_output=True, text=True, check=True)
-    rows = list(csv.reader(done.stdout.splitlines()))
+        cwd=ROOT, env=env, capture_output=True, check=True)
+    stdout = done.stdout.decode()
+    assert "\r" not in stdout  # rows end in a bare newline
+    rows = list(csv.reader(stdout.splitlines()))
     assert rows[0] == ["order", "classes", "prime", "critically_prime",
                        "height_min", "height_max", "removal_pairs_validated"]
     want = []
@@ -32,7 +34,7 @@ def test_prime_census_script_rows():
                      str(min(heights, default="")), str(max(heights, default="")),
                      ""])
     assert rows[1:] == want
-    assert done.stderr.count("\n") == 7  # one progress line per order
+    assert done.stderr.decode().count("\n") == 7  # one progress line per order
 
 
 def test_bounds_sweep_script_rows(tmp_path):
@@ -43,6 +45,8 @@ def test_bounds_sweep_script_rows(tmp_path):
         cwd=ROOT, env=env, capture_output=True, text=True, check=True)
     # the script's table of words, loaded without running its main()
     words = runpy.run_path(str(ROOT / "scripts" / "bounds_sweep.py"))["WORDS"]
+    for path in tmp_path.iterdir():
+        assert b"\r" not in path.read_bytes(), path  # rows end in a bare newline
     with open(tmp_path / "summary.csv", newline="") as fp:
         rows = list(csv.reader(fp))
     assert rows[0] == ["word", "k_max", "bounds", "stable_at_2x", "exploratory"]
