@@ -266,12 +266,6 @@ def subsets_in_word_age(h: Graph, w: Word, L: int) -> set[int]:
     return found
 
 
-def in_word_age(h: Graph, w: Word, L: int) -> bool:
-    """Does ``h`` embed in the word graph of the length-L prefix of ``w``?
-    (:func:`subsets_in_word_age`, the full vertex set.)"""
-    return (1 << h.n) - 1 in subsets_in_word_age(h, w, L)
-
-
 # -- bounds ---------------------------------------------------------------------
 
 

@@ -2,15 +2,18 @@
 
 Every finite word graph is a permutation graph; the constructive witness is
 a realizer (a pair of linear orders whose intersection is a transitive
-orientation of the graph), built vertex by vertex.  The step invariant is
-that the newest vertex is extremal (maximum or minimum) in one of the two
-orders; each step first normalizes so the previous vertex sits at the top of
-the first order, then inserts the new vertex just below that top in the
-first order and at the bottom (letter 1) or the top (letter 0) of the second
-order.  Normalization never rewrites the orders: a polarity flag stands for
-reversing both orders and a swap flag for exchanging their roles, both O(1),
-with one materialization pass at the end.  Reversal and swap preserve the
-realized comparability graph, so validation is unaffected.
+orientation of the graph), built one letter at a time on two deques.  The
+invariant: when letter j comes, vertex j - 1 (label -1 before the first
+letter) sits at the top end of ``orders[j % 2]``.  Step j puts j just inside
+that end, and at the bottom end of the other order for letter 1 (so j is
+comparable to j - 1 alone) or at its top end for letter 0 (comparable to all
+but j - 1).  Now j is extremal in ``orders[(j + 1) % 2]``: at its top after
+a 0; after a 1 (but the last) at its bottom, so the ``flipped`` bit toggles
+and both deques are read from the other end, which reverses both orders and
+keeps the realized graph.  Inserting just inside an end is a pop and two
+appends, so a build is O(n); the popped vertex must be j - 1, a tripwire
+that raises even under ``python -O``.  The result is ``orders[(n - 1) % 2]``
+then ``orders[n % 2]``, both reversed iff flipped.
 
 Checking a realizer works on rank masks: walking an order from its top
 down, each element gets the mask of the elements after it, so the
@@ -28,6 +31,7 @@ that visits the order's pairs one by one.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .graphs import Graph, GraphError
@@ -46,91 +50,45 @@ class Realizer:
 
     def __post_init__(self) -> None:
         # realizer_from_json reads the orders from outside the program
-        if set(self.first) != set(self.second) or len(set(self.first)) != len(self.first):
-            raise GraphError("both orders must enumerate the same vertex set")
+        vertices = set(self.first)
+        if (vertices != set(self.second)
+                or not len(vertices) == len(self.first) == len(self.second)):
+            raise GraphError("both orders must enumerate the same vertex set, "
+                             "each vertex once")
 
 
 # -- incremental construction -------------------------------------------------
-
-
-class _Builder:
-    """Pair of physical lists plus polarity/swap flags.
-
-    Logical first order = (reverse of)? (physical A or B); see module
-    docstring.  ``extremal`` records where the newest vertex currently sits,
-    in logical coordinates: (order index 0/1, "top" | "bottom").
-    """
-
-    def __init__(self) -> None:
-        self.a: list[int] = [-1]
-        self.b: list[int] = [-1]
-        self.flipped = False
-        self.swapped = False
-        self.extremal = (0, "top")
-
-    def _physical(self, which: int) -> list[int]:
-        use_b = (which == 0) == self.swapped
-        return self.b if use_b else self.a
-
-    def _normalize_previous_to_top_of_first(self) -> None:
-        side, where = self.extremal
-        if where == "bottom":
-            self.flipped = not self.flipped
-            where = "top"
-        if side == 1:
-            self.swapped = not self.swapped
-        self.extremal = (0, "top")
-
-    def insert_step(self, vertex: int, bit: str) -> None:
-        self._normalize_previous_to_top_of_first()
-        first = self._physical(0)
-        second = self._physical(1)
-        if not self.flipped:
-            first.insert(len(first) - 1, vertex)  # just below the top
-        else:
-            first.insert(1, vertex)
-        if bit == "1":
-            # unique edge to the previous vertex: new vertex goes below
-            # everything in the second order
-            if not self.flipped:
-                second.insert(0, vertex)
-            else:
-                second.append(vertex)
-            self.extremal = (1, "bottom")
-        else:
-            # unique non-edge to the previous vertex: new vertex tops the
-            # second order, staying incomparable to the old top of the first
-            if not self.flipped:
-                second.append(vertex)
-            else:
-                second.insert(0, vertex)
-            self.extremal = (1, "top")
-        assert self._newest_is_extremal(vertex), "extremality invariant broken"
-
-    def _logical(self, which: int) -> list[int]:
-        seq = self._physical(which)
-        return seq[::-1] if self.flipped else seq[:]
-
-    def _newest_is_extremal(self, vertex: int) -> bool:
-        return any(self._logical(k)[p] == vertex
-                   for k in (0, 1) for p in (0, -1))
-
-    def result(self) -> Realizer:
-        return Realizer(tuple(self._logical(0)), tuple(self._logical(1)))
 
 
 def build_realizer(word: str) -> Realizer:
     """Realizer of a transitive orientation of the word's graph.
 
     The empty word yields the one-vertex graph on label -1 with the trivial
-    realizer; longer words extend one letter at a time.
+    realizer; longer words extend one letter at a time (module docstring).
     """
     if any(c not in "01" for c in word):
         raise GraphError("realizer input must be a 0-1 word")
-    builder = _Builder()
+    n = len(word)
+    orders = (deque([-1]), deque([-1]))
+    flipped = False  # set: each order runs right to left in its deque
     for j, bit in enumerate(word):
-        builder.insert_step(j, bit)
-    return builder.result()
+        first, second = orders[j % 2], orders[1 - j % 2]
+        if flipped:
+            pop, push = first.popleft, first.appendleft
+        else:
+            pop, push = first.pop, first.append
+        top = pop()
+        if top != j - 1:  # an explicit raise, so that -O keeps the tripwire
+            raise AssertionError(f"vertex {top}, not {j - 1}, tops the order of {j}")
+        push(j)
+        push(top)
+        # letter 1: bottom of the other order; letter 0: its top
+        (second.append if (bit == "1") == flipped else second.appendleft)(j)
+        flipped ^= bit == "1" and j < n - 1
+    first, second = orders[(n - 1) % 2], orders[n % 2]
+    if flipped:
+        return Realizer(tuple(reversed(first)), tuple(reversed(second)))
+    return Realizer(tuple(first), tuple(second))
 
 
 # -- validation ---------------------------------------------------------------

@@ -5,20 +5,23 @@ modules, embeddings and ages.  The plain versions of the kernels that run
 on bitmasks are kept here too: the lexicographic pair-closure scan, the
 refinement that rescans every splitter after each split, the canonical
 search on it that encodes each leaf pair by pair, the pair-by-pair word
-graph, the label-pair realizer check, the strict order of a realizer's two
-linear orders built pair by pair, and the plain embedding backtracking.
+graph, the realizer builder that normalizes its two lists with polarity and
+swap flags, the label-pair realizer check, the strict order of a realizer's
+two linear orders built pair by pair, and the plain embedding backtracking.
 The module oracle by subset enumeration is the one ``verify`` runs, imported
 from there.  Nothing imports the algorithms under test beyond the plain
-Graph container, save six slow routes: the census's generation that
-tries every neighbourhood mask and heights over every subset, the bound
-candidates that extend every word-age member by every mask, the cofinality
-table that rescans every pair for each m, the one-pass table that walks
-every member, and the word age with one state per gapped-factor pattern.
+Graph and Realizer containers, save six slow routes: the census's
+generation that tries every neighbourhood mask and heights over every
+subset, the bound candidates that extend every word-age member by every
+mask, the cofinality table that rescans every pair for each m, the
+one-pass table that walks every member, and the word age with one state
+per gapped-factor pattern.
 They differ from the fast routes only in what they try, and reuse the
 canonical key, form, primality test, embedding search, word age and move
 rule, which are checked against brute force or the extension route on their
 own.  ``are_isomorphic`` compares canonical keys, for tests that only need
-a yes or no.
+a yes or no, and ``in_word_age`` reads the full vertex set off
+``ages.subsets_in_word_age``, for tests that ask about one graph.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from wordgraphs.ages import BoundCertificate, _moves, word_age
+from wordgraphs.ages import BoundCertificate, _moves, subsets_in_word_age, word_age
 from wordgraphs.graphs import (
     Graph,
     GraphError,
@@ -38,6 +41,7 @@ from wordgraphs.graphs import (
     induced_subgraph,
 )
 from wordgraphs.primes import is_prime
+from wordgraphs.realizers import Realizer
 from wordgraphs.verify import modules_by_subsets as brute_modules
 from wordgraphs.wordgraph import graph_of_word, letter_masks
 from wordgraphs.words import Word
@@ -173,6 +177,12 @@ def all_masks_bounds(w: Word, L: int, k_max: int) -> list[BoundCertificate]:
                         non_membership_scale=L))
     certificates.sort(key=lambda c: (c.graph.n, c.key))
     return certificates
+
+
+def in_word_age(h: Graph, w: Word, L: int) -> bool:
+    """Does ``h`` embed in the word graph of the length-L prefix of ``w``?
+    (``ages.subsets_in_word_age``, the full vertex set.)"""
+    return (1 << h.n) - 1 in subsets_in_word_age(h, w, L)
 
 
 def rows_keyed_word_age(w: Word, L: int, k_max: int) -> dict[int, dict[bytes, Graph]]:
@@ -403,6 +413,81 @@ def realizer_realizes(first: tuple[int, ...], second: tuple[int, ...],
                   if (pos1[x] < pos1[y]) == (pos2[x] < pos2[y])}
     edges = {tuple(sorted((g.label_of(i), g.label_of(j)))) for i, j in g.edges()}
     return comparable == edges
+
+
+class _Builder:
+    """Reference realizer builder: a pair of physical lists plus polarity and
+    swap flags.
+
+    Logical first order = (reverse of)? (physical A or B).  Each step first
+    normalizes so the previous vertex sits at the top of the first order,
+    then inserts the new vertex just below that top in the first order and
+    at the bottom (letter 1) or the top (letter 0) of the second order.
+    ``extremal`` records where the newest vertex currently sits, in logical
+    coordinates: (order index 0/1, "top" | "bottom").  Every step checks
+    that invariant on copies of both orders.
+    """
+
+    def __init__(self) -> None:
+        self.a: list[int] = [-1]
+        self.b: list[int] = [-1]
+        self.flipped = False
+        self.swapped = False
+        self.extremal = (0, "top")
+
+    def _physical(self, which: int) -> list[int]:
+        use_b = (which == 0) == self.swapped
+        return self.b if use_b else self.a
+
+    def _normalize_previous_to_top_of_first(self) -> None:
+        side, where = self.extremal
+        if where == "bottom":
+            self.flipped = not self.flipped
+        if side == 1:
+            self.swapped = not self.swapped
+        self.extremal = (0, "top")
+
+    def insert_step(self, vertex: int, bit: str) -> None:
+        self._normalize_previous_to_top_of_first()
+        first = self._physical(0)
+        second = self._physical(1)
+        if not self.flipped:
+            first.insert(len(first) - 1, vertex)  # just below the top
+        else:
+            first.insert(1, vertex)
+        if bit == "1":
+            # unique edge to the previous vertex: new vertex goes below
+            # everything in the second order
+            if not self.flipped:
+                second.insert(0, vertex)
+            else:
+                second.append(vertex)
+            self.extremal = (1, "bottom")
+        else:
+            # unique non-edge to the previous vertex: new vertex tops the
+            # second order, staying incomparable to the old top of the first
+            if not self.flipped:
+                second.append(vertex)
+            else:
+                second.insert(0, vertex)
+            self.extremal = (1, "top")
+        assert self._newest_is_extremal(vertex), "extremality invariant broken"
+
+    def _logical(self, which: int) -> list[int]:
+        seq = self._physical(which)
+        return seq[::-1] if self.flipped else seq[:]
+
+    def _newest_is_extremal(self, vertex: int) -> bool:
+        return any(self._logical(k)[p] == vertex
+                   for k in (0, 1) for p in (0, -1))
+
+
+def reference_realizer(word: str) -> Realizer:
+    """``realizers.build_realizer`` by the flag-and-normalize state machine."""
+    builder = _Builder()
+    for j, bit in enumerate(word):
+        builder.insert_step(j, bit)
+    return Realizer(tuple(builder._logical(0)), tuple(builder._logical(1)))
 
 
 @dataclass(frozen=True)

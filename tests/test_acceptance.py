@@ -75,7 +75,7 @@ def test_criterion_08_factor_age_consistency():
 
 
 def test_criterion_09_bound_certificates():
-    result = V.check_bounds((4, 5, 6), revalidate_2x=True)
+    result = V.check_bounds((4, 5, 6))
     _report("criterion-9", result)
     assert "fib_counts=[1, 2, 22]" in result.detail
 

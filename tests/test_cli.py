@@ -111,6 +111,15 @@ def test_age_and_bounds_commands(capsys):
     assert doc["certificates"][0]["graph6"] == "Bw"  # the triangle
 
 
+def test_bounds_length_zero_is_not_the_default(capsys):
+    # only an absent --length means 10 * k_max
+    code, out = run(capsys, "bounds", "--fib", "--k-max", "3")
+    assert code == 0 and json.loads(out)["L"] == 30
+    assert main(["bounds", "--fib", "--k-max", "3", "--length", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "at least k_max" in captured.err
+
+
 def test_realizer_command(capsys):
     code, out = run(capsys, "realizer", "--word", "1111")
     doc = json.loads(out)

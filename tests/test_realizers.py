@@ -1,13 +1,19 @@
 """Realizer construction and validation, with the strict-order oracle."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from collections import deque
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from oracles import Poset, intersection_order
+from wordgraphs import realizers
 from wordgraphs.graphs import Graph, GraphError, clique, empty_graph, induced_subgraph
 from wordgraphs.realizers import (
     Realizer,
@@ -118,10 +124,17 @@ def test_realizer_json_round_trip():
     r = _realizer("0101")
     back = realizer_from_json(realizer_to_json(r))
     assert back == r
-    # a document from outside must give both orders one vertex set
-    for first, second in (([0, 1], [0, 2]), ([0, 0, 1], [0, 1, 1])):
-        with pytest.raises(GraphError, match="same vertex set"):
-            realizer_from_json({"first": first, "second": second})
+    # a document from outside must give both orders one vertex set, each
+    # vertex once
+    docs = [{"first": [0, 1], "second": [0, 2]},
+            {"first": [0, 0, 1], "second": [0, 1, 1]}]
+    for word in ("01", "0110100110"):
+        doc = realizer_to_json(build_realizer(word))
+        doc["second"].append(doc["second"][-1])  # the second order's top, twice
+        docs.append(doc)
+    for doc in docs:
+        with pytest.raises(GraphError, match="same vertex set, each vertex once"):
+            realizer_from_json(doc)
 
 
 def _relabelled(g: Graph, perm: list[int]) -> Graph:
@@ -163,3 +176,49 @@ def test_validation_of_fibonacci_six_hundred_matches_oracle():
     _assert_strict_order(swapped)
     assert not validate_realizer(swapped, g)
     assert not oracles.realizer_realizes(swapped.first, swapped.second, g)
+
+
+def test_builder_matches_reference_on_every_word_up_to_twelve():
+    for n in range(13):
+        for bits in itertools.product("01", repeat=n):
+            word = "".join(bits)
+            assert build_realizer(word) == oracles.reference_realizer(word), word
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text(alphabet="01", min_size=13, max_size=700))
+def test_builder_matches_reference_on_long_words(word):
+    assert build_realizer(word) == oracles.reference_realizer(word)
+
+
+class _PopsBottom(deque):
+    """A deque whose ``pop`` takes the left end, so a step misreads the top."""
+
+    def pop(self):
+        return self.popleft()
+
+
+def test_tripwire_catches_a_misread_top(monkeypatch):
+    monkeypatch.setattr(realizers, "deque", _PopsBottom)
+    build_realizer("0")  # one vertex per order: both ends agree
+    with pytest.raises(AssertionError, match="tops the order"):
+        build_realizer("00")
+
+
+def test_tripwire_survives_optimize_and_exits_1():
+    # python -O strips assert statements; the tripwire is a plain raise
+    code = (
+        "import sys\n"
+        "from collections import deque\n"
+        "from wordgraphs import cli, realizers\n"
+        "class PopsBottom(deque):\n"
+        "    def pop(self):\n"
+        "        return self.popleft()\n"
+        "realizers.deque = PopsBottom\n"
+        "sys.exit(cli.main(['realizer', '--word', '00']))\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("internal invariant violation: vertex -1, not 0")
