@@ -22,18 +22,18 @@ iff its mask is nonzero, so the levels are exact.  A state of level k + 1 is
 a state of level k plus one vertex, so its class is the parent's canonical
 form plus the new row mapped into it.
 
-Generic sources (``age_enumerate``) take the extension route: every member
-of size k+1 contains a member of size k, so attaching a new vertex with
-every possible neighborhood to each class of level k and filtering by an
-embedding search into the source is complete.  It is also the independent
-oracle that the tests hold the pattern route to.  Bound enumeration draws
-on the same candidate pool, since a minimal non-member has all its
-one-vertex deletions inside the age, and by canonical deletion it needs only
-part of it: deleting a vertex of maximum degree from a bound leaves a
-member, and in that member's canonical form the deleted vertex becomes a
-neighbourhood mask that gives the new vertex maximum degree, so the bound
-is isomorphic to one of the member's
-:func:`~wordgraphs.graphs.max_degree_extensions`.
+Generic sources (``age_enumerate``) take the extension route, through the
+census's level step :func:`~wordgraphs.graphs.extend_level` (canonical
+deletion of a vertex of maximum degree).  Every member of size k+1 of a
+hereditary class has a vertex of maximum degree whose deletion is a member
+of size k, so it is one of the step's classes from level k; the route keeps
+those whose one-vertex deletions all lie in level k and that embed in the
+source.  It is also the independent oracle that the tests hold the pattern
+route to.  Bounds come from the same step: a minimal non-member has all its
+one-vertex deletions inside the age, in particular the deletion of a vertex
+of maximum degree, so the bounds of size k are the step's classes from
+level k - 1 that are not members and pass the same deletion check
+(:func:`_deletion_keys`).
 
 Everything about an infinite age is reported at a finite scale and says so:
 a bound certificate records the prefix length at which the non-membership
@@ -52,12 +52,11 @@ from .graphs import (
     GraphError,
     _canonical_cached,
     _trusted,
-    add_vertex,
     canonical_form,
     canonical_key,
     delete_vertex,
     embeds,
-    max_degree_extensions,
+    extend_level,
 )
 from .primes import is_prime
 from .wordgraph import graph_of_word, letter_masks
@@ -83,32 +82,32 @@ class AgeApprox:
         return {size: len(self.levels[size]) for size in sorted(self.levels)}
 
 
+def _deletion_keys(g: Graph,
+                   below: dict[CanonKey, Graph]) -> tuple[CanonKey, ...] | None:
+    """The sorted keys of ``g``'s one-vertex deletions if all of them lie in
+    ``below``, else None (at the first that does not)."""
+    keys = []
+    for v in range(g.n):
+        key = canonical_key(delete_vertex(g, v))
+        if key not in below:
+            return None
+        keys.append(key)
+    return tuple(sorted(keys))
+
+
 def age_enumerate(source: Graph, k_max: int, source_desc: str = "graph") -> AgeApprox:
-    """Level-by-level extension with canonical dedup and embedding filter."""
+    """Level-by-level :func:`~wordgraphs.graphs.extend_level`, filtered by the
+    deletion check (deletion keys are far cheaper than the search) and an
+    embedding search into ``source``."""
     if k_max > source.n:
         raise GraphError("k_max exceeds the source order")
     levels: dict[int, dict[CanonKey, Graph]] = {
         0: {canonical_key(Graph(0, ())): Graph(0, ())}}
     for k in range(k_max):
-        nxt: dict[CanonKey, Graph] = {}
-        rejected: set[CanonKey] = set()
-        for member in levels[k].values():
-            for nbrs in range(1 << k):
-                cand = add_vertex(member, nbrs)
-                key = canonical_key(cand)
-                if key in nxt or key in rejected:
-                    continue
-                # heredity prefilter: a member's one-vertex deletions are all
-                # members, and deletion keys are far cheaper than the search
-                # (deleting the new vertex returns `member`, no need to check)
-                hereditary = all(
-                    canonical_key(delete_vertex(cand, v)) in levels[k]
-                    for v in range(cand.n - 1))
-                if hereditary and embeds(cand, source):
-                    nxt[key] = canonical_form(cand)
-                else:
-                    rejected.add(key)
-        levels[k + 1] = {key: nxt[key] for key in sorted(nxt)}
+        below = levels[k]
+        levels[k + 1] = {key: g for key, g in extend_level(below.values()).items()
+                         if _deletion_keys(g, below) is not None
+                         and embeds(g, source)}
     return AgeApprox(source=source, source_desc=source_desc, k_max=k_max,
                      levels=levels)
 
@@ -282,43 +281,28 @@ class BoundCertificate:
 def bounds_enumerate(w: Word, L: int, k_max: int) -> list[BoundCertificate]:
     """Bound certificates of the word-graph age, sizes up to ``k_max``.
 
-    Candidates are one-vertex extensions of members: a bound's deletions all
-    lie in the age, so deleting its vertex of maximum degree lands in a
-    member class, and the bound is isomorphic to one of that member's
-    :func:`~wordgraphs.graphs.max_degree_extensions` (one per orbit of the
-    member's automorphism group, new vertex of maximum degree).  A candidate
-    is a bound iff it is not a member and every deletion is; the deletion
-    keys stop at the first one outside the level below.  Certificates are
-    canonical forms sorted by (order, key), so they do not depend on which
+    Candidates of size k are :func:`~wordgraphs.graphs.extend_level` of the
+    members of size k - 1, less the members of size k: a bound's deletions
+    all lie in the age, so deleting its vertex of maximum degree lands in a
+    member class.  A candidate is a bound iff every deletion is a member
+    (:func:`_deletion_keys`).  Certificates are canonical forms in the
+    step's order, by (order, key), so they do not depend on which
     isomorphic candidate found them.
     """
     if L < k_max:
         raise GraphError("prefix length must be at least k_max")
     age = word_age(w, L, k_max)
     certificates: list[BoundCertificate] = []
-    seen: set[CanonKey] = set()
     for k in range(1, k_max + 1):
         below = age.levels[k - 1]
-        for member in below.values():
-            for cand in max_degree_extensions(member):
-                key = canonical_key(cand)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if key in age.levels[k]:
-                    continue
-                del_keys = []
-                for v in range(cand.n):
-                    dk = canonical_key(delete_vertex(cand, v))
-                    if dk not in below:
-                        break
-                    del_keys.append(dk)
-                else:
-                    certificates.append(BoundCertificate(
-                        graph=canonical_form(cand), key=key,
-                        deletion_keys=tuple(sorted(del_keys)),
-                        non_membership_scale=L))
-    certificates.sort(key=lambda c: (c.graph.n, c.key))
+        for key, cand in extend_level(below.values()).items():
+            if key in age.levels[k]:
+                continue
+            del_keys = _deletion_keys(cand, below)
+            if del_keys is not None:
+                certificates.append(BoundCertificate(
+                    graph=cand, key=key, deletion_keys=del_keys,
+                    non_membership_scale=L))
     return certificates
 
 

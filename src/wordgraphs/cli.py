@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -96,32 +97,39 @@ def _add_word_flags(p: argparse.ArgumentParser) -> None:
                    help="flip every letter of the chosen word")
 
 
+_QUOTIENTS = r"\s*\d+\s*(?:,\s*\d+\s*)*"
+# heads, then optionally one tail group closing the spec, after a comma
+# when there are heads
+_CF_SPEC = re.compile(rf"({_QUOTIENTS})?(?:(?(1),)\s*\(({_QUOTIENTS})\)\s*)?",
+                      re.ASCII)
+
+
 def _parse_cf(spec: str) -> ContinuedFraction:
-    spec = spec.strip()
-    tail: tuple[int, ...] = ()
-    if "(" in spec:
-        head_part, tail_part = spec.split("(", 1)
-        tail = tuple(int(t) for t in tail_part.rstrip(") ").split(",") if t)
-        spec = head_part
-    head = tuple(int(t) for t in spec.split(",") if t.strip())
+    match = _CF_SPEC.fullmatch(spec)
+    if match is None or match.groups() == (None, None):
+        raise WordError(f"malformed continued fraction {spec!r}: want heads "
+                        "like 1,2, then optionally one tail group like (3,4)")
+    head, tail = (tuple(int(q) for q in group.split(",")) if group else ()
+                  for group in match.groups())
     return ContinuedFraction(head=head, tail=tail)
 
 
 def _generators(args: argparse.Namespace) -> int:
-    return sum([args.explicit is not None, args.periodic is not None,
-                bool(args.sturmian), bool(args.cf), bool(args.fib),
-                bool(args.subst), bool(args.word_json)])
+    # a flag given an empty value is still given
+    return args.fib + sum(value is not None for value in (
+        args.explicit, args.periodic, args.sturmian, args.cf, args.subst,
+        args.word_json))
 
 
 def _word_from_args(args: argparse.Namespace) -> Word:
     if _generators(args) != 1:
         raise WordError("choose exactly one word generator flag")
     # a modifier its generator does not read would be silently ignored
-    if args.seed_letter != "0" and not args.subst:
+    if args.seed_letter != "0" and args.subst is None:
         raise WordError("--seed-letter applies only to --subst")
-    if args.intercept != "0" and not (args.sturmian or args.cf):
+    if args.intercept != "0" and args.sturmian is None and args.cf is None:
         raise WordError("--intercept applies only to --sturmian and --cf")
-    if args.word_json:
+    if args.word_json is not None:
         w = word_from_json(Path(args.word_json).read_text())
     elif args.explicit is not None:
         w = explicit_word(args.explicit)
@@ -129,7 +137,7 @@ def _word_from_args(args: argparse.Namespace) -> Word:
         w = periodic_word(args.periodic)
     elif args.fib:
         w = fibonacci_word()
-    elif args.subst:
+    elif args.subst is not None:
         rules = {}
         for item in args.subst.split(","):
             letter, _, image = item.partition("=")
@@ -138,7 +146,8 @@ def _word_from_args(args: argparse.Namespace) -> Word:
     else:
         intercept: Fraction | str = (
             "slope" if args.intercept == "slope" else Fraction(args.intercept))
-        slope = (_parse_cf(args.cf) if args.cf else Fraction(args.sturmian))
+        slope = (_parse_cf(args.cf) if args.cf is not None
+                 else Fraction(args.sturmian))
         w = mechanical_word(slope, intercept)
     return complement_word(w) if args.complement_word else w
 

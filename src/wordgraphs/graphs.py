@@ -258,9 +258,11 @@ def make(family: str, *params: int) -> Graph:
 # orbits on neighbourhood masks cut the one-vertex extensions of a graph; a
 # degree test, invariant under the same group, cuts them again before any
 # canonical search, to the masks that give the new vertex maximum degree.
-# :func:`max_degree_extensions` owns that rule; the census
-# (:func:`enumerate_graphs`) and the bound candidates
-# (:func:`~wordgraphs.ages.bounds_enumerate`) both extend through it.
+# :func:`max_degree_extensions` owns that rule, and :func:`extend_level`
+# owns the level step built on it (extend, dedupe by key, canonical form,
+# sort).  The census (:func:`enumerate_graphs`) iterates that step; the
+# bound candidates (:func:`~wordgraphs.ages.bounds_enumerate`) and the
+# generic age route (:func:`~wordgraphs.ages.age_enumerate`) filter it.
 
 
 def _refine(rows: tuple[int, ...], cells: list[list[int]], masks: list[int],
@@ -613,28 +615,34 @@ def embeds(h: Graph, g: Graph) -> bool:
 # -- exhaustive small-graph generation --------------------------------------
 
 
+def extend_level(level: Iterable[Graph]) -> dict[CanonKey, Graph]:
+    """The classes of one more vertex reached from ``level`` by canonical
+    deletion: the canonical forms of every :func:`max_degree_extensions` of
+    every graph in ``level``, deduplicated and sorted by key.
+
+    A graph is reached iff it has a vertex of maximum degree whose deletion
+    is isomorphic to a graph in ``level``, so the result does not depend on
+    which member of an orbit or which representative of a class is tried.
+    """
+    seen: dict[CanonKey, Graph] = {}
+    for g in level:
+        for ext in max_degree_extensions(g):
+            key = canonical_key(ext)
+            if key not in seen:
+                seen[key] = canonical_form(ext)
+    return {key: seen[key] for key in sorted(seen)}
+
+
 _LEVEL_CACHE: list[tuple[Graph, ...]] = [(empty_graph(0),)]
 
 
 def enumerate_graphs(n_max: int) -> list[list[Graph]]:
     """All isomorphism classes per order ``0..n_max`` (canonical reps).
 
-    Level ``k + 1`` is built by attaching one vertex to each level-``k``
-    representative, deduplicating by canonical key.  Exhaustive: deleting a
-    vertex of maximum degree from any class leaves a class of the previous
-    level, so only the extensions of :func:`max_degree_extensions`, the
-    owner of that rule, are tried: one per orbit of the parent's
-    automorphism group, with the new vertex of maximum degree.  The level is
-    the same set of keys, sorted, so it does not depend on which masks are
-    tried.  Levels are cached across calls.
+    Level ``k + 1`` is :func:`extend_level` of level ``k``.  Exhaustive:
+    deleting a vertex of maximum degree from any class leaves a class of
+    the previous level.  Levels are cached across calls.
     """
     while len(_LEVEL_CACHE) <= n_max:
-        k = len(_LEVEL_CACHE) - 1
-        seen: dict[CanonKey, Graph] = {}
-        for g in _LEVEL_CACHE[k]:
-            for ext in max_degree_extensions(g):
-                key = canonical_key(ext)
-                if key not in seen:
-                    seen[key] = canonical_form(ext)
-        _LEVEL_CACHE.append(tuple(seen[key] for key in sorted(seen)))
+        _LEVEL_CACHE.append(tuple(extend_level(_LEVEL_CACHE[-1]).values()))
     return [list(level) for level in _LEVEL_CACHE[:n_max + 1]]

@@ -124,26 +124,20 @@ def _mechanical_prefix(slope: Fraction, intercept: Fraction, n: int) -> str:
 
 def _gen_mechanical(params: tuple, n: int) -> str:
     slope, intercept = params
+    # an exact slope is its own depth-1 convergent
     if isinstance(slope, Fraction):
-        rho = slope if intercept == "slope" else intercept
-        return _mechanical_prefix(slope, rho, n)
-    limit = slope.depth_limit()
-    depth = 1
+        exact_depth, convergent = 1, lambda depth: slope
+    else:
+        exact_depth, convergent = slope.depth_limit(), slope.convergent
     prev = None
-    while True:
-        if limit is not None and depth >= limit:
-            value = slope.convergent(limit)
-            rho = value if intercept == "slope" else intercept
-            return _mechanical_prefix(value, rho, n)
-        value = slope.convergent(depth)
+    for depth in range(1, _MAX_CF_DEPTH + 1):
+        value = convergent(depth)
         rho = value if intercept == "slope" else intercept
         cur = _mechanical_prefix(value, rho, n)
-        if cur == prev:
+        if depth == exact_depth or cur == prev:
             return cur
         prev = cur
-        depth += 1
-        if depth > _MAX_CF_DEPTH:
-            raise WordError("continued fraction did not stabilize")
+    raise WordError("continued fraction did not stabilize")
 
 
 def _gen_substitution(params: tuple, n: int) -> str:

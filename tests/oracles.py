@@ -135,46 +135,45 @@ def brute_automorphisms(g: Graph) -> list[tuple[int, ...]]:
     return found
 
 
+def all_masks_step(level) -> dict[bytes, Graph]:
+    """Every class of one more vertex over ``level``: each graph extended by
+    all 2^n neighbourhood masks, deduplicated by canonical key, as canonical
+    forms sorted by key."""
+    seen: dict[bytes, Graph] = {}
+    for g in level:
+        for nbrs in range(1 << g.n):
+            ext = add_vertex(g, nbrs)
+            key = canonical_key(ext)
+            if key not in seen:
+                seen[key] = canonical_form(ext)
+    return {key: seen[key] for key in sorted(seen)}
+
+
 def all_masks_levels(n_max: int) -> list[list[Graph]]:
-    """Classes per order 0..n_max, each level-k class extended by all 2^k
-    neighbourhood masks, deduplicated by canonical key, sorted by key."""
+    """Classes per order 0..n_max, each level the :func:`all_masks_step` of
+    the one before."""
     levels = [[Graph(0, ())]]
-    for k in range(n_max):
-        seen: dict[bytes, Graph] = {}
-        for g in levels[k]:
-            for nbrs in range(1 << k):
-                ext = add_vertex(g, nbrs)
-                key = canonical_key(ext)
-                if key not in seen:
-                    seen[key] = canonical_form(ext)
-        levels.append([seen[key] for key in sorted(seen)])
+    for _ in range(n_max):
+        levels.append(list(all_masks_step(levels[-1]).values()))
     return levels
 
 
 def all_masks_bounds(w: Word, L: int, k_max: int) -> list[BoundCertificate]:
-    """Bound certificates of the word age at prefix L, each level-(k-1)
-    member extended by all 2^(k-1) neighbourhood masks, every deletion key
-    computed, sorted by (order, key)."""
+    """Bound certificates of the word age at prefix L: the non-members in
+    the :func:`all_masks_step` of each level, every deletion key computed,
+    sorted by (order, key)."""
     age = word_age(w, L, k_max)
     certificates = []
-    seen: set[bytes] = set()
     for k in range(1, k_max + 1):
-        for member in age.levels[k - 1].values():
-            for nbrs in range(1 << (k - 1)):
-                cand = add_vertex(member, nbrs)
-                key = canonical_key(cand)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if key in age.levels[k]:
-                    continue
-                del_keys = [canonical_key(delete_vertex(cand, v))
-                            for v in range(cand.n)]
-                if all(dk in age.levels[k - 1] for dk in del_keys):
-                    certificates.append(BoundCertificate(
-                        graph=canonical_form(cand), key=key,
-                        deletion_keys=tuple(sorted(del_keys)),
-                        non_membership_scale=L))
+        for key, cand in all_masks_step(age.levels[k - 1].values()).items():
+            if key in age.levels[k]:
+                continue
+            del_keys = [canonical_key(delete_vertex(cand, v))
+                        for v in range(cand.n)]
+            if all(dk in age.levels[k - 1] for dk in del_keys):
+                certificates.append(BoundCertificate(
+                    graph=cand, key=key, deletion_keys=tuple(sorted(del_keys)),
+                    non_membership_scale=L))
     certificates.sort(key=lambda c: (c.graph.n, c.key))
     return certificates
 

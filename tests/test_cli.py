@@ -10,6 +10,7 @@ from wordgraphs.catalogue import family_member
 from wordgraphs.cli import main
 from wordgraphs.graph6 import from_graph6, to_graph6
 from wordgraphs.graphs import path
+from wordgraphs.words import ContinuedFraction
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -233,6 +234,20 @@ def test_missing_graph6_file_exits_2(capsys, tmp_path, command):
     (["age", "--fib"], {"length": 2.5}, "length must be an integer"),
     (["word", "--fib"], {"length": None}, "length must be an integer"),
     (["age", "--fib"], {"fmt": "dot"}, "fmt must be one of: csv, json"),
+    # a malformed continued fraction is named, never read as a nearby one
+    (["word", "--cf", "2,(", "--length", "12"], None, "continued fraction '2,('"),
+    (["word", "--cf", "2,(1", "--length", "12"], None, "continued fraction '2,(1'"),
+    (["word", "--cf", ",,2", "--length", "12"], None, "continued fraction ',,2'"),
+    (["word", "--cf", "2(1)", "--length", "12"], None, "continued fraction '2(1)'"),
+    (["word", "--cf", "2,(1),(2)", "--length", "12"], None,
+     "continued fraction '2,(1),(2)'"),
+    (["age", "--cf", "2,()", "--length", "12"], None, "continued fraction '2,()'"),
+    # an empty value still picks its generator
+    (["word", "--cf", "", "--length", "8"], None, "continued fraction ''"),
+    (["word", "--fib", "--cf", "", "--length", "8"], None,
+     "choose exactly one word generator flag"),
+    (["word", "--fib", "--sturmian", "", "--length", "8"], None,
+     "choose exactly one word generator flag"),
 ])
 def test_bad_counts_and_config_values_exit_2(capsys, tmp_path, argv, config, message):
     if config is not None:
@@ -243,6 +258,14 @@ def test_bad_counts_and_config_values_exit_2(capsys, tmp_path, argv, config, mes
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
 
+
+
+@pytest.mark.parametrize("spec,head,tail", [
+    ("2", (2,), ()), ("2,(1)", (2,), (1,)), ("(1)", (), (1,)),
+    ("1,2,(3,4)", (1, 2), (3, 4)), (" 1, 2, (3, 4) ", (1, 2), (3, 4)),
+])
+def test_cf_specs(spec, head, tail):
+    assert cli._parse_cf(spec) == ContinuedFraction(head, tail)
 
 def test_outdir_environment_variable(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("WORDGRAPHS_OUTDIR", str(tmp_path))

@@ -33,6 +33,7 @@ from wordgraphs.graphs import (
     embeds,
     empty_graph,
     enumerate_graphs,
+    extend_level,
     from_edges,
     induced_subgraph,
     line_graph,
@@ -485,6 +486,34 @@ def test_max_degree_extensions_on_every_class_through_order_six():
                 if _new_vertex_has_max_degree(ext):
                     assert canonical_key(ext) in keys, (g, nbrs)
 
+
+@functools.cache
+def _all_masks_level(n: int) -> tuple[Graph, ...]:
+    return tuple(oracles.all_masks_levels(n)[n])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_extend_level_on_partial_levels(data):
+    # bound and age levels are subsets of a census level, in any order: the
+    # step reaches exactly the classes with a vertex of maximum degree whose
+    # deletion lies in the subset
+    k = data.draw(st.integers(0, 5), label="order")
+    level = enumerate_graphs(k)[k]
+    picked = data.draw(st.lists(st.integers(0, len(level) - 1), unique=True),
+                       label="subset")
+    subset = [level[i] for i in picked]
+    keys = {canonical_key(g) for g in subset}
+    want = set()
+    for h in _all_masks_level(k + 1):
+        top = max(h.degree(v) for v in range(h.n))
+        if any(h.degree(v) == top and canonical_key(delete_vertex(h, v)) in keys
+               for v in range(h.n)):
+            want.add(canonical_key(h))
+    got = extend_level(subset)
+    assert list(got) == sorted(want)
+    for key, g in got.items():
+        assert canonical_key(g) == key and canonical_form(g).rows == g.rows
 
 # -- refinement against the rescanning oracle --------------------------------
 

@@ -87,6 +87,16 @@ def test_continued_fraction_convergent():
     assert abs(float(cf.convergent(40)) - 0.3819660112501051) < 1e-12
 
 
+
+@pytest.mark.parametrize("head", [(2,), (1, 2), (2, 3, 1, 4), (1,) * 12, (3, 1, 1, 7, 2)])
+@pytest.mark.parametrize("intercept", [Fraction(0), "slope", Fraction(1, 5)])
+def test_finite_continued_fraction_is_its_rational_word(head, intercept):
+    # a finite expansion stops at its exact depth, also where the prefixes
+    # of two consecutive convergents still differ
+    cf = ContinuedFraction(head=head)
+    rational = mechanical_word(cf.convergent(len(head)), intercept)
+    assert mechanical_word(cf, intercept).prefix(300) == rational.prefix(300)
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=200), st.integers(min_value=1, max_value=200))
 def test_prefix_coherence_all_generators(n, m):
