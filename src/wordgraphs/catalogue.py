@@ -2,7 +2,7 @@
 
 Families, with their complemented variants: the star with every edge
 subdivided once, the line graph of K_{2,n}, the line graph of the subdivided
-star, the half-graph, and a prime graph built from a word prefix.  The
+star, the half-graph, and the word graph of a Fibonacci prefix.  The
 half-graph convention is u_i adjacent to v_j exactly when i <= j; the text
 never fixes the orientation, so this artifact does (see README).  The sixth
 family from the source material (half-graph with one side completed plus an
@@ -11,8 +11,6 @@ the detector covers families one through five and documents the gap.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .graph6 import to_graph6
 from .graphs import (
@@ -26,15 +24,7 @@ from .graphs import (
 )
 from .primes import is_prime
 from .wordgraph import graph_of_word
-from .words import Word, fibonacci_word
-
-FAMILIES = (
-    "subdivided_star",
-    "line_of_k2n",
-    "line_of_subdivided_star",
-    "half_graph",
-    "chain_word_prime",
-)
+from .words import fibonacci_word
 
 # family six (half-graph with a completed side and one extra vertex) is
 # under-specified in the text and has no generator here
@@ -75,21 +65,10 @@ def half_graph(n: int) -> Graph:
     return from_edges(2 * n, edges)
 
 
-@dataclass(frozen=True)
-class ChainWordPrime:
-    """Word-graph family member with its primality report attached."""
-
-    graph: Graph
-    word_prefix: str
-    prime: bool
-
-
-def chain_word_prime(n: int, word: Word | None = None) -> ChainWordPrime:
-    """Graph of a length-n word prefix (default generator: Fibonacci)."""
-    w = word if word is not None else fibonacci_word()
-    bits = w.prefix(n)
-    g = graph_of_word(w, n)
-    return ChainWordPrime(graph=g, word_prefix=bits, prime=is_prime(g))
+def chain_word_prime(n: int) -> Graph:
+    """Graph of the length-n Fibonacci prefix, without its word labels."""
+    g = graph_of_word(fibonacci_word(), n)
+    return Graph(g.n, g.rows)
 
 
 _GENERATORS = {
@@ -97,27 +76,17 @@ _GENERATORS = {
     "line_of_k2n": line_of_k2n,
     "line_of_subdivided_star": line_of_subdivided_star,
     "half_graph": half_graph,
+    "chain_word_prime": chain_word_prime,
 }
 
+FAMILIES = tuple(_GENERATORS)
 
-def _build_member(family: str, n: int, complemented: bool,
-                  word: Word | None) -> tuple[Graph, ChainWordPrime | None]:
-    """The member, with its chain_word_prime record for family five."""
-    chain = None
-    if family == "chain_word_prime":
-        chain = chain_word_prime(n, word)
-        # drop word labels for uniform export
-        g = Graph(chain.graph.n, chain.graph.rows)
-    elif family in _GENERATORS:
-        g = _GENERATORS[family](n)
-    else:
+
+def family_member(family: str, n: int, complemented: bool = False) -> Graph:
+    if family not in _GENERATORS:
         raise GraphError(f"unknown family {family!r}")
-    return (complement(g) if complemented else g), chain
-
-
-def family_member(family: str, n: int, complemented: bool = False,
-                  word: Word | None = None) -> Graph:
-    return _build_member(family, n, complemented, word)[0]
+    g = _GENERATORS[family](n)
+    return complement(g) if complemented else g
 
 
 def _induced_rows(g: Graph, image: tuple[int, ...]) -> tuple[int, ...]:
@@ -126,19 +95,17 @@ def _induced_rows(g: Graph, image: tuple[int, ...]) -> tuple[int, ...]:
                  for v in image)
 
 
-def detect_unavoidable(g: Graph, n: int,
-                       word: Word | None = None) -> set[tuple[str, bool]]:
+def detect_unavoidable(g: Graph, n: int) -> set[tuple[str, bool]]:
     """Which parameter-n family members (or complements) embed in g.
 
-    Family five uses the given word (default Fibonacci).  Every hit comes
-    with the embedding the search returned as its certificate: the subgraph
-    of g induced on the image, in the member's vertex order, must equal the
-    member bit for bit.
+    Every hit comes with the embedding the search returned as its
+    certificate: the subgraph of g induced on the image, in the member's
+    vertex order, must equal the member bit for bit.
     """
     hits = set()
     for family in FAMILIES:
         for complemented in (False, True):
-            member = family_member(family, n, complemented, word)
+            member = family_member(family, n, complemented)
             image = embedding(member, g)
             if image is not None:
                 if (len(set(image)) != member.n
@@ -148,9 +115,8 @@ def detect_unavoidable(g: Graph, n: int,
     return hits
 
 
-def family_manifest(family: str, n: int, complemented: bool = False,
-                    word: Word | None = None) -> dict:
-    g, chain = _build_member(family, n, complemented, word)
+def family_manifest(family: str, n: int, complemented: bool = False) -> dict:
+    g = family_member(family, n, complemented)
     doc = {
         "family": family,
         "n": n,
@@ -159,6 +125,6 @@ def family_manifest(family: str, n: int, complemented: bool = False,
         "graph6": to_graph6(g),
         "prime": is_prime(g),
     }
-    if chain is not None:
-        doc["word_prefix"] = chain.word_prefix
+    if family == "chain_word_prime":
+        doc["word_prefix"] = fibonacci_word().prefix(n)
     return doc

@@ -62,6 +62,7 @@ from .words import (
     factor_complexity,
     fibonacci_word,
     mechanical_word,
+    parse_fraction,
     periodic_word,
     recurrence_bound,
     substitution_word,
@@ -97,7 +98,8 @@ def _add_word_flags(p: argparse.ArgumentParser) -> None:
                    help="flip every letter of the chosen word")
 
 
-_QUOTIENTS = r"\s*\d+\s*(?:,\s*\d+\s*)*"
+# positive integers (leading zeros allowed, as int() reads them) split by commas
+_QUOTIENTS = r"\s*0*[1-9]\d*\s*(?:,\s*0*[1-9]\d*\s*)*"
 # heads, then optionally one tail group closing the spec, after a comma
 # when there are heads
 _CF_SPEC = re.compile(rf"({_QUOTIENTS})?(?:(?(1),)\s*\(({_QUOTIENTS})\)\s*)?",
@@ -107,8 +109,8 @@ _CF_SPEC = re.compile(rf"({_QUOTIENTS})?(?:(?(1),)\s*\(({_QUOTIENTS})\)\s*)?",
 def _parse_cf(spec: str) -> ContinuedFraction:
     match = _CF_SPEC.fullmatch(spec)
     if match is None or match.groups() == (None, None):
-        raise WordError(f"malformed continued fraction {spec!r}: want heads "
-                        "like 1,2, then optionally one tail group like (3,4)")
+        raise WordError(f"malformed continued fraction {spec!r}: want positive "
+                        "heads like 1,2, then optionally one tail group like (3,4)")
     head, tail = (tuple(int(q) for q in group.split(",")) if group else ()
                   for group in match.groups())
     return ContinuedFraction(head=head, tail=tail)
@@ -144,10 +146,10 @@ def _word_from_args(args: argparse.Namespace) -> Word:
             rules[letter.strip()] = image.strip()
         w = substitution_word(rules, args.seed_letter)
     else:
-        intercept: Fraction | str = (
-            "slope" if args.intercept == "slope" else Fraction(args.intercept))
+        intercept: Fraction | str = ("slope" if args.intercept == "slope"
+                                     else parse_fraction(args.intercept, "--intercept"))
         slope = (_parse_cf(args.cf) if args.cf is not None
-                 else Fraction(args.sturmian))
+                 else parse_fraction(args.sturmian, "--sturmian"))
         w = mechanical_word(slope, intercept)
     return complement_word(w) if args.complement_word else w
 

@@ -11,9 +11,9 @@ backtracking) is capped at :data:`CORE_WIDTH` vertices; every structural
 operation accepts arbitrary order since Python integers are unbounded.
 
 The induced-embedding search (:func:`embedding`) keeps one candidate mask
-per unmapped pattern vertex, with the used host vertices removed, and places
-the last two pattern vertices by one scan with no recursion.  It visits the
-nodes of plain backtracking in the same order, so its images are the same.
+per unmapped pattern vertex, with the used host vertices removed, and is one
+plain recursive node per placed vertex.  It visits the nodes of plain
+backtracking in the same order, so its images are the same.
 """
 
 from __future__ import annotations
@@ -352,8 +352,6 @@ def _canonical_order(g: Graph, leaves: list | None = None) -> tuple[list[int], i
     if g.n > CORE_WIDTH:
         raise GraphError(f"canonical form capped at {CORE_WIDTH} vertices")
     rows = g.rows
-    if g.n <= 1:
-        return list(range(g.n)), 0
     best_code = -1
     best_order: list[int] = []
 
@@ -421,8 +419,6 @@ def _automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     leaf."""
     leaves: list[tuple[int, list[int], list[list[int]]]] = []
     _canonical_order(g, leaves)
-    if not leaves:
-        return []  # order <= 1
     best_code = min(code for code, _, _ in leaves)
     first = next(i for i, leaf in enumerate(leaves) if leaf[0] == best_code)
     _, best, best_cells = leaves[first]
@@ -507,22 +503,11 @@ def embedding(h: Graph, g: Graph) -> tuple[int, ...] | None:
     assignment intersects the candidates of all unmapped pattern vertices
     with the neighborhood (or non-neighborhood) of the image, and the most
     constrained pattern vertex (fewest candidates, lowest index on ties) is
-    branched next, its candidates in ascending order.
-
-    A search node holds the unmapped pattern vertices in ascending order and
-    their candidate masks, with every used host vertex already removed, so a
-    count is a plain ``bit_count``.  The host's neighbour rows and
-    non-neighbour rows (each without the vertex itself) are built once per
-    call, and the branched vertex's pattern row picks one of the two for each
-    unmapped vertex once per node.  A candidate's child masks go into one list
-    per node, which the child only reads before the next candidate refills it.
-    With two left, the picked vertex ``p`` takes the first candidate ``v``
-    whose narrowed mask for the other vertex ``q`` is nonempty, and ``q``
-    takes that mask's lowest bit, as one more level of branching would.
+    branched next, its candidates in ascending order.  Each search node is
+    one call of :func:`_solve`, and the nodes come in plain backtracking's
+    order, so the image is plain backtracking's.
     """
     nh, ng = h.n, g.n
-    if nh == 0:
-        return ()
     if nh > ng:
         return None
     full = (1 << ng) - 1
@@ -537,74 +522,54 @@ def embedding(h: Graph, g: Graph) -> tuple[int, ...] | None:
         if not mask:
             return None
         base.append(mask)
-
-    grows = g.rows
-    nonrows = [full ^ r ^ (1 << v) for v, r in enumerate(grows)]
-    hrows = h.rows
+    nonrows = [full ^ r ^ (1 << v) for v, r in enumerate(g.rows)]
     image = [-1] * nh
+    if not _solve(list(range(nh)), base, h.rows, g.rows, nonrows, image):
+        return None
+    return tuple(image)
 
-    # a node: the unmapped pattern vertices (``todo``, ascending) and their
-    # candidate masks of unused host vertices (``cands``, in the same order)
-    def last_two(a: int, b: int, ca: int, cb: int) -> bool:
-        if ca.bit_count() <= cb.bit_count():
-            p, q, cp, cq = a, b, ca, cb
+
+def _solve(todo: list[int], cands: list[int], hrows: tuple[int, ...],
+           grows: tuple[int, ...], nonrows: list[int], image: list[int]) -> bool:
+    """One node of the :func:`embedding` search: map the pattern vertices
+    ``todo`` (ascending) into ``image``, each to a host vertex of its mask in
+    ``cands`` (same order, used host vertices already removed).
+
+    ``nonrows`` are the host's non-neighbour rows, each without the vertex
+    itself; the branched vertex's pattern row picks the host row or the
+    non-neighbour row for each unmapped vertex once per node.  A candidate's
+    child masks go into one list per node, which the child only reads before
+    the next candidate refills it.
+    """
+    if not todo:
+        return True
+    k = len(todo)
+    i, count = 0, cands[0].bit_count()
+    for j in range(1, k):
+        c = cands[j].bit_count()
+        if c < count:
+            i, count = j, c
+    p = todo[i]
+    rest = todo[:i] + todo[i + 1:]
+    rest_cands = cands[:i] + cands[i + 1:]
+    hp = hrows[p]
+    sels = [grows if (hp >> q) & 1 else nonrows for q in rest]
+    nxt = [0] * (k - 1)  # refilled per candidate; the child only reads it
+    cp = cands[i]
+    while cp:
+        low = cp & -cp
+        v = low.bit_length() - 1
+        cp ^= low
+        for j in range(k - 1):
+            x = rest_cands[j] & sels[j][v]
+            if not x:
+                break
+            nxt[j] = x
         else:
-            p, q, cp, cq = b, a, cb, ca
-        sel = grows if (hrows[p] >> q) & 1 else nonrows
-        while cp:
-            low = cp & -cp
-            v = low.bit_length() - 1
-            hit = cq & sel[v]
-            if hit:
-                image[p] = v
-                image[q] = (hit & -hit).bit_length() - 1
+            image[p] = v
+            if _solve(rest, nxt, hrows, grows, nonrows, image):
                 return True
-            cp ^= low
-        return False
-
-    def solve(todo: list[int], cands: list[int]) -> bool:
-        k = len(todo)
-        i, count = 0, cands[0].bit_count()
-        for j in range(1, k):
-            c = cands[j].bit_count()
-            if c < count:
-                i, count = j, c
-        p = todo[i]
-        rest = todo[:i] + todo[i + 1:]
-        rest_cands = cands[:i] + cands[i + 1:]
-        hp = hrows[p]
-        sels = [grows if (hp >> q) & 1 else nonrows for q in rest]
-        two = k == 3
-        nxt = [0] * (k - 1)  # refilled per candidate; the child only reads it
-        cp = cands[i]
-        while cp:
-            low = cp & -cp
-            v = low.bit_length() - 1
-            cp ^= low
-            for j in range(k - 1):
-                x = rest_cands[j] & sels[j][v]
-                if not x:
-                    break
-                nxt[j] = x
-            else:
-                image[p] = v
-                if (last_two(rest[0], rest[1], nxt[0], nxt[1]) if two
-                        else solve(rest, nxt)):
-                    return True
-        return False
-
-    if nh == 1:
-        image[0] = (base[0] & -base[0]).bit_length() - 1
-        found = True
-    elif nh == 2:
-        found = last_two(0, 1, base[0], base[1])
-    else:
-        found = solve(list(range(nh)), base)
-    # solve reaches itself through its closure cell; emptying the cell frees
-    # the search state now rather than at a later cyclic collection, which
-    # would let the host rows of many calls pile up as garbage
-    solve = None
-    return tuple(image) if found else None
+    return False
 
 
 def embeds(h: Graph, g: Graph) -> bool:

@@ -311,6 +311,16 @@ def _descriptor(w: Word) -> dict:
     raise WordError(f"unknown word kind {w.kind!r}")
 
 
+def parse_fraction(value: str | int | float, what: str) -> Fraction:
+    """``Fraction(value)`` for the value of ``what``; a value naming no finite
+    fraction (``"1/0"``, an infinite float, ``"x"``) is a :class:`WordError`
+    naming both."""
+    try:
+        return Fraction(value)
+    except (ValueError, ArithmeticError):
+        raise WordError(f"{what} must be a finite fraction, not {value!r}") from None
+
+
 def _field(data: dict, name: str, kinds: type | tuple[type, ...]):
     if name not in data:
         raise WordError(f"{data['kind']} word descriptor lacks {name!r}")
@@ -339,11 +349,12 @@ def word_from_json(doc: str | dict) -> Word:
             slope: Fraction | ContinuedFraction = ContinuedFraction(
                 head=tuple(head), tail=tuple(tail))
         else:
-            slope = Fraction(raw)
+            slope = parse_fraction(raw, "mechanical word descriptor 'slope'")
         rho = data.get("intercept", "0")
         if not isinstance(rho, (str, int, float)):
             raise WordError("mechanical word descriptor: bad 'intercept'")
-        intercept: Fraction | str = "slope" if rho == "slope" else Fraction(rho)
+        intercept: Fraction | str = ("slope" if rho == "slope" else parse_fraction(
+            rho, "mechanical word descriptor 'intercept'"))
         return mechanical_word(slope, intercept)
     if kind == "substitution":
         rules = _field(data, "rules", dict)

@@ -350,8 +350,6 @@ def canonical_order(g: Graph, leaves: list | None = None) -> tuple[list[int], in
     order of minimum code and that code; ``leaves``, if given, receives
     ``(code, order, cells)`` for every leaf in walk order."""
     rows = g.rows
-    if g.n <= 1:
-        return list(range(g.n)), 0
     best: list = []
 
     def walk(cells: list[list[int]]) -> None:

@@ -25,7 +25,8 @@ from wordgraphs.graphs import (
     path,
 )
 from wordgraphs.primes import is_prime
-from wordgraphs.words import periodic_word
+from wordgraphs.wordgraph import graph_of_word
+from wordgraphs.words import fibonacci_word, periodic_word
 
 
 def test_subdivided_star_shapes():
@@ -63,12 +64,14 @@ def test_half_graph_shapes():
 
 
 def test_chain_word_prime():
-    ones = chain_word_prime(3, periodic_word("1"))
-    assert oracles.are_isomorphic(ones.graph, path(4)) and ones.prime
+    # the member is the word graph of a Fibonacci prefix, without its labels;
+    # the same construction on the all-ones word gives P_4, which is prime
+    ones = graph_of_word(periodic_word("1"), 3)
+    assert oracles.are_isomorphic(ones, path(4)) and is_prime(ones)
     fib6 = chain_word_prime(6)
-    assert fib6.word_prefix == "010010"
-    assert isinstance(fib6.prime, bool)
-    assert chain_word_prime(0).graph.n == 1
+    assert fib6.labels is None
+    assert fib6.rows == graph_of_word(fibonacci_word(), 6).rows
+    assert chain_word_prime(0).n == 1
 
 
 def test_family_primality_golden_flags():
@@ -153,3 +156,10 @@ def test_family_manifest():
     assert doc["graph6"]
     chain = family_manifest("chain_word_prime", 4)
     assert chain["word_prefix"] == "0100"
+    assert "word_prefix" not in doc
+    # the prime flag is the member's, complemented or not
+    for complemented in (False, True):
+        chain = family_manifest("chain_word_prime", 6, complemented)
+        assert chain["word_prefix"] == "010010"
+        member = family_member("chain_word_prime", 6, complemented)
+        assert chain["prime"] == is_prime(member)

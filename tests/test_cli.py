@@ -72,6 +72,12 @@ def test_prime_command_from_word(capsys):
     ("0", "must be a JSON object"),
     ("[1]", "must be a JSON object"),
     ('{"kind": "explicit"}', "lacks 'bits'"),
+    ('{"kind": "mechanical", "slope": "1/0"}',
+     "'slope' must be a finite fraction, not '1/0'"),
+    ('{"kind": "mechanical", "slope": Infinity}',
+     "'slope' must be a finite fraction, not inf"),
+    ('{"kind": "mechanical", "slope": "1/2", "intercept": "1/0"}',
+     "'intercept' must be a finite fraction, not '1/0'"),
 ])
 def test_malformed_word_json_exits_2(capsys, tmp_path, doc, message):
     doc_file = tmp_path / "word.json"
@@ -248,6 +254,18 @@ def test_missing_graph6_file_exits_2(capsys, tmp_path, command):
      "choose exactly one word generator flag"),
     (["word", "--fib", "--sturmian", "", "--length", "8"], None,
      "choose exactly one word generator flag"),
+    # a zero quotient is a malformed spec too
+    (["word", "--cf", "2,(0)", "--length", "8"], None, "continued fraction '2,(0)'"),
+    (["word", "--cf", "0,(1)", "--length", "8"], None, "continued fraction '0,(1)'"),
+    # a slope or intercept naming no finite fraction is named, never a traceback
+    (["word", "--sturmian", "1/0", "--length", "8"], None,
+     "--sturmian must be a finite fraction, not '1/0'"),
+    (["word", "--sturmian", "x", "--length", "8"], None,
+     "--sturmian must be a finite fraction, not 'x'"),
+    (["word", "--sturmian", "1/2", "--intercept", "1/0", "--length", "8"], None,
+     "--intercept must be a finite fraction, not '1/0'"),
+    (["word", "--cf", "2,(1)", "--intercept", "3/0", "--length", "8"], None,
+     "--intercept must be a finite fraction, not '3/0'"),
 ])
 def test_bad_counts_and_config_values_exit_2(capsys, tmp_path, argv, config, message):
     if config is not None:

@@ -313,6 +313,18 @@ def test_embedding_matches_backtracking_on_detect_members(n, length):
             _same_image(family_member(family, n, complemented), host)
 
 
+@pytest.mark.parametrize("host", [
+    graph_of_word(fibonacci_word(), 8),
+    graph_of_word(fibonacci_word(), 60),
+    complete_bipartite(2, 3),
+], ids=["fib8", "fib60", "K_2,3"])
+def test_embedding_matches_backtracking_on_every_class_through_order_four(host):
+    # patterns of orders 0, 1 and 2 too, which the hypothesis draws rarely reach
+    for level in enumerate_graphs(4):
+        for h in level:
+            _same_image(h, host)
+
+
 def test_embedding_leaves_no_cyclic_garbage():
     # each call's search state must be freed on return, not left for the
     # cyclic collector: peak memory grew with the number of searches

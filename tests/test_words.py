@@ -227,6 +227,11 @@ def test_round_trip_json_descriptors():
     '{"kind": "mechanical"}', '{"kind": "mechanical", "slope": [1]}',
     '{"kind": "mechanical", "slope": {"head": ["a"]}}',
     '{"kind": "mechanical", "slope": "1/3", "intercept": [1]}',
+    # no finite fraction: not Fraction's ZeroDivisionError or OverflowError
+    '{"kind": "mechanical", "slope": "1/0"}', '{"kind": "mechanical", "slope": Infinity}',
+    '{"kind": "mechanical", "slope": NaN}',
+    '{"kind": "mechanical", "slope": "1/3", "intercept": "1/0"}',
+    '{"kind": "mechanical", "slope": "1/3", "intercept": -Infinity}',
     '{"kind": "substitution", "rules": {"0": "01"}}',
     '{"kind": "substitution", "rules": {"0": 1}, "seed": "0"}',
     '{"kind": "complement", "of": 3}', '{"kind": "complement", "of": {}}',
