@@ -35,6 +35,11 @@ of maximum degree, so the bounds of size k are the step's classes from
 level k - 1 that are not members and pass the same deletion check
 (:func:`_deletion_keys`).
 
+The desk check reads the cofinality table m(n) off one walk per member
+through the hosts, largest first, for every order alike: the empty graph
+embeds in every host, and a single vertex misses only the empty host,
+which the walk reaches last.
+
 Everything about an infinite age is reported at a finite scale and says so:
 a bound certificate records the prefix length at which the non-membership
 search failed and can be re-validated from scratch at any larger scale.
@@ -345,8 +350,7 @@ def jonsson_desk_check(age: AgeApprox, prime_only: bool = True,
     misses none), and m(n) is the largest m_s over sizes up to n.  A walk
     stops below that running maximum, where a miss cannot raise it.  The
     first member to miss a host of size ``k_max`` is the witness from then
-    on.  Members of order 0 and 1 need no walk: the empty graph embeds in
-    every host, and a vertex in every host but the empty graph.
+    on.
     """
     members = {size: [g for g in age.members(size)
                       if not prime_only or is_prime(g)]
@@ -355,26 +359,19 @@ def jonsson_desk_check(age: AgeApprox, prime_only: bool = True,
     top = max((s for s, c in level_counts.items() if c), default=0)
     degenerate = top <= 2
     hosts = [h for size in sorted(members, reverse=True) for h in members[size]]
-    empty_host = hosts[-1] if hosts and hosts[-1].n == 0 else None
     cofinality: dict[int, int | None] = {}
     failures: dict[int, tuple[Graph, Graph]] = {}
     worst, witness = 0, None
     for n in range(0, n_max + 1):
         for s in members.get(n, []):
-            miss = None
-            if n == 1 and worst == 0:
-                miss = empty_host
-            elif n > 1:
-                for h in hosts:
-                    if h.n < worst:
-                        break
-                    if not embeds(s, h):
-                        miss = h
-                        break
-            if miss is not None:
-                worst = miss.n + 1
-                if worst > age.k_max:
-                    witness = (s, miss)
+            for h in hosts:
+                if h.n < worst:
+                    break
+                if not embeds(s, h):
+                    worst = h.n + 1
+                    if worst > age.k_max:
+                        witness = (s, h)
+                    break
         cofinality[n] = worst if worst <= age.k_max else None
         if witness is not None:
             failures[n] = witness

@@ -93,8 +93,8 @@ def from_graph6(line: str) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def to_dot(g: Graph, name: str = "g") -> str:
-    lines = [f"graph {name} {{"]
+def to_dot(g: Graph) -> str:
+    lines = ["graph g {"]
     for i in range(g.n):
         lines.append(f'  v{i} [label="{g.label_of(i)}"];')
     for i, j in g.edges():

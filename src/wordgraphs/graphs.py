@@ -71,14 +71,9 @@ class Graph:
         return self.rows[i].bit_count()
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for i in range(self.n):
-            row = self.rows[i] >> (i + 1)
-            j = i + 1
-            while row:
-                if row & 1:
-                    yield (i, j)
-                row >>= 1
-                j += 1
+        for i, row in enumerate(self.rows):
+            for j in _bits(row >> (i + 1) << (i + 1)):
+                yield (i, j)
 
     def label_of(self, i: int) -> int:
         return self.labels[i] if self.labels is not None else i
@@ -223,7 +218,11 @@ def make(family: str, *params: int) -> Graph:
 #
 # Exact canonical labelling: equitable refinement (cells split by neighbor
 # counts, subcells ordered by count) followed by individualization search on
-# the first non-singleton cell.  Each cell travels with its vertex mask: a
+# the first non-singleton cell.  Every cell lists its vertices in ascending
+# order, and nothing re-sorts one: the root cell is 0..n-1, refinement fills
+# each subcell in its cell's order, and a search node's child has the
+# individualized vertex alone and the rest of its cell, in order, in its
+# place.  Each cell travels with its vertex mask: a
 # search node's child gets the parent's masks with the individualized vertex's
 # bit and the rest of its cell, and refinement replaces the masks of a cell
 # it splits.  Refinement scans the cells in order as splitters, and for each
@@ -314,8 +313,6 @@ def _refine(rows: tuple[int, ...], cells: list[list[int]], masks: list[int],
 
 
 def _is_twin_cell(rows: tuple[int, ...], cell: list[int], cmask: int) -> bool:
-    if len(cell) <= 1:
-        return True
     outside = rows[cell[0]] & ~cmask
     if any(rows[v] & ~cmask != outside for v in cell[1:]):
         return False
@@ -364,7 +361,7 @@ def _canonical_order(g: Graph, leaves: list | None = None) -> tuple[list[int], i
                 target = ci
                 break
         if target < 0:
-            order = [v for cell in cells for v in sorted(cell)]
+            order = [v for cell in cells for v in cell]
             code = _encode(rows, order)
             if leaves is not None:
                 leaves.append((code, order, cells))
@@ -375,7 +372,7 @@ def _canonical_order(g: Graph, leaves: list | None = None) -> tuple[list[int], i
         cell, mask = cells[target], masks[target]
         cells_before, cells_after = cells[:target], cells[target + 1:]
         masks_before, masks_after = masks[:target], masks[target + 1:]
-        for v in sorted(cell):
+        for v in cell:
             rest = [w for w in cell if w != v]
             bit = 1 << v
             walk(cells_before + [[v], rest] + cells_after,
@@ -430,7 +427,6 @@ def _automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
                 perm[u] = v
             gens.append(tuple(perm))
     for cell in best_cells:
-        cell = sorted(cell)
         for u, v in zip(cell, cell[1:]):
             perm = list(range(g.n))
             perm[u], perm[v] = v, u

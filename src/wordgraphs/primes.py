@@ -50,6 +50,7 @@ from .graphs import (
     GraphError,
     _bits,
     canonical_key,
+    delete_vertex,
     induced_subgraph,
 )
 
@@ -140,14 +141,6 @@ def _modules_avoiding_0(g: Graph) -> Iterator[int]:
             work += [(piece, part ^ piece) for piece in pieces]
 
 
-def _has_nontrivial_module(g: Graph) -> bool:
-    """Some module with 2 <= size < n; see the module docstring."""
-    if g.n < 3:
-        return False
-    return (_first_closure_through_0(g) is not None
-            or next(_modules_avoiding_0(g), None) is not None)
-
-
 def find_nontrivial_module(g: Graph) -> ModuleWitness | None:
     """First proper pair closure in lexicographic pair order, or None.
 
@@ -173,7 +166,8 @@ def find_nontrivial_module(g: Graph) -> ModuleWitness | None:
 
 def is_prime(g: Graph) -> bool:
     """No nontrivial module; order <= 2 is prime by convention."""
-    return g.n <= 2 or not _has_nontrivial_module(g)
+    return g.n <= 2 or (_first_closure_through_0(g) is None
+                        and next(_modules_avoiding_0(g), None) is None)
 
 
 def is_critically_prime(g: Graph) -> bool:
@@ -181,7 +175,7 @@ def is_critically_prime(g: Graph) -> bool:
     if g.n < 4 or not is_prime(g):
         return False
     for v in range(g.n):
-        if is_prime(induced_subgraph(g, [u for u in range(g.n) if u != v])):
+        if is_prime(delete_vertex(g, v)):
             return False
     return True
 

@@ -263,8 +263,6 @@ def recurrence_bound(w: Word, n: int, L: int) -> int | None:
     """
     if n > L:
         raise WordError("factor length exceeds prefix length")
-    if n == 0:
-        return 0
     p = w.prefix(L)
     # one pass: a window must reach a factor's first end, span each gap
     # between consecutive starts, and reach from its last start to the end

@@ -246,31 +246,6 @@ def rescan_cofinality(members: dict[int, list[Graph]], k_max: int,
     return None
 
 
-def walk_cofinality(members: dict[int, list[Graph]], k_max: int, n_max: int
-                    ) -> tuple[dict[int, int | None], dict[int, tuple[Graph, Graph]]]:
-    """The desk check's one-pass table with every member walking the hosts,
-    the empty graph and single vertices included: m(0..n_max) and the
-    witness pair behind each None."""
-    hosts = [h for size in sorted(members, reverse=True) for h in members[size]]
-    cofinality: dict[int, int | None] = {}
-    failures: dict[int, tuple[Graph, Graph]] = {}
-    worst, witness = 0, None
-    for n in range(n_max + 1):
-        for s in members.get(n, []):
-            for h in hosts:
-                if h.n < worst:
-                    break
-                if not embeds(s, h):
-                    worst = h.n + 1
-                    if worst > k_max:
-                        witness = (s, h)
-                    break
-        cofinality[n] = worst if worst <= k_max else None
-        if witness is not None:
-            failures[n] = witness
-    return cofinality, failures
-
-
 def pair_closure(g: Graph, u: int, v: int) -> int:
     """Smallest module containing {u, v}, as a bitmask, by round-robin growth.
 

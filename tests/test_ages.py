@@ -360,6 +360,8 @@ def test_jonsson_table_matches_rescan_oracle(source, prime_only):
 @pytest.mark.parametrize("k_max", range(5))
 @pytest.mark.parametrize("prime_only", [True, False], ids=["primes", "all"])
 def test_jonsson_matches_walk_of_every_member(k_max, prime_only):
+    """Small scales, where the empty graph and a single vertex decide m(0)
+    and m(1) with the same walk as every other member."""
     for age in (word_age(fibonacci_word(), 30, k_max),
                 word_age(periodic_word("011"), 30, k_max),
                 age_enumerate(path(9), k_max, "path")):
@@ -367,8 +369,11 @@ def test_jonsson_matches_walk_of_every_member(k_max, prime_only):
         members = {size: [g for g in age.members(size)
                           if not prime_only or oracles.brute_is_prime(g)]
                    for size in age.levels}
-        assert (rep.cofinality, rep.failure_witnesses) == oracles.walk_cofinality(
-            members, age.k_max, k_max + 1)
+        assert rep.cofinality == {n: oracles.rescan_cofinality(members, k_max, n)
+                                  for n in range(k_max + 2)}
+        assert set(rep.failure_witnesses) == {
+            n for n, m in rep.cofinality.items() if m is None}
+        _assert_witnesses_miss_a_top_host(age, rep)
 
 
 def test_jonsson_degenerate_clique():

@@ -574,11 +574,15 @@ def test_refine_matches_rescanning_oracle_on_word_graphs(bits):
 
 def _check_canonical_search(g: Graph) -> None:
     """Equal best (order, code) and equal leaves, in walk order, from the
-    kernel and from the rescanning, pair-by-pair search."""
+    kernel and from the rescanning, pair-by-pair search; every leaf's cells
+    ascending, as the kernel reads them without sorting."""
     leaves: list = []
     expected_leaves: list = []
     assert _canonical_order(g, leaves) == oracles.canonical_order(g, expected_leaves)
     assert leaves == expected_leaves
+    for _, _, cells in leaves:
+        assert all(cell == sorted(cell) for cell in cells), (
+            f"cell invariant broken: a leaf cell is not ascending in {cells}")
 
 
 @settings(max_examples=200, deadline=None)

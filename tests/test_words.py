@@ -160,6 +160,10 @@ def test_recurrence_bound_examples():
     assert recurrence_bound(periodic_word("1"), 1, 2) == 1
     assert recurrence_bound(periodic_word("1"), 9, 10) is None
     assert recurrence_bound(periodic_word("01"), 9, 10) is None
+    # n = 0: the empty factor is in every window, the empty one included
+    for w in (periodic_word("01"), fibonacci_word()):
+        for L in (0, 1, 10):
+            assert recurrence_bound(w, 0, L) == 0
 
 
 @settings(max_examples=25, deadline=None)
