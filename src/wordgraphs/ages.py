@@ -20,7 +20,9 @@ last vertex sits in the class's canonical form, and its mask: patterns that
 agree on the first two share one state and OR their masks.  A state occurs
 iff its mask is nonzero, so the levels are exact.  A state of level k + 1 is
 a state of level k plus one vertex, so its class is the parent's canonical
-form plus the new row mapped into it.
+form plus the new row mapped into it, classified by one canonical lookup.
+Each step returns its states with the canonical forms of their classes,
+and those forms, sorted by key, are the level.
 
 Generic sources (``age_enumerate``) take the extension route, through the
 census's level step :func:`~wordgraphs.graphs.extend_level` (canonical
@@ -55,9 +57,9 @@ from .graphs import (
     CanonKey,
     Graph,
     GraphError,
-    _canonical_cached,
+    _classify,
     _trusted,
-    canonical_form,
+    add_vertex,
     canonical_key,
     delete_vertex,
     embeds,
@@ -162,34 +164,32 @@ def _moves(ends: int, pos: tuple[int, int]) -> list[tuple[int, int, int]]:
     return moves
 
 
-def _extend_patterns(states: dict[tuple[CanonKey, int], int], k: int,
-                     pos: tuple[int, int],
-                     forms: dict[CanonKey, Graph]) -> dict[tuple[CanonKey, int], int]:
-    """Append one letter to every k-vertex state, by each of its :func:`_moves`.
+def _extend_patterns(states: dict[tuple[CanonKey, int], int], pos: tuple[int, int],
+                     forms: dict[CanonKey, Graph]
+                     ) -> tuple[dict[tuple[CanonKey, int], int], dict[CanonKey, Graph]]:
+    """Append one letter to every state, by each of its :func:`_moves`; the
+    child states and the canonical forms of their classes.
 
     A state maps ``(class key, at)`` to the OR of its patterns' end masks,
     where ``at`` is the index of the patterns' last vertex in the class's
     canonical form ``forms[key]``, so the new row mapped into that form is
     the move's row with ``at`` as the last vertex.  The child's class is the
     form plus that row, and its ``at`` is where the new vertex lands in the
-    child's form; the LRU of :func:`_canonical_cached` serves every repeat
-    of a (parent class, row) pair.
+    child's form; the LRU of :func:`~wordgraphs.graphs._canonical_cached`
+    serves every repeat of a (parent class, row) pair.
     """
-    full = (1 << k) - 1
     nxt: dict[tuple[CanonKey, int], int] = {}
+    child_forms: dict[CanonKey, Graph] = {}
     for (key, at), ends in states.items():
-        form = forms[key].rows
+        parent = forms[key]
+        full = (1 << parent.n) - 1
         for base, flip, reach in _moves(ends, pos):
-            mapped = (base & full) ^ (flip << at)
-            extended = tuple(r | (((mapped >> i) & 1) << k)
-                             for i, r in enumerate(form)) + (mapped,)
-            child_key, order = _canonical_cached(k + 1, extended)
-            if child_key not in forms:
-                forms[child_key] = canonical_form(_trusted(k + 1, extended))
-            # vertex k of the extended form is the child's last vertex
-            child = (child_key, order.index(k))
+            child_key, order = _classify(
+                add_vertex(parent, (base & full) ^ (flip << at)), child_forms)
+            # the new vertex, parent.n, is the child's last vertex
+            child = (child_key, order.index(parent.n))
             nxt[child] = nxt.get(child, 0) | reach
-    return nxt
+    return nxt, child_forms
 
 
 def word_age(w: Word, L: int, k_max: int) -> AgeApprox:
@@ -198,8 +198,8 @@ def word_age(w: Word, L: int, k_max: int) -> AgeApprox:
     States of level k map a class and the position of the last vertex in
     its canonical form to the bitmask of source indices where some k-vertex
     pattern with that class and last vertex can end (see
-    :func:`_extend_patterns`).  A level is the set of its states' class
-    keys, sorted, with the canonical forms as members.
+    :func:`_extend_patterns`).  A level is the canonical forms of its
+    states' classes, sorted by key.
     """
     source = graph_of_word(w, L)
     if k_max > source.n:
@@ -209,14 +209,13 @@ def word_age(w: Word, L: int, k_max: int) -> AgeApprox:
     levels: dict[int, dict[CanonKey, Graph]] = {0: {canonical_key(empty): empty}}
     vertex = _trusted(1, (0,))
     vertex_key = canonical_key(vertex)
-    forms = {vertex_key: vertex}  # class key -> canonical form, every level
+    forms = {vertex_key: vertex}
     # one vertex ends anywhere in 0..L
     states = {(vertex_key, 0): (1 << source.n) - 1}
     for k in range(1, k_max + 1):
         if k > 1:
-            states = _extend_patterns(states, k - 1, pos, forms)
-        keys = {key for key, _ in states}
-        levels[k] = {key: forms[key] for key in sorted(keys)}
+            states, forms = _extend_patterns(states, pos, forms)
+        levels[k] = dict(sorted(forms.items()))
     return AgeApprox(source=source, source_desc=json.dumps({"word_prefix": L}),
                      k_max=k_max, levels=levels)
 

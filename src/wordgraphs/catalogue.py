@@ -16,6 +16,7 @@ from .graph6 import to_graph6
 from .graphs import (
     Graph,
     GraphError,
+    _reorder,
     complement,
     complete_bipartite,
     embedding,
@@ -89,12 +90,6 @@ def family_member(family: str, n: int, complemented: bool = False) -> Graph:
     return complement(g) if complemented else g
 
 
-def _induced_rows(g: Graph, image: tuple[int, ...]) -> tuple[int, ...]:
-    """Rows of the subgraph of g induced on ``image``, in the order given."""
-    return tuple(sum(((g.rows[v] >> w) & 1) << q for q, w in enumerate(image))
-                 for v in image)
-
-
 def detect_unavoidable(g: Graph, n: int) -> set[tuple[str, bool]]:
     """Which parameter-n family members (or complements) embed in g.
 
@@ -109,7 +104,7 @@ def detect_unavoidable(g: Graph, n: int) -> set[tuple[str, bool]]:
             image = embedding(member, g)
             if image is not None:
                 if (len(set(image)) != member.n
-                        or _induced_rows(g, image) != member.rows):
+                        or _reorder(g, image) != member.rows):
                     raise AssertionError("detector hit failed its certificate check")
                 hits.add((family, complemented))
     return hits

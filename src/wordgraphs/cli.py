@@ -143,7 +143,10 @@ def _word_from_args(args: argparse.Namespace) -> Word:
         rules = {}
         for item in args.subst.split(","):
             letter, _, image = item.partition("=")
-            rules[letter.strip()] = image.strip()
+            letter = letter.strip()
+            if letter in rules:
+                raise WordError(f"--subst gives letter {letter!r} twice")
+            rules[letter] = image.strip()
         w = substitution_word(rules, args.seed_letter)
     else:
         intercept: Fraction | str = ("slope" if args.intercept == "slope"
@@ -178,26 +181,23 @@ def _emit(text: str, out: str | Path | None) -> None:
 def _cmd_word(args: argparse.Namespace) -> int:
     w = _word_from_args(args)
     prefix = w.prefix(args.length)
+    complexity = (factor_complexity(w, args.length, args.complexity)
+                  if args.complexity else [])
+    recurrence = {n: recurrence_bound(w, n, args.length)
+                  for n in range(1, (args.recurrence or 0) + 1)}
     if args.fmt == "json":
         doc = {"descriptor": json.loads(word_to_json(w)),
                "length": args.length, "prefix": prefix}
         if args.complexity:
-            doc["factor_complexity"] = factor_complexity(w, args.length,
-                                                         args.complexity)
+            doc["factor_complexity"] = complexity
         if args.recurrence:
-            doc["recurrence_bounds"] = {
-                str(n): recurrence_bound(w, n, args.length)
-                for n in range(1, args.recurrence + 1)}
+            doc["recurrence_bounds"] = {str(n): m for n, m in recurrence.items()}
         _emit(json.dumps(doc, sort_keys=True) + "\n", args.out)
         return 0
     lines = [prefix]
-    if args.complexity:
-        for n, p in enumerate(factor_complexity(w, args.length, args.complexity), 1):
-            lines.append(f"p({n}) = {p}")
-    if args.recurrence:
-        for n in range(1, args.recurrence + 1):
-            m = recurrence_bound(w, n, args.length)
-            lines.append(f"recurrence({n}) = {'none-at-scale' if m is None else m}")
+    lines += [f"p({n}) = {p}" for n, p in enumerate(complexity, 1)]
+    lines += [f"recurrence({n}) = {'none-at-scale' if m is None else m}"
+              for n, m in recurrence.items()]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

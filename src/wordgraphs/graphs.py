@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 CORE_WIDTH = 64
 
@@ -113,25 +113,36 @@ def _bits(mask: int) -> Iterator[int]:
 # -- elementary operations ----------------------------------------------
 
 
+def _reorder(g: Graph, order: Sequence[int]) -> tuple[int, ...]:
+    """Rows of the subgraph of ``g`` on the distinct vertices ``order``, with
+    ``order[i]`` as vertex i: each row's bits in the kept set, mapped."""
+    place = [0] * g.n  # place[v]: the bit of kept vertex v in the new rows
+    kept = 0
+    for i, v in enumerate(order):
+        place[v] = 1 << i
+        kept |= 1 << v
+    rows = []
+    for v in order:
+        acc = 0
+        nbrs = g.rows[v] & kept
+        while nbrs:
+            low = nbrs & -nbrs
+            acc |= place[low.bit_length() - 1]
+            nbrs ^= low
+        rows.append(acc)
+    return tuple(rows)
+
+
 def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
     """Subgraph induced on vertex indices ``s``, kept in ascending order."""
     kept = sorted(set(s))
     for v in kept:
         if not 0 <= v < g.n:
             raise GraphError(f"vertex index {v} out of range for order {g.n}")
-    pos = {v: a for a, v in enumerate(kept)}
-    rows = [0] * len(kept)
-    for a, v in enumerate(kept):
-        row = g.rows[v]
-        acc = 0
-        for w in kept:
-            if (row >> w) & 1:
-                acc |= 1 << pos[w]
-        rows[a] = acc
     labels = None
     if g.labels is not None:
         labels = tuple(g.labels[v] for v in kept)
-    return _trusted(len(kept), tuple(rows), labels)
+    return _trusted(len(kept), _reorder(g, kept), labels)
 
 
 def delete_vertex(g: Graph, v: int) -> Graph:
@@ -244,7 +255,8 @@ def make(family: str, *params: int) -> Graph:
 # canonical form; exactness, not hashing, because age sets and census counts
 # deduplicate by key.  Each leaf is encoded once, row by row, each row's
 # segment from its neighbours later in the order, and the search returns the
-# best leaf's code with its order.
+# best leaf's code with its order; the LRU keeps both, and the canonical form
+# is the graph relabelled in that order by :func:`_reorder`.
 #
 # The same walk yields generators of the automorphism group.  The tree is
 # built from label-free choices only (refinement, first non-twin cell, every
@@ -258,9 +270,11 @@ def make(family: str, *params: int) -> Graph:
 # degree test, invariant under the same group, cuts them again before any
 # canonical search, to the masks that give the new vertex maximum degree.
 # :func:`max_degree_extensions` owns that rule, and :func:`extend_level`
-# owns the level step built on it (extend, dedupe by key, canonical form,
-# sort).  The census (:func:`enumerate_graphs`) iterates that step; the
-# bound candidates (:func:`~wordgraphs.ages.bounds_enumerate`) and the
+# owns the level step built on it (extend, classify, sort).  Both level
+# steps, this one and the word-age pattern step, classify an extension by one
+# LRU lookup in :func:`_classify`, which builds the canonical form only for a
+# class not seen before.  The census (:func:`enumerate_graphs`) iterates that
+# step; the bound candidates (:func:`~wordgraphs.ages.bounds_enumerate`) and the
 # generic age route (:func:`~wordgraphs.ages.age_enumerate`) filter it.
 
 
@@ -397,15 +411,17 @@ def canonical_key(g: Graph) -> CanonKey:
 
 def canonical_form(g: Graph) -> Graph:
     """Canonically relabelled copy; labels are dropped."""
-    order = _canonical_cached(g.n, g.rows)[1]
-    pos = {v: i for i, v in enumerate(order)}
-    rows = [0] * g.n
-    for i, v in enumerate(order):
-        acc = 0
-        for w in _bits(g.rows[v]):
-            acc |= 1 << pos[w]
-        rows[i] = acc
-    return _trusted(g.n, tuple(rows))
+    return _trusted(g.n, _reorder(g, _canonical_cached(g.n, g.rows)[1]))
+
+
+def _classify(g: Graph,
+              forms: dict[CanonKey, Graph]) -> tuple[CanonKey, tuple[int, ...]]:
+    """The class key and canonical order of ``g``, from one LRU lookup; the
+    canonical form goes into ``forms`` the first time its class appears."""
+    key, order = _canonical_cached(g.n, g.rows)
+    if key not in forms:
+        forms[key] = _trusted(g.n, _reorder(g, order))
+    return key, order
 
 
 def _automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
@@ -588,10 +604,8 @@ def extend_level(level: Iterable[Graph]) -> dict[CanonKey, Graph]:
     seen: dict[CanonKey, Graph] = {}
     for g in level:
         for ext in max_degree_extensions(g):
-            key = canonical_key(ext)
-            if key not in seen:
-                seen[key] = canonical_form(ext)
-    return {key: seen[key] for key in sorted(seen)}
+            _classify(ext, seen)
+    return dict(sorted(seen.items()))
 
 
 _LEVEL_CACHE: list[tuple[Graph, ...]] = [(empty_graph(0),)]

@@ -192,9 +192,14 @@ def mechanical_word(slope: Fraction | ContinuedFraction,
 
 def substitution_word(rules: dict[str, str], seed: str) -> Word:
     for letter, image in rules.items():
-        if letter not in "01" or not image:
-            raise WordError("rules must map 0/1 letters to nonempty 0-1 words")
+        if letter not in ("0", "1"):
+            raise WordError(f"rule letter {letter!r} must be '0' or '1'")
+        if not image:
+            raise WordError(f"the image of {letter!r} must be nonempty")
         _check_bits(image, "rule image")
+    missing = sorted({c for image in rules.values() for c in image} - set(rules))
+    if missing:
+        raise WordError(f"letter {missing[0]!r} is in a rule image but has no rule")
     if len(seed) != 1 or seed not in rules:
         raise WordError("seed must be a single letter with a rule")
     if not rules[seed].startswith(seed):

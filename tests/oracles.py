@@ -2,12 +2,13 @@
 
 Everything here enumerates: permutations for isomorphism, subsets for
 modules, embeddings and ages.  The plain versions of the kernels that run
-on bitmasks are kept here too: the lexicographic pair-closure scan, the
-refinement that rescans every splitter after each split, the canonical
-search on it that encodes each leaf pair by pair, the pair-by-pair word
-graph, the realizer builder that normalizes its two lists with polarity and
-swap flags, the label-pair realizer check, the strict order of a realizer's
-two linear orders built pair by pair, and the plain embedding backtracking.
+on bitmasks are kept here too: the pair-by-pair relabelling, the
+lexicographic pair-closure scan, the refinement that rescans every splitter
+after each split, the canonical search on it that encodes each leaf pair by
+pair, the pair-by-pair word graph, the realizer builder that normalizes its
+two lists with polarity and swap flags, the label-pair realizer check, the
+strict order of a realizer's two linear orders built pair by pair, and the
+plain embedding backtracking.
 The module oracle by subset enumeration is the one ``verify`` runs, imported
 from there.  Nothing imports the algorithms under test beyond the plain
 Graph and Realizer containers, save six slow routes: the census's
@@ -49,6 +50,13 @@ from wordgraphs.words import Word
 
 def has_edge(g: Graph, i: int, j: int) -> bool:
     return bool((g.rows[i] >> j) & 1)
+
+
+def reorder_pairs(g: Graph, order: list[int]) -> tuple[int, ...]:
+    """Rows of the subgraph on the distinct vertices ``order``, with
+    ``order[i]`` as vertex i, read pair by pair."""
+    return tuple(sum(1 << j for j, w in enumerate(order) if has_edge(g, v, w))
+                 for v in order)
 
 
 def edge_count(g: Graph) -> int:

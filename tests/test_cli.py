@@ -78,6 +78,8 @@ def test_prime_command_from_word(capsys):
      "'slope' must be a finite fraction, not inf"),
     ('{"kind": "mechanical", "slope": "1/2", "intercept": "1/0"}',
      "'intercept' must be a finite fraction, not '1/0'"),
+    ('{"kind": "substitution", "rules": {"0": "01"}, "seed": "0"}',
+     "letter '1' is in a rule image but has no rule"),
 ])
 def test_malformed_word_json_exits_2(capsys, tmp_path, doc, message):
     doc_file = tmp_path / "word.json"
@@ -266,6 +268,13 @@ def test_missing_graph6_file_exits_2(capsys, tmp_path, command):
      "--intercept must be a finite fraction, not '1/0'"),
     (["word", "--cf", "2,(1)", "--intercept", "3/0", "--length", "8"], None,
      "--intercept must be a finite fraction, not '3/0'"),
+    # substitution rules: every letter of an image has one rule, given once
+    (["word", "--subst", "0=01", "--length", "5"], None,
+     "letter '1' is in a rule image but has no rule"),
+    (["word", "--subst", "0=01,01=1", "--length", "5"], None,
+     "rule letter '01' must be '0' or '1'"),
+    (["word", "--subst", "0=01,1=0,1=1", "--length", "6"], None,
+     "--subst gives letter '1' twice"),
 ])
 def test_bad_counts_and_config_values_exit_2(capsys, tmp_path, argv, config, message):
     if config is not None:

@@ -21,6 +21,7 @@ from wordgraphs.graphs import (
     _canonical_order,
     _orbit_representatives,
     _refine,
+    _reorder,
     add_vertex,
     canonical_form,
     canonical_key,
@@ -106,6 +107,24 @@ def test_induced_commutes_with_complement(g, _):
     subset = [v for v in range(g.n) if v % 2 == 0]
     assert complement(induced_subgraph(g, subset)) == induced_subgraph(
         complement(g), subset)
+
+
+def _check_reorder(g: Graph, data) -> None:
+    order = data.draw(st.permutations(range(g.n)))
+    order = order[:data.draw(st.integers(0, g.n))]
+    assert _reorder(g, order) == oracles.reorder_pairs(g, order)
+
+
+@given(graphs(max_n=9), st.data())
+def test_reorder_matches_pair_by_pair(g, data):
+    """Random vertex orders, of the whole vertex set and of proper subsets."""
+    _check_reorder(g, data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bit_words, st.data())
+def test_reorder_matches_pair_by_pair_in_word_graphs(bits, data):
+    _check_reorder(graph_of_word(bits), data)
 
 
 def test_line_graph_examples():
@@ -630,6 +649,8 @@ def test_unchecked_word_graphs_and_patterns_are_valid(bits):
     labelled = induced_subgraph(g, range(0, g.n, 2))
     assert _passes_public_constructor(labelled)
     assert _passes_public_constructor(complement(labelled))
-    # every pattern graph of the word's age, through the validating constructor
-    with mock.patch.object(ages, "_trusted", Graph):
+    # every pattern graph of the word's age and its canonical form, through
+    # the validating constructor
+    with mock.patch.object(ages, "_trusted", Graph), \
+            mock.patch("wordgraphs.graphs._trusted", Graph):
         ages.word_age(explicit_word(bits), len(bits), min(5, len(bits) + 1))

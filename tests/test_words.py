@@ -67,6 +67,20 @@ def test_substitution_examples():
         substitution_word({"0": "10", "1": "0"}, "0")  # not prolongable
 
 
+@pytest.mark.parametrize("rules,message", [
+    ({"0": "01"}, "letter '1' is in a rule image but has no rule"),
+    ({"1": "10"}, "letter '0' is in a rule image but has no rule"),
+    ({"0": "01", "01": "1"}, "rule letter '01' must be '0' or '1'"),
+    ({"0": "01", "": "1"}, "rule letter '' must be '0' or '1'"),
+    ({"0": "01", "1": ""}, "the image of '1' must be nonempty"),
+])
+def test_substitution_rules_name_a_bad_letter(rules, message):
+    with pytest.raises(WordError, match=message):
+        substitution_word(rules, "0")
+    with pytest.raises(WordError, match=message):
+        word_from_json({"kind": "substitution", "rules": rules, "seed": "0"})
+
+
 def test_golden_slope_matches_fibonacci_substitution():
     # characteristic Sturmian word: intercept equal to the slope
     mech = mechanical_word(golden_slope(), "slope")
