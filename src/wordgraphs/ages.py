@@ -50,6 +50,7 @@ search failed and can be re-validated from scratch at any larger scale.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .graph6 import to_graph6
@@ -394,10 +395,8 @@ def age_to_json(age: AgeApprox) -> dict:
 
 
 def age_csv(age: AgeApprox) -> str:
-    lines = ["size,member_count"]
-    for size in sorted(age.levels):
-        lines.append(f"{size},{len(age.levels[size])}")
-    return "\n".join(lines) + "\n"
+    return "size,member_count\n" + "".join(
+        f"{size},{count}\n" for size, count in age.level_counts().items())
 
 
 def bounds_to_json(certs: list[BoundCertificate]) -> list[dict]:
@@ -411,13 +410,9 @@ def bounds_to_json(certs: list[BoundCertificate]) -> list[dict]:
 
 
 def bounds_summary_csv(certs: list[BoundCertificate]) -> str:
-    by_size: dict[int, int] = {}
-    for c in certs:
-        by_size[c.graph.n] = by_size.get(c.graph.n, 0) + 1
-    lines = ["size,bound_count"]
-    for size in sorted(by_size):
-        lines.append(f"{size},{by_size[size]}")
-    return "\n".join(lines) + "\n"
+    by_size = Counter(c.graph.n for c in certs)
+    return "size,bound_count\n" + "".join(
+        f"{size},{by_size[size]}\n" for size in sorted(by_size))
 
 
 def jonsson_to_json(report: JonssonReport) -> dict:

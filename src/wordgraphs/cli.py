@@ -65,6 +65,7 @@ from .words import (
     parse_fraction,
     periodic_word,
     recurrence_bound,
+    reject_unknown_keys,
     substitution_word,
     word_from_json,
     word_to_json,
@@ -276,6 +277,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_jonsson(args: argparse.Namespace) -> int:
+    if args.n_max > args.k_max:  # m(n) only for sizes the age reached
+        raise WordError(f"--n-max {args.n_max} exceeds --k-max {args.k_max}")
     age = word_age(_word_from_args(args), args.length, args.k_max)
     report = jonsson_desk_check(age, prime_only=not args.all_members,
                                 n_max=args.n_max)
@@ -400,7 +403,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
     p_ver = sub.add_parser("verify", help="run the invariant/acceptance battery")
     p_ver.set_defaults(run=_cmd_verify)
     p_ver.add_argument("--full", action="store_true",
-                       help="desk-scale experiment sizes (about 7 s, quick about 0.5 s, "
+                       help="desk-scale experiment sizes (about 4 s, quick about 0.5 s, "
                             "on a 2-core machine)")
     p_ver.add_argument("--seed", type=int, default=0)
 
@@ -431,10 +434,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
         if not isinstance(defaults, dict):
             raise WordError("config file must hold a JSON object of flags")
         actions = {a.dest: a for a in sub.choices[probe.command]._actions}
-        unknown = sorted(set(defaults) - set(actions))
-        if unknown:
-            raise WordError(f"unknown config keys for {probe.command!r}: "
-                            + ", ".join(unknown))
+        reject_unknown_keys(defaults, set(actions), f"config keys for {probe.command!r}")
         for key, value in defaults.items():
             choices = actions[key].choices
             if choices is not None and value not in choices:

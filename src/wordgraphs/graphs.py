@@ -239,14 +239,10 @@ def make(family: str, *params: int) -> Graph:
 # it splits.  Refinement scans the cells in order as splitters, and for each
 # one tests the cells in order, comparing every vertex's neighbor count in the
 # splitter with the cell's first vertex's (the subcells are built only when
-# the cell splits).  A splitter cell that splits no cell is settled, since it
-# cannot split any cell of a finer partition either, so its mask is skipped on
-# every later scan, and a search node starts from the masks settled at its
-# parent (whose partition it refines).  After a split the scan resumes at the
-# smaller of the splitter's and the split cell's index: every splitter before
-# the splitter is settled, every cell before the split cell is unchanged, so
-# a scan from the first splitter would skip all of those again.  Neither the
-# skipping nor the resuming changes the sequence of splits, and so the ordered
+# the cell splits).  A splitter that splits no cell of a partition splits no
+# cell of a finer one, so after a split only the cells from the smaller of the
+# splitter's and the split cell's index on can change, and the scan resumes
+# there.  Resuming does not change the sequence of splits, and so the ordered
 # partition is that of a refinement rescanning every splitter after each
 # split.  Twin cells (identical rows outside the cell, complete or empty
 # inside) admit any internal order without changing the encoding, so they
@@ -278,24 +274,19 @@ def make(family: str, *params: int) -> Graph:
 # generic age route (:func:`~wordgraphs.ages.age_enumerate`) filter it.
 
 
-def _refine(rows: tuple[int, ...], cells: list[list[int]], masks: list[int],
-            settled: set[int]) -> tuple[list[list[int]], list[int], set[int]]:
+def _refine(rows: tuple[int, ...], cells: list[list[int]], masks: list[int]) -> None:
     """Equitable refinement of ``cells``, whose vertex masks are ``masks``,
-    with the splitter masks settled on it.
+    in place; a discrete partition ends the scan at once.
 
-    ``cells`` and ``masks`` are refined in place and returned.  ``settled``
-    holds masks settled on a coarser partition; it is copied, not extended,
-    because sibling search nodes refine different partitions.  A discrete
-    partition is returned at once: it is a leaf, so its settled masks go unused.
+    A splitter that splits no cell of a partition splits no cell of a finer
+    one, so after a split the scan resumes at the smaller of the splitter's
+    and the split cell's index: no splitter before that index split a cell,
+    and no cell before it changed.
     """
     n = len(rows)
-    settled = set(settled)
     si = 0
     while si < len(cells) < n:
         smask = masks[si]
-        if smask in settled:
-            si += 1
-            continue
         for di, cell in enumerate(cells):
             if len(cell) <= 1:
                 continue
@@ -317,13 +308,10 @@ def _refine(rows: tuple[int, ...], cells: list[list[int]], masks: list[int],
                     pmask |= 1 << v
                 part_masks.append(pmask)
             masks[di:di + 1] = part_masks
-            if di < si:  # cells before di are unchanged, splitters before si settled
-                si = di
+            si = min(si, di)
             break
         else:
-            settled.add(smask)
             si += 1
-    return cells, masks, settled
 
 
 def _is_twin_cell(rows: tuple[int, ...], cell: list[int], cmask: int) -> bool:
@@ -331,9 +319,7 @@ def _is_twin_cell(rows: tuple[int, ...], cell: list[int], cmask: int) -> bool:
     if any(rows[v] & ~cmask != outside for v in cell[1:]):
         return False
     inner = [rows[v] & cmask for v in cell]
-    if all(x == 0 for x in inner):
-        return True
-    return all(inner[k] == cmask ^ (1 << v) for k, v in enumerate(cell))
+    return not any(inner) or all(x == cmask ^ (1 << v) for x, v in zip(inner, cell))
 
 
 def _encode(rows: tuple[int, ...], order: list[int]) -> int:
@@ -366,9 +352,9 @@ def _canonical_order(g: Graph, leaves: list | None = None) -> tuple[list[int], i
     best_code = -1
     best_order: list[int] = []
 
-    def walk(cells: list[list[int]], masks: list[int], settled: set[int]) -> None:
+    def walk(cells: list[list[int]], masks: list[int]) -> None:
         nonlocal best_code, best_order
-        cells, masks, settled = _refine(rows, cells, masks, settled)
+        _refine(rows, cells, masks)
         target = -1
         for ci, cell in enumerate(cells):
             if len(cell) > 1 and not _is_twin_cell(rows, cell, masks[ci]):
@@ -390,9 +376,9 @@ def _canonical_order(g: Graph, leaves: list | None = None) -> tuple[list[int], i
             rest = [w for w in cell if w != v]
             bit = 1 << v
             walk(cells_before + [[v], rest] + cells_after,
-                 masks_before + [bit, mask ^ bit] + masks_after, settled)
+                 masks_before + [bit, mask ^ bit] + masks_after)
 
-    walk([list(range(g.n))], [(1 << g.n) - 1], set())
+    walk([list(range(g.n))], [(1 << g.n) - 1])
     return best_order, best_code
 
 
@@ -520,12 +506,11 @@ def embedding(h: Graph, g: Graph) -> tuple[int, ...] | None:
     order, so the image is plain backtracking's.
     """
     nh, ng = h.n, g.n
-    if nh > ng:
-        return None
     full = (1 << ng) - 1
     hdeg = [h.degree(i) for i in range(nh)]
     gdeg = [g.degree(i) for i in range(ng)]
     base = []
+    # both degree bounds hold only if ng >= nh, so a larger pattern ends here
     for p in range(nh):
         mask = 0
         for v in range(ng):

@@ -144,13 +144,9 @@ def _gen_substitution(params: tuple, n: int) -> str:
     rules_t, seed = params
     rules = dict(rules_t)
     word = seed
-    # prolongability makes iterates nested prefixes; growth check catches
-    # stalls like 0 -> 0
+    # iterates are nested prefixes, each longer (substitution_word's checks)
     while len(word) < n:
-        nxt = "".join(rules[c] for c in word)
-        if len(nxt) <= len(word):
-            raise WordError("substitution does not grow from this seed")
-        word = nxt
+        word = "".join(rules[c] for c in word)
     return word[:n]
 
 
@@ -204,6 +200,8 @@ def substitution_word(rules: dict[str, str], seed: str) -> Word:
         raise WordError("seed must be a single letter with a rule")
     if not rules[seed].startswith(seed):
         raise WordError("substitution must be prolongable on the seed")
+    # every image is nonempty and the seed's starts with the seed, so the
+    # iterates grow unless the seed's image is the seed alone
     if rules[seed] == seed:
         raise WordError("substitution does not grow from this seed")
     return Word("substitution", (tuple(sorted(rules.items())), seed))
@@ -324,11 +322,25 @@ def parse_fraction(value: str | int | float, what: str) -> Fraction:
         raise WordError(f"{what} must be a finite fraction, not {value!r}") from None
 
 
+# the keys each descriptor kind reads, besides "kind"
+_DESCRIPTOR_KEYS = {"explicit": {"bits"}, "periodic": {"pattern"},
+                    "mechanical": {"slope", "intercept"},
+                    "substitution": {"rules", "seed"}, "complement": {"of"}}
+
+
+def reject_unknown_keys(data: dict, allowed: set[str], what: str) -> None:
+    """A :class:`WordError` naming every key of ``data`` outside ``allowed``."""
+    unknown = sorted(map(str, set(data) - allowed))
+    if unknown:
+        raise WordError(f"unknown {what}: " + ", ".join(unknown))
+
+
 def _field(data: dict, name: str, kinds: type | tuple[type, ...]):
     if name not in data:
         raise WordError(f"{data['kind']} word descriptor lacks {name!r}")
     value = data[name]
-    if not isinstance(value, kinds):
+    # JSON true and false are ints to isinstance, and no field reads them
+    if isinstance(value, bool) or not isinstance(value, kinds):
         raise WordError(f"{data['kind']} word descriptor: bad {name!r}")
     return value
 
@@ -338,6 +350,10 @@ def word_from_json(doc: str | dict) -> Word:
     if not isinstance(data, dict):
         raise WordError("word descriptor must be a JSON object")
     kind = data.get("kind")
+    if not isinstance(kind, str) or kind not in _DESCRIPTOR_KEYS:
+        raise WordError(f"unknown word kind {kind!r}")
+    reject_unknown_keys(data, _DESCRIPTOR_KEYS[kind] | {"kind"},
+                        f"{kind} word descriptor keys")
     if kind == "explicit":
         return explicit_word(_field(data, "bits", str))
     if kind == "periodic":
@@ -345,17 +361,18 @@ def word_from_json(doc: str | dict) -> Word:
     if kind == "mechanical":
         raw = _field(data, "slope", (str, int, float, dict))
         if isinstance(raw, dict):
+            reject_unknown_keys(raw, {"head", "tail"},
+                                "mechanical word descriptor 'slope' keys")
             head, tail = raw.get("head", []), raw.get("tail", [])
-            if not all(isinstance(q, list) and all(isinstance(a, int) for a in q)
+            # type(a) is int: a bool is no quotient
+            if not all(isinstance(q, list) and all(type(a) is int for a in q)
                        for q in (head, tail)):
                 raise WordError("mechanical word descriptor: bad 'slope'")
             slope: Fraction | ContinuedFraction = ContinuedFraction(
                 head=tuple(head), tail=tuple(tail))
         else:
             slope = parse_fraction(raw, "mechanical word descriptor 'slope'")
-        rho = data.get("intercept", "0")
-        if not isinstance(rho, (str, int, float)):
-            raise WordError("mechanical word descriptor: bad 'intercept'")
+        rho = _field(data, "intercept", (str, int, float)) if "intercept" in data else "0"
         intercept: Fraction | str = ("slope" if rho == "slope" else parse_fraction(
             rho, "mechanical word descriptor 'intercept'"))
         return mechanical_word(slope, intercept)
@@ -364,6 +381,4 @@ def word_from_json(doc: str | dict) -> Word:
         if not all(isinstance(image, str) for image in rules.values()):
             raise WordError("substitution word descriptor: bad 'rules'")
         return substitution_word(dict(rules), _field(data, "seed", str))
-    if kind == "complement":
-        return complement_word(word_from_json(_field(data, "of", dict)))
-    raise WordError(f"unknown word kind {kind!r}")
+    return complement_word(word_from_json(_field(data, "of", dict)))

@@ -80,6 +80,12 @@ def test_prime_command_from_word(capsys):
      "'intercept' must be a finite fraction, not '1/0'"),
     ('{"kind": "substitution", "rules": {"0": "01"}, "seed": "0"}',
      "letter '1' is in a rule image but has no rule"),
+    ('{"kind": "mechanical", "slope": "1/3", "intercpt": "1/2"}',
+     "unknown mechanical word descriptor keys: intercpt"),
+    ('{"kind": "mechanical", "slope": {"head": [2], "tale": [1]}}',
+     "unknown mechanical word descriptor 'slope' keys: tale"),
+    ('{"kind": "mechanical", "slope": "1/3", "intercept": true}',
+     "mechanical word descriptor: bad 'intercept'"),
 ])
 def test_malformed_word_json_exits_2(capsys, tmp_path, doc, message):
     doc_file = tmp_path / "word.json"
@@ -275,6 +281,11 @@ def test_missing_graph6_file_exits_2(capsys, tmp_path, command):
      "rule letter '01' must be '0' or '1'"),
     (["word", "--subst", "0=01,1=0,1=1", "--length", "6"], None,
      "--subst gives letter '1' twice"),
+    # m(n) is reported only for sizes the age reached
+    (["jonsson", "--fib", "--length", "5", "--k-max", "3", "--n-max", "9"], None,
+     "--n-max 9 exceeds --k-max 3"),
+    (["jonsson", "--fib", "--length", "5", "--k-max", "3"], {"n_max": 4},
+     "--n-max 4 exceeds --k-max 3"),
 ])
 def test_bad_counts_and_config_values_exit_2(capsys, tmp_path, argv, config, message):
     if config is not None:

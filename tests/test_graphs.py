@@ -3,6 +3,7 @@
 import functools
 import gc
 import hashlib
+import random
 from unittest import mock
 
 import pytest
@@ -43,7 +44,7 @@ from wordgraphs.graphs import (
     path,
 )
 from wordgraphs.wordgraph import graph_of_word, graph_of_word_forward
-from wordgraphs.words import explicit_word, fibonacci_word
+from wordgraphs.words import explicit_word, fibonacci_word, substitution_word
 
 
 def test_construction_rejects_asymmetry():
@@ -344,6 +345,18 @@ def test_embedding_matches_backtracking_on_every_class_through_order_four(host):
             _same_image(h, host)
 
 
+def test_embedding_of_larger_pattern_is_none_before_any_search_node():
+    # the degree bounds alone rule out a pattern larger than the host
+    levels = enumerate_graphs(5)
+    with mock.patch("wordgraphs.graphs._solve", side_effect=AssertionError):
+        for n, level in enumerate(levels):
+            for h in level:
+                for hosts in levels[:n]:
+                    for g in hosts:
+                        assert embedding(h, g) is None
+                        assert not oracles.brute_embeds(h, g)
+
+
 def test_embedding_leaves_no_cyclic_garbage():
     # each call's search state must be freed on return, not left for the
     # cyclic collector: peak memory grew with the number of searches
@@ -419,6 +432,33 @@ def test_enumerate_graphs_rows_pinned_through_order_eight():
         [1, 1, 2, 4, 11, 34, 156, 1044, 12346]
     assert [hashlib.sha256(repr([g.rows for g in level]).encode()).hexdigest()
             for level in levels] == LEVEL_ROWS_SHA256
+
+
+def _large_word_graphs() -> list[Graph]:
+    """Fibonacci and Thue-Morse word graphs of 40-63 letters, their
+    complements, then 50 seeded random word graphs of 40-63 letters."""
+    thue_morse = substitution_word({"0": "01", "1": "10"}, "0")
+    named = [graph_of_word(w, length) for w in (fibonacci_word(), thue_morse)
+             for length in range(40, 64)]
+    rng = random.Random(22)
+    randoms = [graph_of_word("".join(rng.choice("01") for _ in range(rng.randint(40, 63))))
+               for _ in range(50)]
+    return named + [complement(g) for g in named] + randoms
+
+
+# SHA-256 of repr([(canonical_key(g), canonical_form(g).rows) for g in
+# _large_word_graphs()]), recorded before refinement dropped its set of settled
+# splitter masks; refinement alone makes each of these partitions discrete, so
+# the pin holds refinement and the encoding, not the branching
+LARGE_WORD_GRAPH_KEYS_SHA256 = (
+    "9b61fef57c630b33ceda4f4c531e2da88986267032f6a95b37324e26e49a7a38")
+
+
+def test_canonical_labelling_pinned_on_large_word_graphs():
+    pinned = _large_word_graphs()
+    assert len(pinned) == 146 and min(g.n for g in pinned) == 41
+    got = repr([(canonical_key(g), canonical_form(g).rows) for g in pinned])
+    assert hashlib.sha256(got.encode()).hexdigest() == LARGE_WORD_GRAPH_KEYS_SHA256
 
 
 @functools.cache
@@ -557,11 +597,11 @@ def _cell_masks(cells: list[list[int]]) -> list[int]:
 
 def _check_refinement(rows: tuple[int, ...]) -> None:
     """Equal ordered partitions from the unit partition, then for every
-    vertex individualized in its cell; the children all start from the one
-    set of masks settled at the parent, as search nodes do, and every cell
-    comes back with its own vertex mask."""
+    vertex individualized in its cell, as search nodes do; every cell comes
+    back with its own vertex mask."""
     unit = [list(range(len(rows)))]
-    cells, masks, settled = _refine(rows, [list(c) for c in unit], _cell_masks(unit), set())
+    cells, masks = [list(c) for c in unit], _cell_masks(unit)
+    _refine(rows, cells, masks)
     assert cells == oracles.rescan_refine(rows, unit)
     assert masks == _cell_masks(cells)
     for t, cell in enumerate(cells):
@@ -569,10 +609,9 @@ def _check_refinement(rows: tuple[int, ...]) -> None:
             continue
         for v in cell:
             child = cells[:t] + [[v], [w for w in cell if w != v]] + cells[t + 1:]
-            expected = oracles.rescan_refine(rows, child)
-            got, got_masks, _ = _refine(rows, [list(c) for c in child],
-                                        _cell_masks(child), settled)
-            assert got == expected
+            got, got_masks = [list(c) for c in child], _cell_masks(child)
+            _refine(rows, got, got_masks)
+            assert got == oracles.rescan_refine(rows, child)
             assert got_masks == _cell_masks(got)
 
 

@@ -1,5 +1,6 @@
 """Word generators, factor machinery, recurrence diagnostics."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -65,6 +66,31 @@ def test_substitution_examples():
         substitution_word({"0": "0", "1": "0"}, "0")  # non-growing
     with pytest.raises(WordError):
         substitution_word({"0": "10", "1": "0"}, "0")  # not prolongable
+
+
+def test_every_accepted_short_substitution_grows():
+    # images of length <= 3; the rounds are bounded here, so a stalling rule
+    # that substitution_word let through fails instead of hanging prefix()
+    images = ["".join(p) for k in (1, 2, 3) for p in itertools.product("01", repeat=k)]
+    accepted = 0
+    for letters in ("0", "1", "01"):
+        for chosen in itertools.product(images, repeat=len(letters)):
+            rules = dict(zip(letters, chosen))
+            for seed in "01":
+                try:
+                    w = substitution_word(rules, seed)
+                except WordError:
+                    continue
+                accepted += 1
+                word = seed
+                for _ in range(40):
+                    if len(word) >= 40:
+                        break
+                    nxt = "".join(rules[c] for c in word)
+                    assert len(nxt) > len(word), (rules, seed)
+                    word = nxt
+                assert all(len(w.prefix(n)) == n for n in range(41))
+    assert accepted > 0
 
 
 @pytest.mark.parametrize("rules,message", [
@@ -253,6 +279,16 @@ def test_round_trip_json_descriptors():
     '{"kind": "substitution", "rules": {"0": "01"}}',
     '{"kind": "substitution", "rules": {"0": 1}, "seed": "0"}',
     '{"kind": "complement", "of": 3}', '{"kind": "complement", "of": {}}',
+    # a key the kind does not read is named, never ignored
+    '{"kind": "mechanical", "slope": "1/3", "intercpt": "1/2"}',
+    '{"kind": "mechanical", "slope": {"head": [2], "tale": [1]}}',
+    '{"kind": "explicit", "bits": "01", "pattern": "1"}',
+    '{"kind": "complement", "of": {"kind": "periodic", "pattern": "01", "seed": "0"}}',
+    # a boolean is not a number
+    '{"kind": "mechanical", "slope": "1/3", "intercept": true}',
+    '{"kind": "mechanical", "slope": false}',
+    '{"kind": "mechanical", "slope": {"head": [true], "tail": [1]}}',
+    '{"kind": [], "bits": "01"}',
 ])
 def test_malformed_json_descriptor_is_a_word_error(doc):
     with pytest.raises(WordError):
