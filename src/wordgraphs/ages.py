@@ -37,6 +37,11 @@ of maximum degree, so the bounds of size k are the step's classes from
 level k - 1 that are not members and pass the same deletion check
 (:func:`_deletion_keys`).
 
+The prime members of a word-graph age take a third route
+(``word_prime_age``): every prime sits on one of a few factor windows, so
+level k's primes come from the factors of length k - 1, and the rest of the
+age is never enumerated.
+
 The desk check reads the cofinality table m(n) off one walk per member
 through the hosts, largest first, for every order alike: the empty graph
 embeds in every host, and a single vertex misses only the empty host,
@@ -65,6 +70,7 @@ from .graphs import (
     delete_vertex,
     embeds,
     extend_level,
+    induced_subgraph,
 )
 from .primes import is_prime
 from .wordgraph import graph_of_word, letter_masks
@@ -73,7 +79,8 @@ from .words import Word
 
 @dataclass
 class AgeApprox:
-    """Exact induced-subgraph classes of ``source`` up to size ``k_max``."""
+    """Exact induced-subgraph classes of ``source`` up to size ``k_max`` (the
+    prime ones only, from :func:`word_prime_age`)."""
 
     source: Graph
     source_desc: str
@@ -216,6 +223,55 @@ def word_age(w: Word, L: int, k_max: int) -> AgeApprox:
     for k in range(1, k_max + 1):
         if k > 1:
             states, forms = _extend_patterns(states, pos, forms)
+        levels[k] = dict(sorted(forms.items()))
+    return AgeApprox(source=source, source_desc=json.dumps({"word_prefix": L}),
+                     k_max=k_max, levels=levels)
+
+
+def word_prime_age(w: Word, L: int, k_max: int) -> AgeApprox:
+    """The prime members of :func:`word_age`, read off factor windows: each
+    level holds the same keys and canonical forms as word_age's level
+    filtered by :func:`~wordgraphs.primes.is_prime`, and nothing else.
+
+    Window lemma: a prime induced subgraph of order k >= 3 of the prefix
+    graph sits on an interval of k consecutive indices, or on one index, a
+    gap, and an interval of k - 1 consecutive indices.  Proof: if its indices
+    have a gap, let P be the chosen vertices before the last gap.  Every
+    later chosen vertex t is at least two indices past all of P, so it sees
+    all of P (letter 0 at t) or none of it (letter 1), and P is a module.
+    It is not the whole set, so by primality it is one vertex.  Graphs of
+    order <= 2 are prime by convention, and every one of them is a window:
+    a pair of indices is consecutive or has a gap.
+
+    A pair is decided by the letter at its larger index and by whether the
+    two indices are consecutive, so a window's graph is fixed by its shape
+    and the factor of length k - 1 at its indices past the first: an
+    interval of indices a..a+k-1 by the letters at a+1..a+k-1, and a vertex
+    with a gap before an interval b..b+k-2 by the letters at b..b+k-2, for
+    any lone vertex at least two below b (index 0 is one whenever b >= 2).
+    At k = 1 both shapes are one vertex.  Windows are deduped by (shape,
+    factor) before any graph is built, which leaves at most 2 p(k - 1) per
+    level, p the factor complexity.
+    """
+    source = graph_of_word(w, L)
+    if k_max > source.n:
+        raise GraphError("k_max exceeds the source order")
+    bits = w.prefix(L)  # the letter at index t is bits[t - 1]
+    empty = Graph(0, ())
+    levels: dict[int, dict[CanonKey, Graph]] = {0: {canonical_key(empty): empty}}
+    for k in range(1, k_max + 1):
+        # (gap shape, factor) -> the first index of its interval
+        windows: dict[tuple[bool, str], int] = {}
+        for a in range(L - k + 2):  # the interval a..a+k-1
+            windows.setdefault((False, bits[a:a + k - 1]), a)
+        for b in range(2, L - k + 3):  # index 0, a gap, the interval b..b+k-2
+            windows.setdefault((True, bits[b - 1:b + k - 2]), b)
+        forms: dict[CanonKey, Graph] = {}
+        for (gap, _), start in windows.items():
+            g = induced_subgraph(source, [0, *range(start, start + k - 1)] if gap
+                                 else range(start, start + k))
+            if is_prime(g):
+                _classify(g, forms)
         levels[k] = dict(sorted(forms.items()))
     return AgeApprox(source=source, source_desc=json.dumps({"word_prefix": L}),
                      k_max=k_max, levels=levels)

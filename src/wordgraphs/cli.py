@@ -16,9 +16,10 @@ Exit codes: 0 success, 1 internal invariant violation (a bug tripwire
 fired), 2 user or configuration error, or a resource limit such as the
 recursion limit; reading the input and running map errors the same way.
 A JSON config file can pre-set any flag of the chosen subcommand (explicit
-flags win; a key naming no such flag, or a value outside the flag's
-choices, is an error).  The environment variable ``WORDGRAPHS_OUTDIR``
-supplies a default directory for relative output paths.
+flags win; a key naming no such flag, a value of another JSON type than
+the flag takes, or a value outside the flag's choices, is an error).  The
+environment variable ``WORDGRAPHS_OUTDIR`` supplies a default directory for
+relative output paths.
 """
 from __future__ import annotations
 
@@ -42,6 +43,7 @@ from .ages import (
     jonsson_to_json,
     validate_bound_certificate,
     word_age,
+    word_prime_age,
 )
 from .graph6 import from_graph6, labels_sidecar, to_dot, to_graph6
 from .graphs import Graph
@@ -158,6 +160,20 @@ def _word_from_args(args: argparse.Namespace) -> Word:
     return complement_word(w) if args.complement_word else w
 
 
+def _prefix_unless(args: argparse.Namespace, flag: str, value: str | None) -> str | None:
+    """The prefix that the word flags and ``--length`` name, or None when
+    ``flag`` gave the input (``value``) instead; the two exclude each other."""
+    if value is not None:
+        if (args.length is not None or _generators(args) or args.complement_word
+                or args.seed_letter != "0" or args.intercept != "0"):
+            raise WordError(f"{args.command} takes {flag} or a word, not both")
+        return None
+    word = _word_from_args(args)
+    if args.length is None:
+        raise WordError(f"{args.command} needs {flag} or a word with --length")
+    return word.prefix(args.length)
+
+
 def _load_graph(path: str) -> Graph:
     """The graph on the first line of the graph6 file ``path``."""
     return from_graph6((Path(path).read_text().strip().splitlines() or [""])[0])
@@ -219,16 +235,8 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_prime(args: argparse.Namespace) -> int:
-    if args.g6:
-        if (args.length is not None or _generators(args) or args.complement_word
-                or args.seed_letter != "0" or args.intercept != "0"):
-            raise WordError("prime takes --g6 or a word, not both")
-        g = _load_graph(args.g6)
-    else:
-        word = _word_from_args(args)
-        if args.length is None:
-            raise WordError("prime needs --g6 or a word with --length")
-        g = graph_of_word(word, args.length)
+    bits = _prefix_unless(args, "--g6", args.g6)
+    g = _load_graph(args.g6) if bits is None else graph_of_word(bits)
     prime = is_prime(g)
     witness = None if prime else find_nontrivial_module(g)
     doc = {
@@ -279,7 +287,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 def _cmd_jonsson(args: argparse.Namespace) -> int:
     if args.n_max > args.k_max:  # m(n) only for sizes the age reached
         raise WordError(f"--n-max {args.n_max} exceeds --k-max {args.k_max}")
-    age = word_age(_word_from_args(args), args.length, args.k_max)
+    enumerate_age = word_age if args.all_members else word_prime_age
+    age = enumerate_age(_word_from_args(args), args.length, args.k_max)
     report = jonsson_desk_check(age, prime_only=not args.all_members,
                                 n_max=args.n_max)
     _emit(json.dumps(jonsson_to_json(report), sort_keys=True) + "\n", args.out)
@@ -287,10 +296,12 @@ def _cmd_jonsson(args: argparse.Namespace) -> int:
 
 
 def _cmd_realizer(args: argparse.Namespace) -> int:
-    realizer, graph, valid = realizer_for_word_graph(args.word)
+    bits = _prefix_unless(args, "--word", args.word)
+    bits = args.word if bits is None else bits
+    realizer, graph, valid = realizer_for_word_graph(bits)
     if not valid:
         raise AssertionError("realizer failed validation against the word graph")
-    doc = {"word": args.word, "validated": valid, "order": graph.n}
+    doc = {"word": bits, "validated": valid, "order": graph.n}
     doc.update(realizer_to_json(realizer))
     _emit(json.dumps(doc, sort_keys=True) + "\n", args.out)
     return 0
@@ -386,7 +397,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
 
     p_real = sub.add_parser("realizer", help="build and validate a realizer")
     p_real.set_defaults(run=_cmd_realizer)
-    p_real.add_argument("--word", required=True, metavar="BITS")
+    p_real.add_argument("--word", metavar="BITS", help="explicit 0-1 word")
+    _add_word_flags(p_real)
+    p_real.add_argument("--length", type=int, default=None,
+                        help="prefix length of a generated word")
 
     p_cat = sub.add_parser("catalogue", help="emit an unavoidable-family member")
     p_cat.set_defaults(run=_cmd_catalogue)
@@ -422,8 +436,28 @@ def _shared_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersActio
 
 
 # flags that count something: nonnegative integers, or None where that is the
-# flag's own default ("not given"); a config file's values skip argparse's type=
+# flag's own default ("not given")
 _COUNTS = ("length", "k_max", "n_max", "n", "complexity", "recurrence")
+
+
+def _check_config_value(action: argparse.Action, value: object) -> None:
+    """A config value skips argparse's ``type=``, so it must already have the
+    type the flag gives: true/false for a switch, an integer for an integer
+    flag, a string otherwise, or null where the flag's default is null."""
+    if value is None and action.default is None:
+        return
+    if action.nargs == 0:  # a switch takes no value
+        want, kind = bool, "true or false"
+    elif action.type is int:
+        want, kind = int, "an integer"
+    else:
+        want, kind = str, "a string"
+    # type(), not isinstance(): JSON true and false are ints to isinstance
+    if type(value) is not want:
+        raise WordError(f"config {action.dest} must be {kind}")
+    if action.choices is not None and value not in action.choices:
+        raise WordError(f"config {action.dest} must be one of: "
+                        + ", ".join(action.choices))
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
@@ -436,21 +470,14 @@ def _parse(argv: list[str]) -> argparse.Namespace:
         actions = {a.dest: a for a in sub.choices[probe.command]._actions}
         reject_unknown_keys(defaults, set(actions), f"config keys for {probe.command!r}")
         for key, value in defaults.items():
-            choices = actions[key].choices
-            if choices is not None and value not in choices:
-                raise WordError(f"config {key} must be one of: " + ", ".join(choices))
+            _check_config_value(actions[key], value)
         # set_defaults changes the parser, so the config gets a fresh one
         parser, sub = _build_parser()
         sub.choices[probe.command].set_defaults(**defaults)
     args = parser.parse_args(argv)
-    flags = _shared_parser()[1].choices[args.command]
     for name in _COUNTS:
         value = getattr(args, name, None)
-        if value is None and flags.get_default(name) is None:
-            continue
-        if type(value) is not int:
-            raise WordError(f"{name} must be an integer")
-        if value < 0:
+        if value is not None and value < 0:
             raise WordError(f"{name} must be nonnegative")
     return args
 

@@ -1,6 +1,7 @@
 """Age enumeration, inclusion, bound certificates, desk checks."""
 
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -17,10 +18,13 @@ from wordgraphs.ages import (
     bounds_enumerate,
     bounds_to_json,
     jonsson_desk_check,
+    jonsson_to_json,
     subsets_in_word_age,
     validate_bound_certificate,
     word_age,
+    word_prime_age,
 )
+from wordgraphs.cli import main
 from wordgraphs.graphs import (
     GraphError,
     canonical_key,
@@ -35,9 +39,11 @@ from wordgraphs.graphs import (
     induced_subgraph,
     path,
 )
+from wordgraphs.primes import is_prime
 from wordgraphs.wordgraph import graph_of_word
 from wordgraphs.words import (ContinuedFraction, explicit_word, factors,
-                              fibonacci_word, mechanical_word, periodic_word)
+                              fibonacci_word, mechanical_word, periodic_word,
+                              substitution_word)
 
 
 def test_age_of_p5_to_size_three():
@@ -135,6 +141,64 @@ def test_word_age_rejects_k_max_beyond_source():
     word_age(explicit_word("0110"), 4, 5)  # k_max = L + 1 is the whole graph
     with pytest.raises(GraphError, match="k_max exceeds the source order"):
         word_age(explicit_word("0110"), 4, 6)
+
+
+def _assert_windows_give_the_prime_members(w, L, k):
+    """The window route's levels are the pattern route's prime members,
+    keys, forms and order alike."""
+    fast = word_prime_age(w, L, k)
+    slow = word_age(w, L, k)
+    assert (fast.source, fast.source_desc, fast.k_max) == \
+        (slow.source, slow.source_desc, slow.k_max)
+    assert list(fast.levels) == list(slow.levels)
+    for size, level in slow.levels.items():
+        assert list(fast.levels[size].items()) == \
+            [(key, g) for key, g in level.items() if is_prime(g)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.text(alphabet="01", max_size=30), st.data())
+def test_word_prime_age_matches_filtered_word_age(bits, data):
+    k = data.draw(st.integers(min_value=0, max_value=min(7, len(bits) + 1)))
+    _assert_windows_give_the_prime_members(explicit_word(bits), len(bits), k)
+
+
+@pytest.mark.parametrize("w, L, k", [
+    (fibonacci_word(), 80, 11),
+    (substitution_word({"0": "01", "1": "10"}, "0"), 80, 9),
+    (mechanical_word(Fraction(41, 99), "slope"), 80, 9),
+    (periodic_word("1"), 40, 8),
+    (periodic_word("0"), 40, 8),
+    (periodic_word("01"), 40, 8),
+    (periodic_word("011"), 40, 8),
+    (periodic_word("00101"), 40, 8),
+], ids=["fibonacci", "thue-morse", "slope-41/99", "1", "0", "01", "011", "00101"])
+def test_word_prime_age_matches_filtered_word_age_fixed(w, L, k):
+    _assert_windows_give_the_prime_members(w, L, k)
+
+
+def test_word_prime_age_edges_match_word_age():
+    # k_max = L + 1 is the whole graph; L = 0 is one vertex
+    _assert_windows_give_the_prime_members(explicit_word("0110"), 4, 5)
+    _assert_windows_give_the_prime_members(explicit_word(""), 0, 1)
+    _assert_windows_give_the_prime_members(explicit_word(""), 0, 0)
+    for route in (word_age, word_prime_age):
+        with pytest.raises(GraphError, match="k_max exceeds the source order"):
+            route(explicit_word("0110"), 4, 6)
+        with pytest.raises(GraphError, match="k_max exceeds the source order"):
+            route(explicit_word(""), 0, 2)
+
+
+@pytest.mark.parametrize("L, k_max, n_max", [(60, 7, 4), (60, 8, 4), (60, 10, 5)])
+def test_jonsson_command_matches_pattern_route(capsys, L, k_max, n_max):
+    """`jonsson` reads the primes from windows, with the bytes of the desk
+    check of word_age."""
+    assert main(["jonsson", "--fib", "--length", str(L), "--k-max", str(k_max),
+                 "--n-max", str(n_max)]) == 0
+    report = jonsson_desk_check(word_age(fibonacci_word(), L, k_max),
+                                prime_only=True, n_max=n_max)
+    assert capsys.readouterr().out == \
+        json.dumps(jonsson_to_json(report), sort_keys=True) + "\n"
 
 
 @settings(max_examples=20, deadline=None)

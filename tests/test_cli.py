@@ -140,6 +140,8 @@ def test_realizer_command(capsys):
     doc = json.loads(out)
     assert code == 0 and doc["validated"] is True
     assert sorted(doc["first"]) == [-1, 0, 1, 2, 3]
+    # the generator flags name the same word
+    assert run(capsys, "realizer", "--periodic", "1", "--length", "4") == (0, out)
 
 
 def test_catalogue_and_detect(capsys, tmp_path):
@@ -248,6 +250,16 @@ def test_missing_graph6_file_exits_2(capsys, tmp_path, command):
     (["age", "--fib"], {"length": 2.5}, "length must be an integer"),
     (["word", "--fib"], {"length": None}, "length must be an integer"),
     (["age", "--fib"], {"fmt": "dot"}, "fmt must be one of: csv, json"),
+    # a config value has the type its flag takes, never one read as another
+    (["word", "--subst", "0=01,1=0"], {"seed_letter": 1, "length": 8},
+     "config seed_letter must be a string"),
+    (["word", "--sturmian", "1/3", "--length", "8"], {"intercept": True},
+     "config intercept must be a string"),
+    (["word", "--length", "8"], {"fib": 1}, "config fib must be true or false"),
+    (["verify"], {"seed": "1"}, "config seed must be an integer"),
+    (["age", "--fib"], {"k_max": True}, "config k_max must be an integer"),
+    (["word", "--subst", "0=01,1=0", "--length", "8"], {"seed_letter": None},
+     "config seed_letter must be a string"),
     # a malformed continued fraction is named, never read as a nearby one
     (["word", "--cf", "2,(", "--length", "12"], None, "continued fraction '2,('"),
     (["word", "--cf", "2,(1", "--length", "12"], None, "continued fraction '2,(1'"),
@@ -286,6 +298,13 @@ def test_missing_graph6_file_exits_2(capsys, tmp_path, command):
      "--n-max 9 exceeds --k-max 3"),
     (["jonsson", "--fib", "--length", "5", "--k-max", "3"], {"n_max": 4},
      "--n-max 4 exceeds --k-max 3"),
+    # realizer reads --word or a generated word, never both
+    (["realizer", "--word", "0110", "--fib"], None,
+     "realizer takes --word or a word, not both"),
+    (["realizer", "--word", "0110", "--length", "4"], None,
+     "realizer takes --word or a word, not both"),
+    (["realizer", "--fib"], None, "realizer needs --word or a word with --length"),
+    (["realizer"], None, "choose exactly one word generator flag"),
 ])
 def test_bad_counts_and_config_values_exit_2(capsys, tmp_path, argv, config, message):
     if config is not None:

@@ -32,6 +32,10 @@ GOLDEN = {
         "1951a21fb8301f8284b6253b13fa840db57f2cf9b8acc8f16511a501ecc43542",
     ("age", "--cf", "2,(1)", "--intercept", "slope", "--length", "60", "--k-max", "6"):
         "1e953a6e56d634ff02e861f17922b9a1e008a090ad5ef0ab4e29e0e47aad62b7",
+    # every member, by the pattern route (the prime report reads windows)
+    ("jonsson", "--fib", "--length", "60", "--k-max", "7", "--n-max", "4",
+     "--all-members"):
+        "4b406bb64274c0545cd22f07f96c5fdd3f8d8aaf68051fe96fa2171cbb6acb5b",
 }
 
 # realizer --word <the 600-letter Fibonacci prefix>
@@ -56,6 +60,11 @@ def test_golden_stdout(capsys, argv):
 
 def test_golden_realizer_of_fibonacci_six_hundred(capsys):
     argv = ["realizer", "--word", fibonacci_word().prefix(600)]
+    assert _digest(capsys, argv) == REALIZER_600_GOLDEN
+
+
+def test_realizer_of_a_generated_word_is_the_same_report(capsys):
+    argv = ["realizer", "--fib", "--length", "600"]
     assert _digest(capsys, argv) == REALIZER_600_GOLDEN
 
 
