@@ -42,10 +42,11 @@ The prime members of a word-graph age take a third route
 level k's primes come from the factors of length k - 1, and the rest of the
 age is never enumerated.
 
-The desk check reads the cofinality table m(n) off one walk per member
-through the hosts, largest first, for every order alike: the empty graph
-embeds in every host, and a single vertex misses only the empty host,
-which the walk reaches last.
+The desk check walks the members its age holds (the primes of a
+``prime_only`` age) and reads the cofinality table m(n) off one walk per
+member through the hosts, largest first, for every order alike: the empty
+graph embeds in every host, and a single vertex misses only the empty
+host, which the walk reaches last.
 
 Everything about an infinite age is reported at a finite scale and says so:
 a bound certificate records the prefix length at which the non-membership
@@ -79,13 +80,14 @@ from .words import Word
 
 @dataclass
 class AgeApprox:
-    """Exact induced-subgraph classes of ``source`` up to size ``k_max`` (the
-    prime ones only, from :func:`word_prime_age`)."""
+    """Exact induced-subgraph classes of ``source`` up to size ``k_max``,
+    all of them or, where ``prime_only``, the prime ones."""
 
     source: Graph
     source_desc: str
     k_max: int
     levels: dict[int, dict[CanonKey, Graph]]
+    prime_only: bool = False
 
     def keys(self, size: int) -> set[CanonKey]:
         return set(self.levels.get(size, {}))
@@ -110,14 +112,18 @@ def _deletion_keys(g: Graph,
     return tuple(sorted(keys))
 
 
+def _start_levels(source: Graph, k_max: int) -> dict[int, dict[CanonKey, Graph]]:
+    """Level 0, the empty graph, of an age of ``source`` up to size ``k_max``."""
+    if k_max > source.n:
+        raise GraphError("k_max exceeds the source order")
+    return {0: {canonical_key(Graph(0, ())): Graph(0, ())}}
+
+
 def age_enumerate(source: Graph, k_max: int, source_desc: str = "graph") -> AgeApprox:
     """Level-by-level :func:`~wordgraphs.graphs.extend_level`, filtered by the
     deletion check (deletion keys are far cheaper than the search) and an
     embedding search into ``source``."""
-    if k_max > source.n:
-        raise GraphError("k_max exceeds the source order")
-    levels: dict[int, dict[CanonKey, Graph]] = {
-        0: {canonical_key(Graph(0, ())): Graph(0, ())}}
+    levels = _start_levels(source, k_max)
     for k in range(k_max):
         below = levels[k]
         levels[k + 1] = {key: g for key, g in extend_level(below.values()).items()
@@ -210,11 +216,8 @@ def word_age(w: Word, L: int, k_max: int) -> AgeApprox:
     states' classes, sorted by key.
     """
     source = graph_of_word(w, L)
-    if k_max > source.n:
-        raise GraphError("k_max exceeds the source order")
+    levels = _start_levels(source, k_max)
     pos = letter_masks(w, L)
-    empty = Graph(0, ())
-    levels: dict[int, dict[CanonKey, Graph]] = {0: {canonical_key(empty): empty}}
     vertex = _trusted(1, (0,))
     vertex_key = canonical_key(vertex)
     forms = {vertex_key: vertex}
@@ -254,11 +257,8 @@ def word_prime_age(w: Word, L: int, k_max: int) -> AgeApprox:
     level, p the factor complexity.
     """
     source = graph_of_word(w, L)
-    if k_max > source.n:
-        raise GraphError("k_max exceeds the source order")
+    levels = _start_levels(source, k_max)
     bits = w.prefix(L)  # the letter at index t is bits[t - 1]
-    empty = Graph(0, ())
-    levels: dict[int, dict[CanonKey, Graph]] = {0: {canonical_key(empty): empty}}
     for k in range(1, k_max + 1):
         # (gap shape, factor) -> the first index of its interval
         windows: dict[tuple[bool, str], int] = {}
@@ -274,7 +274,7 @@ def word_prime_age(w: Word, L: int, k_max: int) -> AgeApprox:
                 _classify(g, forms)
         levels[k] = dict(sorted(forms.items()))
     return AgeApprox(source=source, source_desc=json.dumps({"word_prefix": L}),
-                     k_max=k_max, levels=levels)
+                     k_max=k_max, levels=levels, prime_only=True)
 
 
 def subsets_in_word_age(h: Graph, w: Word, L: int) -> set[int]:
@@ -394,13 +394,13 @@ class JonssonReport:
     note: str = ""
 
 
-def jonsson_desk_check(age: AgeApprox, prime_only: bool = True,
-                       n_max: int = 5) -> JonssonReport:
-    """Per-level prime counts plus the cofinality table m(n).
+def jonsson_desk_check(age: AgeApprox, n_max: int = 5) -> JonssonReport:
+    """Per-level member counts plus the cofinality table m(n), over the
+    members ``age`` holds (the primes where it is ``prime_only``).
 
-    m(n) is the least m such that every (prime) member of size at most n
-    embeds in every (prime) member of size at least m, within the
-    approximation; None with a witness pair when no m at the scale works.
+    m(n) is the least m such that every member of size at most n embeds in
+    every member of size at least m, within the approximation; None with a
+    witness pair when no m at the scale works.
     One pass: each member s gets m_s, one more than the order of the first
     host it misses, walking the hosts from size ``k_max`` down (0 if it
     misses none), and m(n) is the largest m_s over sizes up to n.  A walk
@@ -408,18 +408,14 @@ def jonsson_desk_check(age: AgeApprox, prime_only: bool = True,
     first member to miss a host of size ``k_max`` is the witness from then
     on.
     """
-    members = {size: [g for g in age.members(size)
-                      if not prime_only or is_prime(g)]
-               for size in sorted(age.levels)}
-    level_counts = {size: len(gs) for size, gs in members.items()}
-    top = max((s for s, c in level_counts.items() if c), default=0)
-    degenerate = top <= 2
-    hosts = [h for size in sorted(members, reverse=True) for h in members[size]]
+    level_counts = age.level_counts()
+    degenerate = max((s for s, c in level_counts.items() if c), default=0) <= 2
+    hosts = [h for size in sorted(age.levels, reverse=True) for h in age.members(size)]
     cofinality: dict[int, int | None] = {}
     failures: dict[int, tuple[Graph, Graph]] = {}
     worst, witness = 0, None
     for n in range(0, n_max + 1):
-        for s in members.get(n, []):
+        for s in age.members(n):
             for h in hosts:
                 if h.n < worst:
                     break
@@ -431,9 +427,8 @@ def jonsson_desk_check(age: AgeApprox, prime_only: bool = True,
         cofinality[n] = worst if worst <= age.k_max else None
         if witness is not None:
             failures[n] = witness
-    note = ("prime members stop at size 2; degenerate case"
-            if degenerate else "")
-    return JonssonReport(prime_only=prime_only, level_counts=level_counts,
+    note = "prime members stop at size 2; degenerate case" if degenerate else ""
+    return JonssonReport(prime_only=age.prime_only, level_counts=level_counts,
                          cofinality=cofinality, failure_witnesses=failures,
                          degenerate=degenerate, note=note)
 

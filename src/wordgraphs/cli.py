@@ -9,17 +9,17 @@ reads.  ``--format`` exists only where a subcommand writes two formats
 first is the default), and ``--seed`` only on ``verify``.  Flags are never
 abbreviated: a prefix of a flag is an unrecognized argument.  Counts
 (``--length``, ``--k-max``, ``--n-max``, ``--n``, ``--complexity``,
-``--recurrence``) must be nonnegative integers, whether given as flags or
-in a config file.
+``--recurrence``) must be nonnegative integers, and paths nonempty,
+whether given as flags or in a config file.
 
 Exit codes: 0 success, 1 internal invariant violation (a bug tripwire
 fired), 2 user or configuration error, or a resource limit such as the
 recursion limit; reading the input and running map errors the same way.
-A JSON config file can pre-set any flag of the chosen subcommand (explicit
-flags win; a key naming no such flag, a value of another JSON type than
-the flag takes, or a value outside the flag's choices, is an error).  The
-environment variable ``WORDGRAPHS_OUTDIR`` supplies a default directory for
-relative output paths.
+A JSON config file can pre-set any flag of the chosen subcommand but
+``--config`` and ``--help`` (explicit flags win; a key naming no such flag,
+a value of another JSON type than the flag takes, or a value outside the
+flag's choices, is an error).  The environment variable
+``WORDGRAPHS_OUTDIR`` supplies a default directory for relative output paths.
 """
 from __future__ import annotations
 
@@ -289,8 +289,7 @@ def _cmd_jonsson(args: argparse.Namespace) -> int:
         raise WordError(f"--n-max {args.n_max} exceeds --k-max {args.k_max}")
     enumerate_age = word_age if args.all_members else word_prime_age
     age = enumerate_age(_word_from_args(args), args.length, args.k_max)
-    report = jonsson_desk_check(age, prime_only=not args.all_members,
-                                n_max=args.n_max)
+    report = jonsson_desk_check(age, n_max=args.n_max)
     _emit(json.dumps(jonsson_to_json(report), sort_keys=True) + "\n", args.out)
     return 0
 
@@ -438,6 +437,8 @@ def _shared_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersActio
 # flags that count something: nonnegative integers, or None where that is the
 # flag's own default ("not given")
 _COUNTS = ("length", "k_max", "n_max", "n", "complexity", "recurrence")
+# flags that name a file, where "" would name the current directory
+_PATHS = ("g6", "out", "g6_out", "config", "word_json")
 
 
 def _check_config_value(action: argparse.Action, value: object) -> None:
@@ -467,7 +468,8 @@ def _parse(argv: list[str]) -> argparse.Namespace:
         defaults = json.loads(Path(probe.config).read_text())
         if not isinstance(defaults, dict):
             raise WordError("config file must hold a JSON object of flags")
-        actions = {a.dest: a for a in sub.choices[probe.command]._actions}
+        actions = {a.dest: a for a in sub.choices[probe.command]._actions
+                   if a.dest not in ("help", "config")}
         reject_unknown_keys(defaults, set(actions), f"config keys for {probe.command!r}")
         for key, value in defaults.items():
             _check_config_value(actions[key], value)
@@ -479,6 +481,9 @@ def _parse(argv: list[str]) -> argparse.Namespace:
         value = getattr(args, name, None)
         if value is not None and value < 0:
             raise WordError(f"{name} must be nonnegative")
+    for name in _PATHS:
+        if getattr(args, name, None) == "":
+            raise WordError(f"--{name.replace('_', '-')} must not be empty")
     return args
 
 

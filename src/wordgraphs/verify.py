@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .ages import (
@@ -110,10 +111,9 @@ def check_reversal_identity(rng: random.Random, exhaustive_len: int = 8,
                        f"words={len(words)} mismatches={bad}")
 
 
-def modules_by_subsets(g: Graph) -> list[tuple[int, ...]]:
+def modules_by_subsets(g: Graph) -> Iterator[tuple[int, ...]]:
     """Independent oracle: every nontrivial module (2 <= |A| < n), by plain
-    subset enumeration; the tests share it."""
-    out = []
+    subset enumeration, smallest first; the tests share it."""
     for size in range(2, g.n):
         for subset in itertools.combinations(range(g.n), size):
             mask = 0
@@ -121,8 +121,7 @@ def modules_by_subsets(g: Graph) -> list[tuple[int, ...]]:
                 mask |= 1 << v
             if all((g.rows[x] & mask).bit_count() in (0, size)
                    for x in range(g.n) if not (mask >> x) & 1):
-                out.append(subset)
-    return out
+                yield subset
 
 
 def check_module_oracle(n_max: int = 7) -> CheckResult:
@@ -131,7 +130,7 @@ def check_module_oracle(n_max: int = 7) -> CheckResult:
     for level in enumerate_graphs(n_max):
         for g in level:
             classes += 1
-            brute = modules_by_subsets(g)
+            brute = list(modules_by_subsets(g))
             witness = find_nontrivial_module(g)
             if witness is None:
                 bad += brute != []
@@ -256,7 +255,7 @@ def check_bounds(fib_ks: tuple[int, ...] = (4, 5, 6)) -> CheckResult:
 
 def check_jonsson(L: int = 60, k_max: int = 10, n_max: int = 5) -> CheckResult:
     age = word_prime_age(fibonacci_word(), L, k_max)
-    report = jonsson_desk_check(age, prime_only=True, n_max=n_max)
+    report = jonsson_desk_check(age, n_max=n_max)
     level_finite = all(isinstance(c, int) for c in report.level_counts.values())
     cofinal_ok = all(report.cofinality[n] is not None for n in range(n_max + 1))
     ok = level_finite and cofinal_ok

@@ -11,7 +11,7 @@ strict order of a realizer's two linear orders built pair by pair, and the
 plain embedding backtracking.
 The module oracle by subset enumeration is the one ``verify`` runs, imported
 from there.  Nothing imports the algorithms under test beyond the plain
-Graph and Realizer containers, save six slow routes: the census's
+Graph, Realizer and AgeApprox containers, save six slow routes: the census's
 generation that tries every neighbourhood mask and heights over every
 subset, the bound candidates that extend every word-age member by every
 mask, the cofinality table that rescans every pair for each m, the
@@ -21,16 +21,24 @@ They differ from the fast routes only in what they try, and reuse the
 canonical key, form, primality test, embedding search, word age and move
 rule, which are checked against brute force or the extension route on their
 own.  ``are_isomorphic`` compares canonical keys, for tests that only need
-a yes or no, and ``in_word_age`` reads the full vertex set off
-``ages.subsets_in_word_age``, for tests that ask about one graph.
+a yes or no, ``in_word_age`` reads the full vertex set off
+``ages.subsets_in_word_age``, for tests that ask about one graph, and
+``prime_members`` cuts an age to its brute-force primes, for the desk
+check's prime tables.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from wordgraphs.ages import BoundCertificate, _moves, subsets_in_word_age, word_age
+from wordgraphs.ages import (
+    AgeApprox,
+    BoundCertificate,
+    _moves,
+    subsets_in_word_age,
+    word_age,
+)
 from wordgraphs.graphs import (
     Graph,
     GraphError,
@@ -115,7 +123,15 @@ def brute_is_prime(g: Graph) -> bool:
     """Order <= 2 counts as prime by the census convention."""
     if g.n <= 2:
         return True
-    return not brute_modules(g)
+    return next(brute_modules(g), None) is None
+
+
+def prime_members(age: AgeApprox) -> AgeApprox:
+    """``age`` with only the members :func:`brute_is_prime` accepts, marked
+    ``prime_only``: a prime age built without ``ages.word_prime_age``."""
+    return replace(age, prime_only=True, levels={
+        size: {key: g for key, g in level.items() if brute_is_prime(g)}
+        for size, level in age.levels.items()})
 
 
 def brute_iso_classes(n: int) -> list[Graph]:

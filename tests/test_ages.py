@@ -192,11 +192,11 @@ def test_word_prime_age_edges_match_word_age():
 @pytest.mark.parametrize("L, k_max, n_max", [(60, 7, 4), (60, 8, 4), (60, 10, 5)])
 def test_jonsson_command_matches_pattern_route(capsys, L, k_max, n_max):
     """`jonsson` reads the primes from windows, with the bytes of the desk
-    check of word_age."""
+    check of word_age's brute-force primes."""
     assert main(["jonsson", "--fib", "--length", str(L), "--k-max", str(k_max),
                  "--n-max", str(n_max)]) == 0
-    report = jonsson_desk_check(word_age(fibonacci_word(), L, k_max),
-                                prime_only=True, n_max=n_max)
+    report = jonsson_desk_check(
+        oracles.prime_members(word_age(fibonacci_word(), L, k_max)), n_max=n_max)
     assert capsys.readouterr().out == \
         json.dumps(jonsson_to_json(report), sort_keys=True) + "\n"
 
@@ -370,8 +370,8 @@ def test_bounds_match_all_masks_oracle_on_explicit_words(bits, k):
 
 
 def test_jonsson_path_age():
-    age = age_enumerate(path(30), 8, "path")
-    rep = jonsson_desk_check(age, prime_only=True, n_max=5)
+    rep = jonsson_desk_check(oracles.prime_members(age_enumerate(path(30), 8, "path")),
+                             n_max=5)
     # primes of a path's age: the paths of each order plus the order-two
     # convention classes (both K_2 and its complement count)
     assert rep.level_counts == {0: 1, 1: 1, 2: 2, 3: 0, 4: 1, 5: 1, 6: 1, 7: 1, 8: 1}
@@ -380,8 +380,8 @@ def test_jonsson_path_age():
 
 
 def test_jonsson_fibonacci_at_size_eight():
-    age = word_age(fibonacci_word(), 60, 8)
-    rep = jonsson_desk_check(age, prime_only=True, n_max=5)
+    age = oracles.prime_members(word_age(fibonacci_word(), 60, 8))
+    rep = jonsson_desk_check(age, n_max=5)
     assert rep.level_counts == {0: 1, 1: 1, 2: 2, 3: 0, 4: 1, 5: 2,
                                 6: 5, 7: 9, 8: 12}
     assert rep.cofinality[4] == 3
@@ -406,14 +406,17 @@ _JONSSON_AGES = {
 }
 
 
+# the members the desk check walks: the brute-force primes, or all of them
+_JONSSON_CUTS = pytest.mark.parametrize(
+    "cut", [oracles.prime_members, lambda age: age], ids=["primes", "all"])
+
+
 @pytest.mark.parametrize("source", sorted(_JONSSON_AGES))
-@pytest.mark.parametrize("prime_only", [True, False], ids=["primes", "all"])
-def test_jonsson_table_matches_rescan_oracle(source, prime_only):
-    age = _JONSSON_AGES[source]()
-    rep = jonsson_desk_check(age, prime_only=prime_only, n_max=age.k_max + 1)
-    members = {size: [g for g in age.members(size)
-                      if not prime_only or oracles.brute_is_prime(g)]
-               for size in age.levels}
+@_JONSSON_CUTS
+def test_jonsson_table_matches_rescan_oracle(source, cut):
+    age = cut(_JONSSON_AGES[source]())
+    rep = jonsson_desk_check(age, n_max=age.k_max + 1)
+    members = {size: age.members(size) for size in age.levels}
     assert rep.cofinality == {n: oracles.rescan_cofinality(members, age.k_max, n)
                               for n in range(age.k_max + 2)}
     assert set(rep.failure_witnesses) == {
@@ -422,17 +425,16 @@ def test_jonsson_table_matches_rescan_oracle(source, prime_only):
 
 
 @pytest.mark.parametrize("k_max", range(5))
-@pytest.mark.parametrize("prime_only", [True, False], ids=["primes", "all"])
-def test_jonsson_matches_walk_of_every_member(k_max, prime_only):
+@_JONSSON_CUTS
+def test_jonsson_matches_walk_of_every_member(k_max, cut):
     """Small scales, where the empty graph and a single vertex decide m(0)
     and m(1) with the same walk as every other member."""
     for age in (word_age(fibonacci_word(), 30, k_max),
                 word_age(periodic_word("011"), 30, k_max),
                 age_enumerate(path(9), k_max, "path")):
-        rep = jonsson_desk_check(age, prime_only=prime_only, n_max=k_max + 1)
-        members = {size: [g for g in age.members(size)
-                          if not prime_only or oracles.brute_is_prime(g)]
-                   for size in age.levels}
+        age = cut(age)
+        rep = jonsson_desk_check(age, n_max=k_max + 1)
+        members = {size: age.members(size) for size in age.levels}
         assert rep.cofinality == {n: oracles.rescan_cofinality(members, k_max, n)
                                   for n in range(k_max + 2)}
         assert set(rep.failure_witnesses) == {
@@ -440,8 +442,21 @@ def test_jonsson_matches_walk_of_every_member(k_max, prime_only):
         _assert_witnesses_miss_a_top_host(age, rep)
 
 
+def test_jonsson_reports_what_its_route_holds():
+    # prime_only is the age's, so no call can mislabel what it walked
+    w = fibonacci_word()
+    for age, prime_only in ((word_prime_age(w, 30, 5), True),
+                            (word_age(w, 30, 5), False),
+                            (age_enumerate(path(9), 5, "path"), False)):
+        assert age.prime_only is prime_only
+        rep = jonsson_desk_check(age, n_max=3)
+        assert rep.prime_only is prime_only
+        assert jonsson_to_json(rep)["prime_only"] is prime_only
+
+
 def test_jonsson_degenerate_clique():
-    rep = jonsson_desk_check(age_enumerate(clique(9), 6), prime_only=True, n_max=3)
+    rep = jonsson_desk_check(oracles.prime_members(age_enumerate(clique(9), 6)),
+                             n_max=3)
     assert rep.degenerate
     assert rep.level_counts[3] == 0 and rep.level_counts[6] == 0
     assert "degenerate" in rep.note

@@ -200,6 +200,37 @@ def test_config_rejects_unknown_keys(capsys, tmp_path):
     assert "k_max" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["help", "config"])
+def test_config_cannot_set_help_or_config(capsys, tmp_path, key):
+    # neither is a flag a config can pre-set, so neither is silently ignored
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({key: True if key == "help"
+                                else str(tmp_path / "missing.json")}))
+    assert main(["word", "--fib", "--length", "5", "--config", str(conf)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unknown config keys for 'word': {key}" in captured.err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["prime", "--g6", ""], "--g6"),
+    (["detect", "--g6", "", "--n", "3"], "--g6"),
+    (["word", "--fib", "--length", "5", "--out", ""], "--out"),
+    (["bounds", "--fib", "--k-max", "2", "--g6-out", ""], "--g6-out"),
+    (["word", "--fib", "--length", "5", "--config", ""], "--config"),
+    (["word", "--word-json", "", "--length", "5"], "--word-json"),
+], ids=["prime-g6", "detect-g6", "out", "g6-out", "config", "word-json"])
+def test_empty_path_flag_exits_2(capsys, tmp_path, monkeypatch, argv, flag):
+    # an empty path would name the current directory, or the output
+    # directory itself
+    outdir = tmp_path / "outdir"
+    monkeypatch.setenv("WORDGRAPHS_OUTDIR", str(outdir))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{flag} must not be empty" in captured.err
+    assert not outdir.exists()
+
+
 def test_recursion_error_is_a_resource_limit(capsys, monkeypatch):
     def deep(args):
         raise RecursionError("maximum recursion depth exceeded")
@@ -305,6 +336,8 @@ def test_missing_graph6_file_exits_2(capsys, tmp_path, command):
      "realizer takes --word or a word, not both"),
     (["realizer", "--fib"], None, "realizer needs --word or a word with --length"),
     (["realizer"], None, "choose exactly one word generator flag"),
+    # an empty path from a config is refused like one from a flag
+    (["word", "--fib", "--length", "5"], {"out": ""}, "--out must not be empty"),
 ])
 def test_bad_counts_and_config_values_exit_2(capsys, tmp_path, argv, config, message):
     if config is not None:
