@@ -409,7 +409,10 @@ def jonsson_desk_check(age: AgeApprox, n_max: int = 5) -> JonssonReport:
     on.
     """
     level_counts = age.level_counts()
-    degenerate = max((s for s, c in level_counts.items() if c), default=0) <= 2
+    # no prime has order 3, so only an age reaching size 4 can show its
+    # members stopping at size 2
+    degenerate = age.k_max >= 4 and max(
+        (s for s, c in level_counts.items() if c), default=0) <= 2
     hosts = [h for size in sorted(age.levels, reverse=True) for h in age.members(size)]
     cofinality: dict[int, int | None] = {}
     failures: dict[int, tuple[Graph, Graph]] = {}

@@ -196,6 +196,11 @@ def _emit(text: str, out: str | Path | None) -> None:
 
 
 def _cmd_word(args: argparse.Namespace) -> int:
+    if (args.recurrence or 0) > args.length:
+        raise WordError(f"--recurrence {args.recurrence} exceeds --length {args.length}")
+    if (args.complexity or 0) > args.length // 2:  # counts still growing
+        raise WordError(f"--complexity {args.complexity} exceeds half of "
+                        f"--length {args.length}")
     w = _word_from_args(args)
     prefix = w.prefix(args.length)
     complexity = (factor_complexity(w, args.length, args.complexity)

@@ -8,11 +8,26 @@ coherent: ``prefix(n)`` is always an initial segment of ``prefix(m)`` for
 the infinite property is not decidable from a prefix and no function here
 claims it.
 
-Mechanical words use exact arithmetic throughout.  Irrational slopes are
-given as continued fractions; letters are emitted once two consecutive
-convergents (which bracket the limit slope) produce identical floor
-sequences, which pins the exact prefix by monotonicity of ``floor(i*slope +
-intercept)`` in the slope.
+Mechanical words are computed in integers: with slope a/b and intercept
+c/d, ``floor(i*slope + intercept)`` is ``(c*b + i*a*d) // (b*d)``, exactly.
+Irrational slopes are given as continued fractions; letters are emitted
+once two consecutive convergents (which bracket the limit slope) produce
+identical floor sequences, which pins the exact prefix by monotonicity of
+``floor(i*slope + intercept)`` in the slope.
+
+The complexity p(n) and the recurrence bounds read the start masks of the
+distinct length-n factors: bit i of a factor's mask is set when the factor
+starts at i, and a length-(n+1) factor's mask is its length-n prefix's mask
+ANDed with the next letter's mask shifted right by n.  p(n) is the number
+of nonzero masks; a recurrence bound takes each factor's first start, last
+start and longest gap between starts off its mask.  A level costs about
+p(n) big-integer operations on L bits, against L interpreted steps for a
+pass over the positions, so the words the generators give (p(n) = n + 1
+for Sturmian words, about 3n for Thue-Morse) cost little.  A level holding
+more than ``_MASK_LEVEL_LIMIT`` factors, and every deeper one, takes the
+positional pass instead, which also bounds the masks' memory on a dense
+word; so does a recurrence bound whose levels up to n would build more
+than ``_MASK_CHAIN_LIMIT`` masks.
 """
 
 from __future__ import annotations
@@ -118,7 +133,12 @@ def _gen_periodic(params: tuple, n: int) -> str:
 
 
 def _mechanical_prefix(slope: Fraction, intercept: Fraction, n: int) -> str:
-    floors = [(k * slope + intercept).__floor__() for k in range(n + 1)]
+    a, b = slope.numerator, slope.denominator
+    c, d = intercept.numerator, intercept.denominator
+    # floor(k a/b + c/d) = (c b + k a d) // (b d), exactly; // rounds a
+    # negative value down, as Fraction.__floor__ does
+    den = b * d
+    floors = [q // den for q in range(c * b, c * b + (n + 1) * a * d, a * d)]
     return "".join(str(floors[k + 1] - floors[k]) for k in range(n))
 
 
@@ -248,13 +268,48 @@ def factors(w: Word, n: int, L: int) -> FactorSet:
         factors=frozenset(p[i:i + n] for i in range(L - n + 1)))
 
 
+# Masks or positions.  Per level the masks cost about p(n) big-integer
+# operations on L bits, the positional pass about L interpreted steps.
+# Timed level by level on seeded periodic and random words, a recurrence
+# bound's masks cost 0.6 of a pass at 128 factors and a whole pass near
+# 200 (L = 10**4) or 300 (L = 10**5), and a complexity level, which only
+# builds its masks, 0.06 of a pass at 128.  A level holding more than this
+# many factors, and every deeper level, takes the pass: the limit sits
+# below both crossings, admits a random word's 128 factors of length 7, and
+# keeps a level's masks to at most 128 * (L + 1) bits on a dense word.
+_MASK_LEVEL_LIMIT = 128
+# One pass costs about as much as building 4,000 to 6,700 masks (L = 10**4
+# and 10**5), so a recurrence bound whose levels would build more than
+# this, counting each level still to come as large as the last, takes the
+# pass instead of the whole chain of levels below n.
+_MASK_CHAIN_LIMIT = 2048
+
+
+def _start_masks(p: str, n_max: int):
+    """For n = 0, 1, ..., n_max, the start masks of the distinct length-n
+    factors of ``p`` (bit i set when the factor starts at i), in no order;
+    stops before the first level holding more than ``_MASK_LEVEL_LIMIT``."""
+    ones = int(p[::-1], 2) if p else 0
+    letters = (ones ^ ((1 << len(p)) - 1), ones)
+    masks = [(1 << (len(p) + 1)) - 1]  # the empty factor starts everywhere
+    for n in range(n_max + 1):
+        if n:
+            # a factor's starts: its prefix's, where the next letter follows
+            shifted = [m >> (n - 1) for m in letters]
+            masks = [x for mask in masks for s in shifted if (x := mask & s)]
+        if len(masks) > _MASK_LEVEL_LIMIT:
+            return
+        yield masks
+
+
 def factor_complexity(w: Word, L: int, n_max: int) -> list[int]:
     """p(n) = number of distinct length-n factors of prefix(L), n = 1..n_max."""
     if n_max > L // 2:
         raise WordError("n_max beyond L/2; counts would not have stabilized")
     p = w.prefix(L)
-    return [len({p[i:i + n] for i in range(L - n + 1)})
-            for n in range(1, n_max + 1)]
+    counts = [len(masks) for masks in _start_masks(p, n_max)][1:]
+    return counts + [len({p[i:i + n] for i in range(L - n + 1)})
+                     for n in range(len(counts) + 1, n_max + 1)]
 
 
 def recurrence_bound(w: Word, n: int, L: int) -> int | None:
@@ -267,8 +322,54 @@ def recurrence_bound(w: Word, n: int, L: int) -> int | None:
     if n > L:
         raise WordError("factor length exceeds prefix length")
     p = w.prefix(L)
-    # one pass: a window must reach a factor's first end, span each gap
-    # between consecutive starts, and reach from its last start to the end
+    built = 0
+    for depth, masks in enumerate(_start_masks(p, n)):
+        built += len(masks)
+        # the levels still to come counted as large as this one
+        if built + (n - depth) * len(masks) > _MASK_CHAIN_LIMIT:
+            break
+        if depth == n:
+            return _mask_recurrence(masks, n, L)
+    return _positional_recurrence(p, n)
+
+
+def _mask_recurrence(masks: list[int], n: int, L: int) -> int | None:
+    """``recurrence_bound`` from the start masks of the length-n factors."""
+    # a window must reach a factor's first end, reach from its last start
+    # to the end, and span each gap between consecutive starts; the first
+    # two take a few operations per mask, so they may end it before any gap
+    firsts = [(mask & -mask).bit_length() - 1 for mask in masks]
+    m = max(max(firsts) + n, L + 1 - min(mask.bit_length() for mask in masks))
+    if m > L // 2:
+        return None
+    for mask, first in zip(masks, firsts):
+        m = max(m, n + _longest_zero_run(mask >> first))
+        if m > L // 2:
+            return None
+    return m
+
+
+def _longest_zero_run(x: int) -> int:
+    """The longest run of zeros below the top bit of ``x > 0``, found in
+    O(log run) big-integer operations: bit i of ``runs`` is set where
+    ``length`` zeros start at i; ``length`` doubles while such runs remain,
+    then grows by halving steps."""
+    runs, length = x ^ ((1 << x.bit_length()) - 1), 1
+    if not runs:
+        return 0
+    while longer := runs & (runs >> length):
+        runs, length = longer, 2 * length
+    step = length // 2
+    while step:
+        if longer := runs & (runs >> step):
+            runs, length = longer, length + step
+        step //= 2
+    return length
+
+
+def _positional_recurrence(p: str, n: int) -> int | None:
+    """``recurrence_bound`` on ``p`` in one pass over its positions."""
+    L = len(p)
     latest: dict[str, int] = {}  # factor -> its latest start so far
     m = n
     for i in range(L - n + 1):

@@ -7,8 +7,9 @@ lexicographic pair-closure scan, the refinement that rescans every splitter
 after each split, the canonical search on it that encodes each leaf pair by
 pair, the pair-by-pair word graph, the realizer builder that normalizes its
 two lists with polarity and swap flags, the label-pair realizer check, the
-strict order of a realizer's two linear orders built pair by pair, and the
-plain embedding backtracking.
+strict order of a realizer's two linear orders built pair by pair, the
+plain embedding backtracking, the one-pass recurrence scan over a word's
+positions, and the mechanical letters from ``Fraction`` floors.
 The module oracle by subset enumeration is the one ``verify`` runs, imported
 from there.  Nothing imports the algorithms under test beyond the plain
 Graph, Realizer and AgeApprox containers, save six slow routes: the census's
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from wordgraphs.ages import (
     AgeApprox,
@@ -268,6 +270,28 @@ def rescan_cofinality(members: dict[int, list[Graph]], k_max: int,
                for h in members.get(size, []) for s in small):
             return m
     return None
+
+
+def one_pass_recurrence(p: str, n: int) -> int | None:
+    """``words.recurrence_bound`` on the word ``p`` in one pass over its
+    positions: a window must reach a factor's first end, span each gap
+    between consecutive starts, and reach from its last start to the end."""
+    L = len(p)
+    latest: dict[str, int] = {}  # factor -> its latest start so far
+    m = n
+    for i in range(L - n + 1):
+        f = p[i:i + n]
+        prev = latest.get(f)
+        m = max(m, i + n if prev is None else i - prev + n - 1)
+        latest[f] = i
+    m = max([m] + [L - i for i in latest.values()])
+    return m if m <= L // 2 else None
+
+
+def fraction_mechanical_prefix(slope: Fraction, intercept: Fraction, n: int) -> str:
+    """Letters ``floor((k+1)s + r) - floor(ks + r)``, k < n, in Fractions."""
+    floors = [(k * slope + intercept).__floor__() for k in range(n + 1)]
+    return "".join(str(floors[k + 1] - floors[k]) for k in range(n))
 
 
 def pair_closure(g: Graph, u: int, v: int) -> int:

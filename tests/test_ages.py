@@ -454,6 +454,19 @@ def test_jonsson_reports_what_its_route_holds():
         assert jonsson_to_json(rep)["prime_only"] is prime_only
 
 
+@pytest.mark.parametrize("argv", [
+    ["--k-max", "2", "--n-max", "2", "--all-members"],
+    ["--k-max", "3", "--n-max", "2"],
+    ["--k-max", "3", "--n-max", "3"],
+])
+def test_jonsson_is_not_degenerate_below_size_four(capsys, argv):
+    # no prime has order 3, so an age cut at size 2 or 3 cannot show its
+    # members stopping at size 2
+    assert main(["jonsson", "--fib", "--length", "10"] + argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["degenerate"] is False and doc["note"] == ""
+
+
 def test_jonsson_degenerate_clique():
     rep = jonsson_desk_check(oracles.prime_members(age_enumerate(clique(9), 6)),
                              n_max=3)

@@ -329,6 +329,13 @@ def test_missing_graph6_file_exits_2(capsys, tmp_path, command):
      "--n-max 9 exceeds --k-max 3"),
     (["jonsson", "--fib", "--length", "5", "--k-max", "3"], {"n_max": 4},
      "--n-max 4 exceeds --k-max 3"),
+    # word diagnostics only at lengths the prefix can show
+    (["word", "--fib", "--length", "10", "--recurrence", "11"], None,
+     "--recurrence 11 exceeds --length 10"),
+    (["word", "--fib", "--length", "10"], {"recurrence": 11},
+     "--recurrence 11 exceeds --length 10"),
+    (["word", "--fib", "--length", "11", "--complexity", "6"], None,
+     "--complexity 6 exceeds half of --length 11"),
     # realizer reads --word or a generated word, never both
     (["realizer", "--word", "0110", "--fib"], None,
      "realizer takes --word or a word, not both"),

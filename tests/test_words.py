@@ -1,12 +1,15 @@
 """Word generators, factor machinery, recurrence diagnostics."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from conftest import bit_words
+from wordgraphs import words
 from wordgraphs.words import (
     ContinuedFraction,
     WordError,
@@ -119,6 +122,28 @@ def test_golden_slope_intercept_zero_is_the_shifted_word():
     assert mech.prefix(200) == ("0" + fibonacci_word().prefix(199))
 
 
+def test_integer_prefix_matches_fraction_floors():
+    slopes = [Fraction(1, 2), Fraction(2, 7), Fraction(5, 13), Fraction(99, 100),
+              Fraction(1, 97)]
+    slopes += [cf.convergent(depth) for depth in range(1, 12)
+               for cf in (golden_slope(), ContinuedFraction((3,), (1,)),
+                          ContinuedFraction((1, 2), (3, 1)))]
+    intercepts = [Fraction(0), Fraction(1, 5), Fraction(-1, 5), Fraction(-7, 3),
+                  Fraction(1), Fraction(9, 4), Fraction(-3), Fraction(1346269, 3524578)]
+    for slope, intercept in itertools.product(slopes, intercepts):
+        for n in (0, 1, 2, 61, 300):
+            assert words._mechanical_prefix(slope, intercept, n) == \
+                oracles.fraction_mechanical_prefix(slope, intercept, n)
+
+
+def test_mechanical_words_with_negative_and_large_intercepts():
+    for slope in (Fraction(3, 8), golden_slope()):
+        for intercept in (Fraction(-5, 2), Fraction(7, 3)):
+            value = slope if isinstance(slope, Fraction) else slope.convergent(30)
+            assert mechanical_word(slope, intercept).prefix(200) == \
+                oracles.fraction_mechanical_prefix(value, intercept, 200)
+
+
 def test_continued_fraction_convergent():
     cf = ContinuedFraction(head=(2,), tail=(1,))
     assert cf.convergent(1) == Fraction(1, 2)
@@ -179,6 +204,14 @@ def test_factors_examples():
         factors(periodic_word("1"), 5, 3)
 
 
+@given(bit_words)
+def test_factor_complexity_counts_the_factor_sets(bits):
+    w = explicit_word(bits)
+    L = len(bits)
+    assert factor_complexity(w, L, L // 2) == [
+        len(factors(w, n, L).factors) for n in range(1, L // 2 + 1)]
+
+
 def test_factor_complexity():
     fib = factor_complexity(fibonacci_word(), 200, 10)
     assert fib == [n + 1 for n in range(1, 11)]
@@ -193,6 +226,10 @@ def test_recurrence_bound_examples():
     # 100111...: the factor 10 never recurs, so no honest bound exists
     w = explicit_word("100" + "1" * 97)
     assert recurrence_bound(w, 2, 100) is None
+    # the last 1 of 010100 starts 3 letters from the end, which no shorter
+    # window reaches; in 0100 it is 3 letters from the end of 4
+    assert recurrence_bound(explicit_word("010100"), 1, 6) == 3
+    assert recurrence_bound(explicit_word("0100"), 1, 4) is None
     # n = L: the one factor is the whole prefix, which certifies nothing
     assert recurrence_bound(periodic_word("1"), 1, 1) is None
     assert recurrence_bound(periodic_word("01"), 10, 10) is None
@@ -207,12 +244,30 @@ def test_recurrence_bound_examples():
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.text(alphabet="01", min_size=2, max_size=24),
-       st.integers(min_value=1, max_value=3))
-def test_recurrence_bound_matches_window_scan(bits, n):
-    if n <= len(bits):
-        w = explicit_word(bits)
+@given(bit_words)
+def test_recurrence_bound_matches_window_scan(bits):
+    w = explicit_word(bits)
+    for n in range(len(bits) + 1):
         assert recurrence_bound(w, n, len(bits)) == scan_recurrence(bits, n)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_word_diagnostics_across_the_level_switch(seed):
+    # a random word's levels outgrow the mask limit before length 12; a
+    # periodic word with a long period holds about as many factors as its
+    # period at every deeper length, so its deep bounds take the pass
+    rng = random.Random(seed)
+    L = rng.randint(2000, 3000)
+    bits = "".join(rng.choice("01") for _ in range(L))
+    pattern = "".join(rng.choice("01") for _ in range(rng.randint(80, 120)))
+    levels = [len(masks) for masks in words._start_masks(bits, 12)]
+    assert len(levels) <= 12 and max(levels) <= words._MASK_LEVEL_LIMIT
+    for p, n_max in ((bits, 12), ((pattern * L)[:L], 40)):
+        w = explicit_word(p)
+        for n in range(n_max + 1):
+            assert recurrence_bound(w, n, L) == oracles.one_pass_recurrence(p, n)
+        assert factor_complexity(w, L, n_max) == [
+            len(factors(w, n, L).factors) for n in range(1, n_max + 1)]
 
 
 def test_recurrence_bound_window_property():
