@@ -229,25 +229,39 @@ def make(family: str, *params: int) -> Graph:
 #
 # Exact canonical labelling: equitable refinement (cells split by neighbor
 # counts, subcells ordered by count) followed by individualization search on
-# the first non-singleton cell.  Every cell lists its vertices in ascending
-# order, and nothing re-sorts one: the root cell is 0..n-1, refinement fills
-# each subcell in its cell's order, and a search node's child has the
-# individualized vertex alone and the rest of its cell, in order, in its
-# place.  Each cell travels with its vertex mask: a
-# search node's child gets the parent's masks with the individualized vertex's
-# bit and the rest of its cell, and refinement replaces the masks of a cell
-# it splits.  Refinement scans the cells in order as splitters, and for each
-# one tests the cells in order, comparing every vertex's neighbor count in the
-# splitter with the cell's first vertex's (the subcells are built only when
-# the cell splits).  A splitter that splits no cell of a partition splits no
-# cell of a finer one, so after a split only the cells from the smaller of the
-# splitter's and the split cell's index on can change, and the scan resumes
-# there.  Resuming does not change the sequence of splits, and so the ordered
-# partition is that of a refinement rescanning every splitter after each
-# split.  Twin cells (identical rows outside the cell, complete or empty
-# inside) admit any internal order without changing the encoding, so they
-# never branch; this keeps cliques, independent sets and unions of twins
-# linear.  The minimum upper-triangle encoding over all search leaves is the
+# the first non-singleton cell.  The ordered partition is positional, as in
+# nauty (McKay, Congr. Numer. 30, 1981; McKay & Piperno, J. Symb. Comput. 60,
+# 2014): ``cell_at[p]`` is the vertex mask of the cell that starts at position
+# p of the order, and 0 at every other position, and ``multis`` lists the
+# start positions of the cells of two or more vertices, ascending.  A cell
+# that splits leaves its parts at its own position and after it, in count
+# order, so no other cell's position ever shifts.  Every cell lists its
+# vertices in ascending order, read off its mask: the root cell is 0..n-1,
+# and a search node's child has the individualized vertex alone at the
+# cell's position and the rest of the cell after it.
+#
+# Refinement takes the cells in position order as splitters, and for each
+# one tests the cells of ``multis`` in order, since a singleton never splits.
+# A singleton splitter {u} splits cell c exactly when ``c & rows[u]`` is
+# neither 0 nor c, into the non-neighbours of u, then its neighbours; a
+# larger splitter compares every vertex's neighbor count with the cell's
+# first vertex's (the subcells are built only when the cell splits).  A
+# splitter that splits no cell of a partition splits no cell of a finer one,
+# so after a split only the cells from the smaller of the splitter's and the
+# split cell's position on can change, and the scan resumes there; when the
+# split cell lies after the splitter, the same splitter goes on past the new
+# parts, each of which has one count in it.  Resuming does not change the
+# sequence of splits, and so the ordered partition is that of a refinement
+# rescanning every splitter after each split.  A search node's partition is
+# equitable, so in a child (a finer partition, the same cells before the
+# individualized one) no cell before the individualized cell's position
+# splits any cell: the child's refinement starts its scan at that position
+# and makes the splits of a scan from position 0.
+#
+# Twin cells (identical rows outside the cell, complete or empty inside)
+# admit any internal order without changing the encoding, so they never
+# branch; this keeps cliques, independent sets and unions of twins linear.
+# The minimum upper-triangle encoding over all search leaves is the
 # canonical form; exactness, not hashing, because age sets and census counts
 # deduplicate by key.  Each leaf is encoded once, row by row, each row's
 # segment from its neighbours later in the order, and the search returns the
@@ -274,52 +288,100 @@ def make(family: str, *params: int) -> Graph:
 # generic age route (:func:`~wordgraphs.ages.age_enumerate`) filter it.
 
 
-def _refine(rows: tuple[int, ...], cells: list[list[int]], masks: list[int]) -> None:
-    """Equitable refinement of ``cells``, whose vertex masks are ``masks``,
-    in place; a discrete partition ends the scan at once.
+def _refine(rows: tuple[int, ...], cell_at: list[int], multis: list[int],
+            si: int) -> None:
+    """Equitable refinement, in place, of the positional partition
+    ``cell_at`` whose cells of two or more vertices start at the positions
+    ``multis`` (see above), scanning splitters from position ``si``; every
+    splitter before ``si`` must split no cell.  A discrete partition ends the
+    scan at once.
 
-    A splitter that splits no cell of a partition splits no cell of a finer
-    one, so after a split the scan resumes at the smaller of the splitter's
-    and the split cell's index: no splitter before that index split a cell,
-    and no cell before it changed.
+    Each splitter tests only the cells of ``multis``.  A singleton splitter
+    {u} splits cell c exactly when ``c & rows[u]`` is neither 0 nor c, into
+    ``[c ^ x, x]`` (counts 0, then 1); a larger one compares the vertices'
+    neighbor counts in it.  A splitter that splits no cell of a partition
+    splits no cell of a finer one, so after a split the scan resumes at the
+    smaller of the splitter's and the split cell's position: no splitter
+    before that position split a cell, and no cell before it changed.  For
+    the same reason a search child, whose parent is equitable, may start at
+    the position of the cell it individualized.
     """
     n = len(rows)
-    si = 0
-    while si < len(cells) < n:
-        smask = masks[si]
-        for di, cell in enumerate(cells):
-            if len(cell) <= 1:
-                continue
-            count = (rows[cell[0]] & smask).bit_count()
-            for v in cell:
-                if (rows[v] & smask).bit_count() != count:
+    while multis and si < n:
+        smask = cell_at[si]
+        k = 0
+        if smask & (smask - 1):
+            while k < len(multis):
+                p = multis[k]
+                c = cell_at[p]
+                low = c & -c
+                count = (rows[low.bit_length() - 1] & smask).bit_count()
+                rest = c ^ low
+                while rest:
+                    low = rest & -rest
+                    if (rows[low.bit_length() - 1] & smask).bit_count() != count:
+                        break
+                    rest ^= low
+                else:
+                    k += 1
+                    continue
+                groups: dict[int, int] = {}
+                rest = c
+                while rest:
+                    low = rest & -rest
+                    count = (rows[low.bit_length() - 1] & smask).bit_count()
+                    groups[count] = groups.get(count, 0) | low
+                    rest ^= low
+                parts = [groups[count] for count in sorted(groups)]
+                k = _place(cell_at, multis, k, p, parts)
+                if p <= si:
+                    si = p
                     break
             else:
-                continue
-            groups: dict[int, list[int]] = {}
-            for v in cell:
-                groups.setdefault((rows[v] & smask).bit_count(), []).append(v)
-            parts = [groups[c] for c in sorted(groups)]
-            cells[di:di + 1] = parts
-            part_masks = []
-            for part in parts:
-                pmask = 0
-                for v in part:
-                    pmask |= 1 << v
-                part_masks.append(pmask)
-            masks[di:di + 1] = part_masks
-            si = min(si, di)
-            break
+                si += smask.bit_count()
         else:
-            si += 1
+            row = rows[smask.bit_length() - 1]
+            while k < len(multis):
+                p = multis[k]
+                c = cell_at[p]
+                x = c & row
+                if not x or x == c:
+                    k += 1
+                    continue
+                k = _place(cell_at, multis, k, p, [c ^ x, x])
+                if p <= si:
+                    si = p
+                    break
+            else:
+                si += 1
 
 
-def _is_twin_cell(rows: tuple[int, ...], cell: list[int], cmask: int) -> bool:
-    outside = rows[cell[0]] & ~cmask
-    if any(rows[v] & ~cmask != outside for v in cell[1:]):
+def _place(cell_at: list[int], multis: list[int], k: int, p: int,
+           parts: list[int]) -> int:
+    """Put ``parts`` of the cell at position ``p`` (``multis[k]``) in its
+    place, and return the index in ``multis`` past them."""
+    new = []
+    for part in parts:
+        cell_at[p] = part
+        if part & (part - 1):
+            new.append(p)
+        p += part.bit_count()
+    multis[k:k + 1] = new
+    return k + len(new)
+
+
+def _is_twin_cell(rows: tuple[int, ...], cmask: int) -> bool:
+    """Identical rows outside the cell ``cmask``, and the cell complete or
+    empty inside."""
+    low = cmask & -cmask
+    first = rows[low.bit_length() - 1]
+    inner = first & cmask
+    if not inner:
+        return all(rows[v] == first for v in _bits(cmask ^ low))
+    if inner != cmask ^ low:
         return False
-    inner = [rows[v] & cmask for v in cell]
-    return not any(inner) or all(x == cmask ^ (1 << v) for x, v in zip(inner, cell))
+    full = first | low  # each row of a complete cell, with its own bit
+    return all(rows[v] | (1 << v) == full for v in _bits(cmask ^ low))
 
 
 def _encode(rows: tuple[int, ...], order: list[int]) -> int:
@@ -345,40 +407,53 @@ def _encode(rows: tuple[int, ...], order: list[int]) -> int:
 
 def _canonical_order(g: Graph, leaves: list | None = None) -> tuple[list[int], int]:
     """The first leaf order of minimum code, and that code; ``leaves``, if
-    given, receives ``(code, order, cells)`` for every leaf in walk order."""
+    given, receives ``(code, order, cells)`` for every leaf in walk order,
+    each cell its vertices in ascending order."""
     if g.n > CORE_WIDTH:
         raise GraphError(f"canonical form capped at {CORE_WIDTH} vertices")
     rows = g.rows
     best_code = -1
     best_order: list[int] = []
 
-    def walk(cells: list[list[int]], masks: list[int]) -> None:
+    def walk(cell_at: list[int], multis: list[int], start: int) -> None:
         nonlocal best_code, best_order
-        _refine(rows, cells, masks)
-        target = -1
-        for ci, cell in enumerate(cells):
-            if len(cell) > 1 and not _is_twin_cell(rows, cell, masks[ci]):
-                target = ci
+        _refine(rows, cell_at, multis, start)
+        for k, t in enumerate(multis):
+            if not _is_twin_cell(rows, cell_at[t]):
                 break
-        if target < 0:
-            order = [v for cell in cells for v in cell]
+        else:
+            order = []
+            for c in cell_at:
+                if c & (c - 1):
+                    order.extend(_bits(c))
+                elif c:
+                    order.append(c.bit_length() - 1)
             code = _encode(rows, order)
             if leaves is not None:
+                # the empty graph's one cell is empty
+                cells = [list(_bits(c)) for c in cell_at if c] or [[]]
                 leaves.append((code, order, cells))
             if best_code < 0 or code < best_code:
                 best_code = code
                 best_order = order
             return
-        cell, mask = cells[target], masks[target]
-        cells_before, cells_after = cells[:target], cells[target + 1:]
-        masks_before, masks_after = masks[:target], masks[target + 1:]
-        for v in cell:
-            rest = [w for w in cell if w != v]
+        mask = cell_at[t]
+        # the rest of the cell starts at t + 1, before the next cell of multis
+        child_multis = multis[:k] + multis[k + 1:]
+        if mask.bit_count() > 2:
+            child_multis.insert(k, t + 1)
+        for v in _bits(mask):
             bit = 1 << v
-            walk(cells_before + [[v], rest] + cells_after,
-                 masks_before + [bit, mask ^ bit] + masks_after)
+            child = cell_at[:]
+            child[t] = bit
+            child[t + 1] = mask ^ bit
+            walk(child, child_multis[:], t)
 
-    walk([list(range(g.n))], [(1 << g.n) - 1])
+    n = g.n
+    root = [0] * n
+    if n:
+        root[0] = (1 << n) - 1
+    walk(root, [0] if n > 1 else [], 0)
     return best_order, best_code
 
 

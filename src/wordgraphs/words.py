@@ -162,11 +162,11 @@ def _gen_mechanical(params: tuple, n: int) -> str:
 
 def _gen_substitution(params: tuple, n: int) -> str:
     rules_t, seed = params
-    rules = dict(rules_t)
+    table = str.maketrans(dict(rules_t))
     word = seed
     # iterates are nested prefixes, each longer (substitution_word's checks)
     while len(word) < n:
-        word = "".join(rules[c] for c in word)
+        word = word.translate(table)
     return word[:n]
 
 

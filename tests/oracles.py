@@ -288,6 +288,15 @@ def one_pass_recurrence(p: str, n: int) -> int | None:
     return m if m <= L // 2 else None
 
 
+def join_substitution_prefix(rules: dict[str, str], seed: str, n: int) -> str:
+    """The length-n prefix of the fixed point, each iterate joined from the
+    images of the previous one's letters, one letter at a time."""
+    word = seed
+    while len(word) < n:
+        word = "".join(rules[c] for c in word)
+    return word[:n]
+
+
 def fraction_mechanical_prefix(slope: Fraction, intercept: Fraction, n: int) -> str:
     """Letters ``floor((k+1)s + r) - floor(ks + r)``, k < n, in Fractions."""
     floors = [(k * slope + intercept).__floor__() for k in range(n + 1)]

@@ -276,12 +276,12 @@ def test_embedding_matches_backtracking_on_bound_certificates():
 
 
 @st.composite
-def twin_blow_ups(draw):
-    """5-7 vertices, each standing in for a vertex of a random 2-4-vertex graph;
-    the vertices standing in for one form a clique or an independent set of
-    twins, and the vertex order interleaves them."""
-    base = draw(graphs(min_n=2, max_n=4))
-    n = draw(st.integers(5, 7))
+def twin_blow_ups(draw, min_n: int = 5, max_n: int = 7, max_base: int = 4):
+    """min_n-max_n vertices, each standing in for a vertex of a random graph
+    of 2-max_base vertices; the vertices standing in for one form a clique or
+    an independent set of twins, and the vertex order interleaves them."""
+    base = draw(graphs(min_n=2, max_n=max_base))
+    n = draw(st.integers(min_n, max_n))
     part = draw(st.lists(st.integers(0, base.n - 1), min_size=n, max_size=n))
     clique_part = draw(st.lists(st.booleans(), min_size=base.n, max_size=base.n))
     rows = tuple(
@@ -591,28 +591,45 @@ def test_extend_level_on_partial_levels(data):
 word_graph_bits = st.text(alphabet="01", max_size=63)
 
 
-def _cell_masks(cells: list[list[int]]) -> list[int]:
-    return [sum(1 << v for v in cell) for cell in cells]
+def _positional(cells: list[list[int]]) -> tuple[list[int], list[int]]:
+    """``cell_at`` and ``multis`` of the ordered partition ``cells``: each
+    cell's vertex mask at its start position, and the start positions of the
+    cells of two or more vertices."""
+    cell_at = [0] * sum(map(len, cells))
+    multis = []
+    p = 0
+    for cell in cells:
+        if cell:
+            cell_at[p] = sum(1 << v for v in cell)
+        if len(cell) > 1:
+            multis.append(p)
+        p += len(cell)
+    return cell_at, multis
 
 
 def _check_refinement(rows: tuple[int, ...]) -> None:
     """Equal ordered partitions from the unit partition, then for every
-    vertex individualized in its cell, as search nodes do; every cell comes
-    back with its own vertex mask."""
+    vertex individualized in its cell, as search nodes do; every cell at its
+    start position, as its vertex mask, and ``multis`` exactly the starts of
+    the cells of two or more vertices.  A child refined from the position of
+    its individualized cell, as the search refines it, ends as the same child
+    refined from position 0."""
     unit = [list(range(len(rows)))]
-    cells, masks = [list(c) for c in unit], _cell_masks(unit)
-    _refine(rows, cells, masks)
-    assert cells == oracles.rescan_refine(rows, unit)
-    assert masks == _cell_masks(cells)
+    cell_at, multis = _positional(unit)
+    _refine(rows, cell_at, multis, 0)
+    cells = oracles.rescan_refine(rows, unit)
+    assert (cell_at, multis) == _positional(cells)
+    p = 0  # the start position of cells[t]
     for t, cell in enumerate(cells):
-        if len(cell) < 2:
-            continue
-        for v in cell:
-            child = cells[:t] + [[v], [w for w in cell if w != v]] + cells[t + 1:]
-            got, got_masks = [list(c) for c in child], _cell_masks(child)
-            _refine(rows, got, got_masks)
-            assert got == oracles.rescan_refine(rows, child)
-            assert got_masks == _cell_masks(got)
+        if len(cell) > 1:
+            for v in cell:
+                child = cells[:t] + [[v], [w for w in cell if w != v]] + cells[t + 1:]
+                expected = _positional(oracles.rescan_refine(rows, child))
+                for start in (p, 0):
+                    got_at, got_multis = _positional(child)
+                    _refine(rows, got_at, got_multis, start)
+                    assert (got_at, got_multis) == expected, (child, start)
+        p += len(cell)
 
 
 @settings(max_examples=300, deadline=None)
@@ -660,6 +677,34 @@ def test_canonical_search_matches_plain_search_on_every_class_through_order_seve
     for level in enumerate_graphs(7):
         for g in level:
             _check_canonical_search(g)
+
+
+def _symmetric_graphs() -> list[Graph]:
+    """Every catalogue family member of order at most 12 and its complement,
+    the cycles C_3..C_20, and K_{a,b} for a + b <= 16.  (The search prunes
+    no automorphism, so the members of order 14-17 have 5,040-80,640 leaves
+    and take seconds each.)"""
+    members = [family_member(family, n, complemented) for family in FAMILIES
+               for n in range(1, 9) for complemented in (False, True)]
+    members = [g for g in members if g.n <= 12]
+    cycles = [cycle(n) for n in range(3, 21)]
+    bipartite = [complete_bipartite(a, b) for a in range(1, 16)
+                 for b in range(a, 17 - a)]
+    return members + cycles + bipartite
+
+
+def test_canonical_search_matches_plain_search_on_symmetric_graphs():
+    # many leaves of one code, with the children of each node resuming their
+    # refinement at the individualized cell deep in the tree
+    for g in _symmetric_graphs():
+        _check_canonical_search(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(twin_blow_ups(min_n=12, max_n=30, max_base=6))
+def test_canonical_search_matches_plain_search_on_twin_blow_ups(g):
+    # large automorphism groups, and twin cells beside cells that branch
+    _check_canonical_search(g)
 
 
 # -- graphs the kernel builds without the constructor's checks -----------------

@@ -96,6 +96,25 @@ def test_every_accepted_short_substitution_grows():
     assert accepted > 0
 
 
+def test_substitution_prefix_matches_letter_by_letter_join():
+    # each iterate is one str.translate; the oracle joins images per letter
+    named = [({"0": "01", "1": "0"}, "0"), ({"0": "01", "1": "10"}, "0"),
+             ({"0": "01", "1": "10"}, "1")]
+    rng = random.Random(26)
+    randoms = []
+    while len(randoms) < 40:
+        rules = {c: "".join(rng.choice("01") for _ in range(rng.randint(1, 4)))
+                 for c in "01"}
+        seed = rng.choice("01")
+        if rules[seed].startswith(seed) and rules[seed] != seed:
+            randoms.append((rules, seed))
+    for rules, seed in named + randoms:
+        w = substitution_word(rules, seed)
+        for n in (0, 1, 2, 7, 100, 3001):
+            assert w.prefix(n) == oracles.join_substitution_prefix(rules, seed, n), \
+                (rules, seed, n)
+
+
 @pytest.mark.parametrize("rules,message", [
     ({"0": "01"}, "letter '1' is in a rule image but has no rule"),
     ({"1": "10"}, "letter '0' is in a rule image but has no rule"),
