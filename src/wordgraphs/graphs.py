@@ -275,15 +275,16 @@ def make(family: str, *params: int) -> Graph:
 # since twin cells encode alike in any internal order.  So every automorphism
 # is the permutation taking the best leaf's order to that of another leaf of
 # minimum code, times a permutation inside the best leaf's cells, which are
-# singletons or twin cells, whose permutations are all automorphisms.  Their
-# orbits on neighbourhood masks cut the one-vertex extensions of a graph; a
-# degree test, invariant under the same group, cuts them again before any
-# canonical search, to the masks that give the new vertex maximum degree.
-# :func:`max_degree_extensions` owns that rule, and :func:`extend_level`
-# owns the level step built on it (extend, classify, sort).  Both level
-# steps, this one and the word-age pattern step, classify an extension by one
-# LRU lookup in :func:`_classify`, which builds the canonical form only for a
-# class not seen before.  The census (:func:`enumerate_graphs`) iterates that
+# singletons or twin cells, whose permutations are all automorphisms.  A
+# degree test cuts the one-vertex extensions of a graph to the neighbourhood
+# masks that give the new vertex maximum degree; it is invariant under the
+# same group, so the masks that pass are whole orbits, and the orbits are
+# then followed over those masks alone, one extension per orbit, before any
+# canonical search.  :func:`max_degree_extensions` owns that rule, and
+# :func:`extend_level` owns the level step built on it (extend, classify,
+# sort).  Both level steps, this one and the word-age pattern step, classify
+# an extension by one LRU lookup in :func:`_classify`, which builds the
+# canonical form only for a class not seen before.  The census (:func:`enumerate_graphs`) iterates that
 # step; the bound candidates (:func:`~wordgraphs.ages.bounds_enumerate`) and the
 # generic age route (:func:`~wordgraphs.ages.age_enumerate`) filter it.
 
@@ -511,31 +512,33 @@ def _automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     return gens
 
 
-def _orbit_representatives(n: int, gens: list[tuple[int, ...]]) -> list[int]:
-    """The smallest vertex mask of each orbit of the group that ``gens``
-    generate on the subsets of ``0..n-1``, ascending."""
-    size = 1 << n
-    images = []
-    for perm in gens:
-        image = [0] * size
-        for mask in range(1, size):
-            low = mask & -mask
-            image[mask] = image[mask ^ low] | (1 << perm[low.bit_length() - 1])
-        images.append(image)
-    seen = bytearray(size)
+def _orbit_representatives(masks: Iterable[int],
+                           gens: list[tuple[int, ...]]) -> list[int]:
+    """The smallest mask of each orbit, ascending, of the group that ``gens``
+    generate on the vertex masks, among ``masks``: an ascending list closed
+    under the group, so each orbit met lies in it and its first mask met is
+    its smallest.  With no generators every mask is its own orbit."""
+    if not gens:
+        return list(masks)
+    images = [[1 << v for v in perm] for perm in gens]  # vertex -> its bit
+    seen = set()
     reps = []
-    for mask in range(size):
-        if seen[mask]:
+    for mask in masks:
+        if mask in seen:
             continue
         reps.append(mask)
-        seen[mask] = 1
+        seen.add(mask)
         stack = [mask]
         while stack:
             x = stack.pop()
             for image in images:
-                y = image[x]
-                if not seen[y]:
-                    seen[y] = 1
+                y, rest = 0, x
+                while rest:
+                    low = rest & -rest
+                    y |= image[low.bit_length() - 1]
+                    rest ^= low
+                if y not in seen:
+                    seen.add(y)
                     stack.append(y)
     return reps
 
@@ -544,12 +547,12 @@ def max_degree_extensions(g: Graph) -> Iterator[Graph]:
     """One-vertex extensions of ``g`` by canonical deletion of a vertex of
     maximum degree (McKay, J. Algorithms 26, 1998).
 
-    Yields ``add_vertex(g, nbrs)`` for the smallest mask ``nbrs`` of each
-    orbit of g's automorphism group (generators from
-    :func:`_automorphism_generators`), keeping only the masks that give the
-    new vertex maximum degree: ``popcount(nbrs)`` at least every degree of
-    g, and no neighbour of that same degree (it would gain one).  Degrees
-    are invariant under the group, so the test keeps or drops whole orbits.
+    The masks ``nbrs`` that give the new vertex maximum degree come first:
+    ``popcount(nbrs)`` at least every degree of g, and no neighbour of that
+    same degree (it would gain one).  Degrees are invariant under g's
+    automorphism group, so these masks are a union of whole orbits, and
+    ``add_vertex(g, nbrs)`` is yielded for the smallest of each orbit among
+    them (generators from :func:`_automorphism_generators`), ascending.
     Every graph with a vertex of maximum degree whose deletion is isomorphic
     to g is isomorphic to one extension yielded.
     """
@@ -558,10 +561,9 @@ def max_degree_extensions(g: Graph) -> Iterator[Graph]:
     at = [0] * (g.n + 1)  # at[d]: the vertices of degree d
     for v, d in enumerate(degrees):
         at[d] |= 1 << v
-    for nbrs in _orbit_representatives(g.n, _automorphism_generators(g)):
-        d = nbrs.bit_count()
-        if d < top or nbrs & at[d]:
-            continue  # some vertex outranks the new one in degree
+    masks = [nbrs for nbrs in range(1 << g.n)
+             if (d := nbrs.bit_count()) >= top and not nbrs & at[d]]
+    for nbrs in _orbit_representatives(masks, _automorphism_generators(g)):
         yield add_vertex(g, nbrs)
 
 

@@ -162,11 +162,11 @@ def _gen_mechanical(params: tuple, n: int) -> str:
 
 def _gen_substitution(params: tuple, n: int) -> str:
     rules_t, seed = params
-    table = str.maketrans(dict(rules_t))
+    image = dict(rules_t).__getitem__
     word = seed
     # iterates are nested prefixes, each longer (substitution_word's checks)
     while len(word) < n:
-        word = word.translate(table)
+        word = "".join(map(image, word))
     return word[:n]
 
 

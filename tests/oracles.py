@@ -9,7 +9,9 @@ pair, the pair-by-pair word graph, the realizer builder that normalizes its
 two lists with polarity and swap flags, the label-pair realizer check, the
 strict order of a realizer's two linear orders built pair by pair, the
 plain embedding backtracking, the one-pass recurrence scan over a word's
-positions, and the mechanical letters from ``Fraction`` floors.
+positions, the mechanical letters from ``Fraction`` floors, and the orbit
+representatives over all 2^n masks, from one image table per generator the
+caller passes in, cut to the masks that give a new vertex maximum degree.
 The module oracle by subset enumeration is the one ``verify`` runs, imported
 from there.  Nothing imports the algorithms under test beyond the plain
 Graph, Realizer and AgeApprox containers, save six slow routes: the census's
@@ -159,6 +161,49 @@ def brute_automorphisms(g: Graph) -> list[tuple[int, ...]]:
                == g.rows[perm[v]] for v in range(g.n)):
             found.append(perm)
     return found
+
+
+def all_masks_orbit_representatives(n: int, gens: list[tuple[int, ...]]) -> list[int]:
+    """The smallest vertex mask of each orbit of the group that ``gens``
+    generate on all 2^n subsets of ``0..n-1``, ascending, from one image
+    table per generator over every mask."""
+    size = 1 << n
+    images = []
+    for perm in gens:
+        image = [0] * size
+        for mask in range(1, size):
+            low = mask & -mask
+            image[mask] = image[mask ^ low] | (1 << perm[low.bit_length() - 1])
+        images.append(image)
+    seen = bytearray(size)
+    reps = []
+    for mask in range(size):
+        if seen[mask]:
+            continue
+        reps.append(mask)
+        seen[mask] = 1
+        stack = [mask]
+        while stack:
+            x = stack.pop()
+            for image in images:
+                y = image[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    stack.append(y)
+    return reps
+
+
+def new_vertex_has_max_degree(ext: Graph) -> bool:
+    """The last vertex of ``ext`` has its maximum degree."""
+    return ext.degree(ext.n - 1) == max(ext.degree(v) for v in range(ext.n))
+
+
+def max_degree_masks(g: Graph, gens: list[tuple[int, ...]]) -> list[int]:
+    """The orbit representatives over all masks (from ``gens``, g's
+    automorphism generators) whose extension gives the new vertex maximum
+    degree, in ascending order."""
+    return [nbrs for nbrs in all_masks_orbit_representatives(g.n, gens)
+            if new_vertex_has_max_degree(add_vertex(g, nbrs))]
 
 
 def all_masks_step(level) -> dict[bytes, Graph]:

@@ -503,7 +503,9 @@ def _check_generators(g: Graph) -> None:
     assert set(gens) <= set(autos)
     orbits = _mask_orbits(g.n, autos)
     assert _mask_orbits(g.n, gens) == orbits
-    assert _orbit_representatives(g.n, gens) == sorted(min(o) for o in orbits)
+    reps = _orbit_representatives(range(1 << g.n), gens)
+    assert reps == sorted(min(o) for o in orbits)
+    assert reps == oracles.all_masks_orbit_representatives(g.n, gens)
 
 
 def test_automorphism_generators_on_every_class_through_order_six():
@@ -542,20 +544,35 @@ def test_twin_transpositions_alone_generate(g):
     _check_generators(g)
 
 
-def _new_vertex_has_max_degree(ext: Graph) -> bool:
-    return ext.degree(ext.n - 1) == max(ext.degree(v) for v in range(ext.n))
-
-
 def test_max_degree_extensions_on_every_class_through_order_six():
     for level in enumerate_graphs(6):
         for g in level:
             yielded = list(max_degree_extensions(g))
-            assert all(_new_vertex_has_max_degree(ext) for ext in yielded)
+            assert all(oracles.new_vertex_has_max_degree(ext) for ext in yielded)
             keys = {canonical_key(ext) for ext in yielded}
             for nbrs in range(1 << g.n):
                 ext = add_vertex(g, nbrs)
-                if _new_vertex_has_max_degree(ext):
+                if oracles.new_vertex_has_max_degree(ext):
                     assert canonical_key(ext) in keys, (g, nbrs)
+
+
+def _check_extension_masks(g: Graph) -> None:
+    # the orbits of the degree-passing masks alone are those over all masks,
+    # cut by the degree test afterwards: same masks, same order
+    want = oracles.max_degree_masks(g, _automorphism_generators(g))
+    assert [ext.rows[-1] for ext in max_degree_extensions(g)] == want
+
+
+def test_max_degree_extensions_match_all_masks_orbits_through_order_six():
+    for level in enumerate_graphs(6):
+        for g in level:
+            _check_extension_masks(g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(max_n=7))
+def test_max_degree_extensions_match_all_masks_orbits(g):
+    _check_extension_masks(g)
 
 
 @functools.cache

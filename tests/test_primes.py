@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import graphs
+from wordgraphs import primes
 from wordgraphs.graphs import (
     Graph,
     GraphError,
@@ -78,6 +79,30 @@ def test_is_prime_agrees_with_subset_enumeration(g):
 @given(graphs(max_n=10))
 def test_is_prime_agrees_with_pair_scan(g):
     assert is_prime(g) == (g.n <= 2 or oracles.pair_scan_module(g) is None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=9), st.randoms(use_true_random=False))
+def test_is_prime_memo_answers_alike_fresh_repeated_and_labelled(g, rng):
+    # the memo is keyed on rows alone: a labelled copy shares the entry
+    want = oracles.brute_is_prime(g)
+    assert want == (g.n <= 2 or oracles.pair_scan_module(g) is None)
+    labelled = Graph(g.n, g.rows, tuple(rng.sample(range(100), g.n)))
+    for first, other in ((labelled, g), (g, labelled)):
+        primes._PRIME_MEMO.pop(g.rows, None)
+        assert is_prime(first) == want  # computed
+        assert is_prime(first) == want  # read back
+        assert is_prime(other) == want  # read back through the other copy
+
+
+def test_is_prime_memo_stops_at_its_cap(monkeypatch):
+    monkeypatch.setattr(primes, "PRIME_MEMO_CAP", 5)
+    monkeypatch.setattr(primes, "_PRIME_MEMO", {})
+    classes = [g for level in enumerate_graphs(5) for g in level]
+    for _ in range(2):  # the second pass reads the memo, then recomputes
+        for g in classes:
+            assert is_prime(g) == oracles.brute_is_prime(g)
+        assert len(primes._PRIME_MEMO) == 5
 
 
 def _witness_mask(g: Graph) -> int | None:

@@ -97,7 +97,8 @@ def test_every_accepted_short_substitution_grows():
 
 
 def test_substitution_prefix_matches_letter_by_letter_join():
-    # each iterate is one str.translate; the oracle joins images per letter
+    # each iterate maps every letter to its image in one join; the oracle
+    # joins the images one letter at a time
     named = [({"0": "01", "1": "0"}, "0"), ({"0": "01", "1": "10"}, "0"),
              ({"0": "01", "1": "10"}, "1")]
     rng = random.Random(26)
