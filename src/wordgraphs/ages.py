@@ -39,8 +39,9 @@ level k - 1 that are not members and pass the same deletion check
 
 The prime members of a word-graph age take a third route
 (``word_prime_age``): every prime sits on one of a few factor windows, so
-level k's primes come from the factors of length k - 1, and the rest of the
-age is never enumerated.
+level k's primes come from the factors of length k - 1, read off their
+start masks in the one walk over the distinct factors that the word
+diagnostics also read, and the rest of the age is never enumerated.
 
 The desk check walks the members its age holds (the primes of a
 ``prime_only`` age) and reads the cofinality table m(n) off one walk per
@@ -75,7 +76,7 @@ from .graphs import (
 )
 from .primes import is_prime
 from .wordgraph import graph_of_word, letter_masks
-from .words import Word
+from .words import Word, _start_masks
 
 
 @dataclass
@@ -252,26 +253,27 @@ def word_prime_age(w: Word, L: int, k_max: int) -> AgeApprox:
     interval of indices a..a+k-1 by the letters at a+1..a+k-1, and a vertex
     with a gap before an interval b..b+k-2 by the letters at b..b+k-2, for
     any lone vertex at least two below b (index 0 is one whenever b >= 2).
-    At k = 1 both shapes are one vertex.  Windows are deduped by (shape,
-    factor) before any graph is built, which leaves at most 2 p(k - 1) per
-    level, p the factor complexity.
+    At k = 1 both shapes are one vertex.  So a level's windows come off the
+    start masks of the length-(k - 1) factors (bit s set where the factor
+    starts at index s + 1): the interval a..a+k-1 from the lowest start a,
+    and a gap window, b = s + 1, from the lowest start s >= 1 if there is
+    one.  That is at most 2 p(k - 1) windows, p the factor complexity, off
+    masks of at most p(k - 1) (L + 1) bits, no more than the source's rows.
     """
     source = graph_of_word(w, L)
     levels = _start_levels(source, k_max)
-    bits = w.prefix(L)  # the letter at index t is bits[t - 1]
-    for k in range(1, k_max + 1):
-        # (gap shape, factor) -> the first index of its interval
-        windows: dict[tuple[bool, str], int] = {}
-        for a in range(L - k + 2):  # the interval a..a+k-1
-            windows.setdefault((False, bits[a:a + k - 1]), a)
-        for b in range(2, L - k + 3):  # index 0, a gap, the interval b..b+k-2
-            windows.setdefault((True, bits[b - 1:b + k - 2]), b)
+    for k, masks in zip(range(1, k_max + 1), _start_masks(w.prefix(L))):
         forms: dict[CanonKey, Graph] = {}
-        for (gap, _), start in windows.items():
-            g = induced_subgraph(source, [0, *range(start, start + k - 1)] if gap
-                                 else range(start, start + k))
-            if is_prime(g):
-                _classify(g, forms)
+        for mask in masks:
+            a = (mask & -mask).bit_length() - 1
+            windows = [range(a, a + k)]
+            if late := mask & ~1:  # the starts s >= 1
+                b = (late & -late).bit_length()
+                windows.append([0, *range(b, b + k - 1)])
+            for vertices in windows:
+                g = induced_subgraph(source, vertices)
+                if is_prime(g):
+                    _classify(g, forms)
         levels[k] = dict(sorted(forms.items()))
     return AgeApprox(source=source, source_desc=json.dumps({"word_prefix": L}),
                      k_max=k_max, levels=levels, prime_only=True)

@@ -205,8 +205,8 @@ def _cmd_word(args: argparse.Namespace) -> int:
     prefix = w.prefix(args.length)
     complexity = (factor_complexity(w, args.length, args.complexity)
                   if args.complexity else [])
-    recurrence = {n: recurrence_bound(w, n, args.length)
-                  for n in range(1, (args.recurrence or 0) + 1)}
+    recurrence = dict(enumerate(
+        recurrence_bound(w, args.length, args.recurrence or 0), 1))
     if args.fmt == "json":
         doc = {"descriptor": json.loads(word_to_json(w)),
                "length": args.length, "prefix": prefix}

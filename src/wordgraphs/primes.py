@@ -29,16 +29,18 @@ inside it, is the tests' independent oracle for both the test and the
 witness, beside the exhaustive-subset method.
 
 :func:`is_prime` owns the memo of that two-step test: a plain dict keyed on
-``g.rows``, filled until it holds ``PRIME_MEMO_CAP`` (2^16) entries and
-then only read.  The verdict depends on the rows alone, never on labels, so
-every writer stores the value any other would and the memo is idempotent;
-order <= 2 is answered before it.  A census asks the same rows often: the
-prime guards of :func:`is_critically_prime`, :func:`schmerl_trotter_pair`
-and :func:`prime_height` repeat the caller's test, and the small subgraphs
-of the pair scan and the height recursion recur.  The census through order
-8 fills 23,776 entries.  Through order 7 it fills 1,959, which hold about
-0.13 MiB of traced allocations (``functools.lru_cache`` on the rows holds
-0.31 MiB) and add about 0.1 MiB of peak RSS.
+``g.rows``, which stores a verdict while its entries hold at most
+``PRIME_MEMO_CAP`` (2^21) adjacency bits, n^2 for an entry of order n.  The
+verdict depends on the rows alone, never on labels, so every writer stores
+the value any other would and the memo is idempotent; order <= 2 is
+answered before it.  A census asks the same rows often: the prime guards of
+:func:`is_critically_prime`, :func:`schmerl_trotter_pair` and
+:func:`prime_height` repeat the caller's test, and the small subgraphs of
+the pair scan and the height recursion recur.  The census through order 8
+fills 23,776 entries, 1,281,624 bits of small-int rows that CPython shares.
+Large rows are not shared, and the bits bound them: a 400-vertex graph's
+deletions stop the memo after 13 entries (0.33 MiB), where counting entries
+alone would keep all 400, 10 MiB.
 
 Heights are computed by dynamic programming over canonical keys; the memo
 table is shared and idempotent (all writers compute equal values), and
@@ -176,24 +178,27 @@ def find_nontrivial_module(g: Graph) -> ModuleWitness | None:
     return ModuleWitness(tuple(i for i in range(g.n) if (mask >> i) & 1))
 
 
-PRIME_MEMO_CAP = 1 << 16
+PRIME_MEMO_CAP = 1 << 21
 
 # rows -> the two-step test's verdict (see the module docstring)
 _PRIME_MEMO: dict[tuple[int, ...], bool] = {}
+_prime_memo_bits = 0  # n^2 per entry of order n
 
 
 def is_prime(g: Graph) -> bool:
     """No nontrivial module; order <= 2 is prime by convention.  Larger
     orders are answered from the rows memo when their rows were tested
     before (see the module docstring)."""
+    global _prime_memo_bits
     if g.n <= 2:
         return True
     prime = _PRIME_MEMO.get(g.rows)
     if prime is None:
         prime = (_first_closure_through_0(g) is None
                  and next(_modules_avoiding_0(g), None) is None)
-        if len(_PRIME_MEMO) < PRIME_MEMO_CAP:
+        if _prime_memo_bits + g.n * g.n <= PRIME_MEMO_CAP:
             _PRIME_MEMO[g.rows] = prime
+            _prime_memo_bits += g.n * g.n
     return prime
 
 

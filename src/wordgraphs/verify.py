@@ -188,7 +188,7 @@ def check_sturmian_diagnostics(L: int = 10_000, n_max: int = 12,
     fib = fibonacci_word()
     complexity = factor_complexity(fib, L, n_max)
     complexity_ok = complexity == [n + 1 for n in range(1, n_max + 1)]
-    bounds = [recurrence_bound(fib, n, L) for n in range(1, n_max + 1)]
+    bounds = recurrence_bound(fib, L, n_max)
     recurrence_ok = all(b is not None for b in bounds) and all(
         a <= b for a, b in zip(bounds, bounds[1:]))
     mech = mechanical_word(golden_slope(), "slope")

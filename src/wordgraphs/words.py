@@ -15,23 +15,23 @@ once two consecutive convergents (which bracket the limit slope) produce
 identical floor sequences, which pins the exact prefix by monotonicity of
 ``floor(i*slope + intercept)`` in the slope.
 
-The complexity p(n) and the recurrence bounds read the start masks of the
-distinct length-n factors: bit i of a factor's mask is set when the factor
-starts at i, and a length-(n+1) factor's mask is its length-n prefix's mask
-ANDed with the next letter's mask shifted right by n.  p(n) is the number
-of nonzero masks; a recurrence bound takes each factor's first start, last
-start and longest gap between starts off its mask.  A level costs about
-p(n) big-integer operations on L bits, against L interpreted steps for a
-pass over the positions, so the words the generators give (p(n) = n + 1
-for Sturmian words, about 3n for Thue-Morse) cost little.  A level holding
-more than ``_MASK_LEVEL_LIMIT`` factors, and every deeper one, takes the
-positional pass instead, which also bounds the masks' memory on a dense
-word; so does a recurrence bound whose levels up to n would build more
-than ``_MASK_CHAIN_LIMIT`` masks.
+The complexity p(n) and the recurrence bounds R(n) read, off one walk over
+the levels, the start masks of the distinct length-n factors: bit i of a
+factor's mask is set when the factor starts at i, and a length-(n+1)
+factor's mask is its length-n prefix's mask ANDed with the next letter's
+mask shifted right by n.  p(n) is the number of nonzero masks; R(n) takes
+each factor's first start, last start and longest gap between starts off
+its mask.  A level costs about p(n) big-integer operations on L bits,
+against L interpreted steps for a pass over the positions, so the words
+the generators give (p(n) = n + 1 for Sturmian words, about 3n for
+Thue-Morse) cost little.  From the first level holding more than
+``_MASK_LEVEL_LIMIT`` factors on, the positional pass is taken instead,
+which also bounds the masks' memory on a dense word.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -268,38 +268,39 @@ def factors(w: Word, n: int, L: int) -> FactorSet:
         factors=frozenset(p[i:i + n] for i in range(L - n + 1)))
 
 
-# Masks or positions.  Per level the masks cost about p(n) big-integer
-# operations on L bits, the positional pass about L interpreted steps.
-# Timed level by level on seeded periodic and random words, a recurrence
-# bound's masks cost 0.6 of a pass at 128 factors and a whole pass near
-# 200 (L = 10**4) or 300 (L = 10**5), and a complexity level, which only
-# builds its masks, 0.06 of a pass at 128.  A level holding more than this
-# many factors, and every deeper level, takes the pass: the limit sits
-# below both crossings, admits a random word's 128 factors of length 7, and
-# keeps a level's masks to at most 128 * (L + 1) bits on a dense word.
+# Masks or positions.  Timed level by level on seeded periodic and random
+# words, a recurrence bound's masks cost 0.6 of a pass at 128 factors and a
+# whole pass near 200 (L = 10**4) or 300 (L = 10**5), and a complexity
+# level, which only builds its masks, 0.06 of a pass at 128.  The limit
+# sits below both crossings, admits a random word's 128 factors of length
+# 7, and keeps a level's masks to at most 128 * (L + 1) bits.
 _MASK_LEVEL_LIMIT = 128
-# One pass costs about as much as building 4,000 to 6,700 masks (L = 10**4
-# and 10**5), so a recurrence bound whose levels would build more than
-# this, counting each level still to come as large as the last, takes the
-# pass instead of the whole chain of levels below n.
-_MASK_CHAIN_LIMIT = 2048
 
 
-def _start_masks(p: str, n_max: int):
-    """For n = 0, 1, ..., n_max, the start masks of the distinct length-n
-    factors of ``p`` (bit i set when the factor starts at i), in no order;
-    stops before the first level holding more than ``_MASK_LEVEL_LIMIT``."""
+def _start_masks(p: str):
+    """For n = 0, 1, 2, ..., without end, the start masks of the distinct
+    length-n factors of ``p`` (bit i set when the factor starts at i), in no
+    order; past n = len(p) the levels are empty."""
     ones = int(p[::-1], 2) if p else 0
     letters = (ones ^ ((1 << len(p)) - 1), ones)
     masks = [(1 << (len(p) + 1)) - 1]  # the empty factor starts everywhere
-    for n in range(n_max + 1):
-        if n:
-            # a factor's starts: its prefix's, where the next letter follows
-            shifted = [m >> (n - 1) for m in letters]
-            masks = [x for mask in masks for s in shifted if (x := mask & s)]
-        if len(masks) > _MASK_LEVEL_LIMIT:
-            return
+    for n in itertools.count(1):
         yield masks
+        # a factor's starts: its prefix's, where the next letter follows
+        shifted = [m >> (n - 1) for m in letters]
+        masks = [x for mask in masks for s in shifted if (x := mask & s)]
+
+
+def _by_level(p: str, n_max: int, from_masks, from_pass) -> list:
+    """``from_masks(masks, n)`` for n = 1, 2, ... off one walk of
+    :func:`_start_masks`, up to the first level holding more than
+    ``_MASK_LEVEL_LIMIT`` factors, then ``from_pass(n)`` up to ``n_max``."""
+    out = []
+    for n, masks in enumerate(itertools.islice(_start_masks(p), 1, n_max + 1), 1):
+        if len(masks) > _MASK_LEVEL_LIMIT:
+            break
+        out.append(from_masks(masks, n))
+    return out + [from_pass(n) for n in range(len(out) + 1, n_max + 1)]
 
 
 def factor_complexity(w: Word, L: int, n_max: int) -> list[int]:
@@ -307,34 +308,25 @@ def factor_complexity(w: Word, L: int, n_max: int) -> list[int]:
     if n_max > L // 2:
         raise WordError("n_max beyond L/2; counts would not have stabilized")
     p = w.prefix(L)
-    counts = [len(masks) for masks in _start_masks(p, n_max)][1:]
-    return counts + [len({p[i:i + n] for i in range(L - n + 1)})
-                     for n in range(len(counts) + 1, n_max + 1)]
+    return _by_level(p, n_max, lambda masks, n: len(masks),
+                     lambda n: len({p[i:i + n] for i in range(L - n + 1)}))
 
 
-def recurrence_bound(w: Word, n: int, L: int) -> int | None:
-    """Least m with every length-n factor in every length-m window of prefix(L).
-
-    Evidence threshold: the bound is reported only when m <= L // 2, so the
-    certificate is supported by many windows; the whole prefix trivially
-    contains its own factors, which certifies nothing.
+def recurrence_bound(w: Word, L: int, n_max: int) -> list[int | None]:
+    """R(n) for n = 1..n_max: the least m with every length-n factor in every
+    length-m window of prefix(L), reported only when m <= L // 2 (else None),
+    so the certificate is supported by many windows; the whole prefix
+    trivially contains its own factors, which certifies nothing.
     """
-    if n > L:
+    if n_max > L:
         raise WordError("factor length exceeds prefix length")
     p = w.prefix(L)
-    built = 0
-    for depth, masks in enumerate(_start_masks(p, n)):
-        built += len(masks)
-        # the levels still to come counted as large as this one
-        if built + (n - depth) * len(masks) > _MASK_CHAIN_LIMIT:
-            break
-        if depth == n:
-            return _mask_recurrence(masks, n, L)
-    return _positional_recurrence(p, n)
+    return _by_level(p, n_max, lambda masks, n: _mask_recurrence(masks, n, L),
+                     lambda n: _positional_recurrence(p, n))
 
 
 def _mask_recurrence(masks: list[int], n: int, L: int) -> int | None:
-    """``recurrence_bound`` from the start masks of the length-n factors."""
+    """R(n) from the start masks of the length-n factors."""
     # a window must reach a factor's first end, reach from its last start
     # to the end, and span each gap between consecutive starts; the first
     # two take a few operations per mask, so they may end it before any gap
@@ -368,7 +360,7 @@ def _longest_zero_run(x: int) -> int:
 
 
 def _positional_recurrence(p: str, n: int) -> int | None:
-    """``recurrence_bound`` on ``p`` in one pass over its positions."""
+    """R(n) on ``p`` in one pass over its positions."""
     L = len(p)
     latest: dict[str, int] = {}  # factor -> its latest start so far
     m = n

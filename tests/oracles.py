@@ -14,12 +14,13 @@ representatives over all 2^n masks, from one image table per generator the
 caller passes in, cut to the masks that give a new vertex maximum degree.
 The module oracle by subset enumeration is the one ``verify`` runs, imported
 from there.  Nothing imports the algorithms under test beyond the plain
-Graph, Realizer and AgeApprox containers, save six slow routes: the census's
-generation that tries every neighbourhood mask and heights over every
-subset, the bound candidates that extend every word-age member by every
-mask, the cofinality table that rescans every pair for each m, the
-one-pass table that walks every member, and the word age with one state
-per gapped-factor pattern.
+Graph, Realizer and AgeApprox containers, save seven slow routes: the
+census's generation that tries every neighbourhood mask and heights over
+every subset, the bound candidates that extend every word-age member by
+every mask, the cofinality table that rescans every pair for each m, the
+one-pass table that walks every member, the word age with one state per
+gapped-factor pattern, and the prime windows found by a scan over every
+position of a word at every level.
 They differ from the fast routes only in what they try, and reuse the
 canonical key, form, primality test, embedding search, word age and move
 rule, which are checked against brute force or the extension route on their
@@ -33,6 +34,7 @@ check's prime tables.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -331,6 +333,30 @@ def one_pass_recurrence(p: str, n: int) -> int | None:
         latest[f] = i
     m = max([m] + [L - i for i in latest.values()])
     return m if m <= L // 2 else None
+
+
+def scan_prime_age(w: Word, L: int, k_max: int) -> AgeApprox:
+    """``ages.word_prime_age`` with each level's windows found by a scan
+    over every position of the prefix, deduped by (gap shape, factor),
+    in place of the start masks of the distinct factors."""
+    source = graph_of_word(w, L)
+    bits = w.prefix(L)  # the letter at index t is bits[t - 1]
+    levels = {0: {canonical_key(Graph(0, ())): Graph(0, ())}}
+    for k in range(1, k_max + 1):
+        # (gap shape, factor) -> the first index of its interval
+        windows: dict[tuple[bool, str], int] = {}
+        for a in range(L - k + 2):  # the interval a..a+k-1
+            windows.setdefault((False, bits[a:a + k - 1]), a)
+        for b in range(2, L - k + 3):  # index 0, a gap, the interval b..b+k-2
+            windows.setdefault((True, bits[b - 1:b + k - 2]), b)
+        primes = [g for g in (
+            induced_subgraph(source, [0, *range(start, start + k - 1)] if gap
+                             else range(start, start + k))
+            for (gap, _), start in windows.items()) if is_prime(g)]
+        forms = {canonical_key(g): canonical_form(g) for g in primes}
+        levels[k] = dict(sorted(forms.items()))
+    return AgeApprox(source=source, source_desc=json.dumps({"word_prefix": L}),
+                     k_max=k_max, levels=levels, prime_only=True)
 
 
 def join_substitution_prefix(rules: dict[str, str], seed: str, n: int) -> str:

@@ -1,6 +1,7 @@
 """Age enumeration, inclusion, bound certificates, desk checks."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -175,6 +176,20 @@ def test_word_prime_age_matches_filtered_word_age(bits, data):
 ], ids=["fibonacci", "thue-morse", "slope-41/99", "1", "0", "01", "011", "00101"])
 def test_word_prime_age_matches_filtered_word_age_fixed(w, L, k):
     _assert_windows_give_the_prime_members(w, L, k)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_word_prime_age_matches_the_position_scan_on_dense_levels(seed):
+    # a random word of about 300 letters holds more than 128 factors of each
+    # length from 8 on, so levels 9..12 read their windows off that many masks
+    rng = random.Random(seed)
+    L = rng.randint(280, 320)
+    w = explicit_word("".join(rng.choice("01") for _ in range(L)))
+    assert len(factors(w, 8, L).factors) > 128
+    fast, slow = word_prime_age(w, L, 12), oracles.scan_prime_age(w, L, 12)
+    assert fast == slow
+    assert all(list(fast.levels[k].items()) == list(level.items())
+               for k, level in slow.levels.items())
 
 
 def test_word_prime_age_edges_match_word_age():

@@ -1,6 +1,9 @@
 """Module search, primality, Schmerl-Trotter pairs, heights, prime counts."""
 
 import random
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import graphs
 from wordgraphs import primes
+from wordgraphs.catalogue import family_member
 from wordgraphs.graphs import (
     Graph,
     GraphError,
@@ -96,13 +100,49 @@ def test_is_prime_memo_answers_alike_fresh_repeated_and_labelled(g, rng):
 
 
 def test_is_prime_memo_stops_at_its_cap(monkeypatch):
-    monkeypatch.setattr(primes, "PRIME_MEMO_CAP", 5)
+    # the cap counts n^2 adjacency bits per entry
+    monkeypatch.setattr(primes, "PRIME_MEMO_CAP", 100)
     monkeypatch.setattr(primes, "_PRIME_MEMO", {})
+    monkeypatch.setattr(primes, "_prime_memo_bits", 0)
     classes = [g for level in enumerate_graphs(5) for g in level]
+    held = None
     for _ in range(2):  # the second pass reads the memo, then recomputes
         for g in classes:
             assert is_prime(g) == oracles.brute_is_prime(g)
-        assert len(primes._PRIME_MEMO) == 5
+        bits = sum(len(rows) ** 2 for rows in primes._PRIME_MEMO)
+        assert bits == primes._prime_memo_bits <= 100
+        # a class left out would not fit now
+        assert all(g.n ** 2 > 100 - bits for g in classes
+                   if g.n > 2 and g.rows not in primes._PRIME_MEMO)
+        assert held in (None, dict(primes._PRIME_MEMO))
+        held = dict(primes._PRIME_MEMO)
+
+
+def _memo_bytes() -> int:
+    return sum(sys.getsizeof(rows) + sum(map(sys.getsizeof, rows))
+               for rows in primes._PRIME_MEMO)
+
+
+def test_is_prime_memo_serves_the_census_and_bounds_large_rows(
+        monkeypatch, tmp_path):
+    # every row tuple the census through order 8 tests stays in the memo
+    monkeypatch.setattr(primes, "_PRIME_MEMO", {})
+    monkeypatch.setattr(primes, "_prime_memo_bits", 0)
+    monkeypatch.setattr(primes, "_HEIGHT_MEMO", {})
+    monkeypatch.setattr(sys, "argv", ["prime_census.py", "--n-max", "8",
+                                      "--out", str(tmp_path / "census.csv")])
+    script = Path(__file__).parent.parent / "scripts" / "prime_census.py"
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(script), run_name="__main__")
+    assert done.value.code == 0
+    assert len(primes._PRIME_MEMO) == 23_776
+    # the one-vertex deletions of a 200-vertex half graph have rows of up to
+    # 199 bits, which CPython does not share: a cap on entries let them take
+    # 1.9 MiB
+    before = _memo_bytes()
+    assert is_critically_prime(family_member("half_graph", 100))
+    assert _memo_bytes() - before < 1 << 20
+    assert primes._prime_memo_bits <= primes.PRIME_MEMO_CAP
 
 
 def _witness_mask(g: Graph) -> int | None:

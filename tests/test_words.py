@@ -241,59 +241,68 @@ def test_factor_complexity():
 
 def test_recurrence_bound_examples():
     # least window length containing both length-2 factors of 0101... is 3
-    assert recurrence_bound(periodic_word("01"), 2, 100) == 3
-    assert recurrence_bound(periodic_word("1"), 1, 10) == 1
+    assert recurrence_bound(periodic_word("01"), 100, 2) == [2, 3]
+    assert recurrence_bound(periodic_word("1"), 10, 1) == [1]
     # 100111...: the factor 10 never recurs, so no honest bound exists
     w = explicit_word("100" + "1" * 97)
-    assert recurrence_bound(w, 2, 100) is None
+    assert recurrence_bound(w, 100, 2)[1] is None
     # the last 1 of 010100 starts 3 letters from the end, which no shorter
     # window reaches; in 0100 it is 3 letters from the end of 4
-    assert recurrence_bound(explicit_word("010100"), 1, 6) == 3
-    assert recurrence_bound(explicit_word("0100"), 1, 4) is None
+    assert recurrence_bound(explicit_word("010100"), 6, 1) == [3]
+    assert recurrence_bound(explicit_word("0100"), 4, 1) == [None]
     # n = L: the one factor is the whole prefix, which certifies nothing
-    assert recurrence_bound(periodic_word("1"), 1, 1) is None
-    assert recurrence_bound(periodic_word("01"), 10, 10) is None
+    assert recurrence_bound(periodic_word("1"), 1, 1) == [None]
+    assert recurrence_bound(periodic_word("01"), 10, 10)[9] is None
     # n = L - 1: "11" holds its one 1-letter factor in every 1-letter window
-    assert recurrence_bound(periodic_word("1"), 1, 2) == 1
-    assert recurrence_bound(periodic_word("1"), 9, 10) is None
-    assert recurrence_bound(periodic_word("01"), 9, 10) is None
-    # n = 0: the empty factor is in every window, the empty one included
-    for w in (periodic_word("01"), fibonacci_word()):
-        for L in (0, 1, 10):
-            assert recurrence_bound(w, 0, L) == 0
+    assert recurrence_bound(periodic_word("1"), 2, 1) == [1]
+    assert recurrence_bound(periodic_word("1"), 10, 9)[8] is None
+    assert recurrence_bound(periodic_word("01"), 10, 9)[8] is None
+    # no level asked, none given; a factor longer than the prefix is refused
+    assert recurrence_bound(fibonacci_word(), 10, 0) == []
+    with pytest.raises(WordError):
+        recurrence_bound(periodic_word("01"), 10, 11)
 
 
 @settings(max_examples=25, deadline=None)
 @given(bit_words)
 def test_recurrence_bound_matches_window_scan(bits):
     w = explicit_word(bits)
-    for n in range(len(bits) + 1):
-        assert recurrence_bound(w, n, len(bits)) == scan_recurrence(bits, n)
+    assert recurrence_bound(w, len(bits), len(bits)) == [
+        scan_recurrence(bits, n) for n in range(1, len(bits) + 1)]
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_word_diagnostics_across_the_level_switch(seed):
-    # a random word's levels outgrow the mask limit before length 12; a
-    # periodic word with a long period holds about as many factors as its
-    # period at every deeper length, so its deep bounds take the pass
+def test_word_diagnostics_across_the_level_switch(seed, monkeypatch):
+    # a random word's levels outgrow the mask limit before length 12, and
+    # Fibonacci's, with n + 1 factors, at length 128: the diagnostics read
+    # masks below that level and the positional pass from it on.  A
+    # periodic word holds at most its period's 80 to 120 factors, so its
+    # 40 levels are all masks.
+    one_pass = words._positional_recurrence
     rng = random.Random(seed)
     L = rng.randint(2000, 3000)
     bits = "".join(rng.choice("01") for _ in range(L))
     pattern = "".join(rng.choice("01") for _ in range(rng.randint(80, 120)))
-    levels = [len(masks) for masks in words._start_masks(bits, 12)]
-    assert len(levels) <= 12 and max(levels) <= words._MASK_LEVEL_LIMIT
-    for p, n_max in ((bits, 12), ((pattern * L)[:L], 40)):
+    for p, n_max, switches in ((bits, 12, True), ((pattern * L)[:L], 40, False),
+                               (fibonacci_word().prefix(L), 130 + seed, True)):
         w = explicit_word(p)
-        for n in range(n_max + 1):
-            assert recurrence_bound(w, n, L) == oracles.one_pass_recurrence(p, n)
-        assert factor_complexity(w, L, n_max) == [
-            len(factors(w, n, L).factors) for n in range(1, n_max + 1)]
+        sizes = [len(factors(w, n, L).factors) for n in range(1, n_max + 1)]
+        assert (max(sizes) > words._MASK_LEVEL_LIMIT) == switches
+        first = next((n for n, size in enumerate(sizes, 1)
+                      if size > words._MASK_LEVEL_LIMIT), n_max + 1)
+        passes = []
+        monkeypatch.setattr(words, "_positional_recurrence",
+                            lambda p, n: passes.append(n) or one_pass(p, n))
+        assert factor_complexity(w, L, n_max) == sizes
+        assert recurrence_bound(w, L, n_max) == [
+            oracles.one_pass_recurrence(p, n) for n in range(1, n_max + 1)]
+        assert passes == list(range(first, n_max + 1))
 
 
 def test_recurrence_bound_window_property():
     w = fibonacci_word()
     L = 400
-    m = recurrence_bound(w, 3, L)
+    m = recurrence_bound(w, L, 3)[2]
     assert m is not None
     p = w.prefix(L)
     fac = factors(w, 3, L).factors
@@ -304,14 +313,14 @@ def test_recurrence_bound_window_property():
 
 def test_fibonacci_recurrence_bounds_nondecreasing():
     w = fibonacci_word()
-    bounds = [recurrence_bound(w, n, 400) for n in range(1, 6)]
+    bounds = recurrence_bound(w, 400, 5)
     assert bounds == [3, 6, 10, 11, 17]
     assert all(a <= b for a, b in zip(bounds, bounds[1:]))
 
 
 def test_fibonacci_uniform_recurrence_evidence_large_scale():
     w = fibonacci_word()
-    bounds = [recurrence_bound(w, n, 100_000) for n in range(1, 21)]
+    bounds = recurrence_bound(w, 100_000, 20)
     assert all(m is not None for m in bounds)
     assert all(a <= b for a, b in zip(bounds, bounds[1:]))
 
