@@ -2,8 +2,8 @@
 desk check for prime members.
 
 An age approximation holds, per size up to ``k_max``, the exact isomorphism
-classes of induced subgraphs of one finite source graph.  There are two
-routes to it.
+classes of induced subgraphs of one finite source graph, not the graph
+itself.  There are two routes to it.
 
 Word graphs (``word_age``) take the pattern route, with no search.  In the
 prefix graph, vertex -1 sits at index 0 and the letter at label t - 1 sits
@@ -41,7 +41,8 @@ The prime members of a word-graph age take a third route
 (``word_prime_age``): every prime sits on one of a few factor windows, so
 level k's primes come from the factors of length k - 1, read off their
 start masks in the one walk over the distinct factors that the word
-diagnostics also read, and the rest of the age is never enumerated.
+diagnostics also read, each window built from its factor, and the rest
+of the age is never enumerated.  No word route builds the prefix graph.
 
 The desk check walks the members its age holds (the primes of a
 ``prime_only`` age) and reads the cofinality table m(n) off one walk per
@@ -72,19 +73,17 @@ from .graphs import (
     delete_vertex,
     embeds,
     extend_level,
-    induced_subgraph,
 )
 from .primes import is_prime
-from .wordgraph import graph_of_word, letter_masks
+from .wordgraph import _prefix_bits, graph_of_word, letter_masks
 from .words import Word, _start_masks
 
 
 @dataclass
 class AgeApprox:
-    """Exact induced-subgraph classes of ``source`` up to size ``k_max``,
-    all of them or, where ``prime_only``, the prime ones."""
+    """Exact induced-subgraph classes of the source ``source_desc`` names, up
+    to size ``k_max``: all of them or, where ``prime_only``, the prime ones."""
 
-    source: Graph
     source_desc: str
     k_max: int
     levels: dict[int, dict[CanonKey, Graph]]
@@ -113,9 +112,9 @@ def _deletion_keys(g: Graph,
     return tuple(sorted(keys))
 
 
-def _start_levels(source: Graph, k_max: int) -> dict[int, dict[CanonKey, Graph]]:
-    """Level 0, the empty graph, of an age of ``source`` up to size ``k_max``."""
-    if k_max > source.n:
+def _start_levels(order: int, k_max: int) -> dict[int, dict[CanonKey, Graph]]:
+    """Level 0, the empty graph, of an age of an ``order``-vertex source."""
+    if k_max > order:
         raise GraphError("k_max exceeds the source order")
     return {0: {canonical_key(Graph(0, ())): Graph(0, ())}}
 
@@ -124,14 +123,13 @@ def age_enumerate(source: Graph, k_max: int, source_desc: str = "graph") -> AgeA
     """Level-by-level :func:`~wordgraphs.graphs.extend_level`, filtered by the
     deletion check (deletion keys are far cheaper than the search) and an
     embedding search into ``source``."""
-    levels = _start_levels(source, k_max)
+    levels = _start_levels(source.n, k_max)
     for k in range(k_max):
         below = levels[k]
         levels[k + 1] = {key: g for key, g in extend_level(below.values()).items()
                          if _deletion_keys(g, below) is not None
                          and embeds(g, source)}
-    return AgeApprox(source=source, source_desc=source_desc, k_max=k_max,
-                     levels=levels)
+    return AgeApprox(source_desc=source_desc, k_max=k_max, levels=levels)
 
 
 @dataclass(frozen=True)
@@ -216,20 +214,19 @@ def word_age(w: Word, L: int, k_max: int) -> AgeApprox:
     :func:`_extend_patterns`).  A level is the canonical forms of its
     states' classes, sorted by key.
     """
-    source = graph_of_word(w, L)
-    levels = _start_levels(source, k_max)
     pos = letter_masks(w, L)
+    levels = _start_levels(L + 1, k_max)
     vertex = _trusted(1, (0,))
     vertex_key = canonical_key(vertex)
     forms = {vertex_key: vertex}
     # one vertex ends anywhere in 0..L
-    states = {(vertex_key, 0): (1 << source.n) - 1}
+    states = {(vertex_key, 0): pos[0] | pos[1] | 1}
     for k in range(1, k_max + 1):
         if k > 1:
             states, forms = _extend_patterns(states, pos, forms)
         levels[k] = dict(sorted(forms.items()))
-    return AgeApprox(source=source, source_desc=json.dumps({"word_prefix": L}),
-                     k_max=k_max, levels=levels)
+    return AgeApprox(source_desc=json.dumps({"word_prefix": L}), k_max=k_max,
+                     levels=levels)
 
 
 def word_prime_age(w: Word, L: int, k_max: int) -> AgeApprox:
@@ -249,34 +246,34 @@ def word_prime_age(w: Word, L: int, k_max: int) -> AgeApprox:
 
     A pair is decided by the letter at its larger index and by whether the
     two indices are consecutive, so a window's graph is fixed by its shape
-    and the factor of length k - 1 at its indices past the first: an
-    interval of indices a..a+k-1 by the letters at a+1..a+k-1, and a vertex
-    with a gap before an interval b..b+k-2 by the letters at b..b+k-2, for
-    any lone vertex at least two below b (index 0 is one whenever b >= 2).
-    At k = 1 both shapes are one vertex.  So a level's windows come off the
+    and the factor f of length k - 1 at its indices past the first.  The
+    interval a..a+k-1 is the word graph of f, the letters at a+1..a+k-1.
+    A lone vertex at least two below b (index 0 whenever b >= 2) with the
+    interval b..b+k-2 is the word graph of f, the letters at b..b+k-2,
+    with the pair {0, 1} read as not consecutive: both its bits flip.  At
+    k = 1 both shapes are one vertex.  So a level's windows come off the
     start masks of the length-(k - 1) factors (bit s set where the factor
-    starts at index s + 1): the interval a..a+k-1 from the lowest start a,
-    and a gap window, b = s + 1, from the lowest start s >= 1 if there is
-    one.  That is at most 2 p(k - 1) windows, p the factor complexity, off
-    masks of at most p(k - 1) (L + 1) bits, no more than the source's rows.
+    starts at index s + 1): the interval window from the lowest start, and
+    a gap window from the lowest start s >= 1 if there is one.  That is at
+    most 2 p(k - 1) windows, p the factor complexity.
     """
-    source = graph_of_word(w, L)
-    levels = _start_levels(source, k_max)
-    for k, masks in zip(range(1, k_max + 1), _start_masks(w.prefix(L))):
+    p = _prefix_bits(w, L)
+    levels = _start_levels(L + 1, k_max)
+    for k, masks in zip(range(1, k_max + 1), _start_masks(p)):
         forms: dict[CanonKey, Graph] = {}
         for mask in masks:
             a = (mask & -mask).bit_length() - 1
-            windows = [range(a, a + k)]
-            if late := mask & ~1:  # the starts s >= 1
-                b = (late & -late).bit_length()
-                windows.append([0, *range(b, b + k - 1)])
-            for vertices in windows:
-                g = induced_subgraph(source, vertices)
+            windows = [graph_of_word(p[a:a + k - 1])]
+            if k > 1 and (late := mask & ~1):  # the starts s >= 1
+                s = (late & -late).bit_length() - 1
+                rows = graph_of_word(p[s:s + k - 1]).rows
+                windows.append(_trusted(k, (rows[0] ^ 2, rows[1] ^ 1, *rows[2:])))
+            for g in windows:
                 if is_prime(g):
                     _classify(g, forms)
         levels[k] = dict(sorted(forms.items()))
-    return AgeApprox(source=source, source_desc=json.dumps({"word_prefix": L}),
-                     k_max=k_max, levels=levels, prime_only=True)
+    return AgeApprox(source_desc=json.dumps({"word_prefix": L}), k_max=k_max,
+                     levels=levels, prime_only=True)
 
 
 def subsets_in_word_age(h: Graph, w: Word, L: int) -> set[int]:

@@ -17,6 +17,7 @@ from .graphs import (
     Graph,
     GraphError,
     _reorder,
+    _trusted,
     complement,
     complete_bipartite,
     embedding,
@@ -69,7 +70,7 @@ def half_graph(n: int) -> Graph:
 def chain_word_prime(n: int) -> Graph:
     """Graph of the length-n Fibonacci prefix, without its word labels."""
     g = graph_of_word(fibonacci_word(), n)
-    return Graph(g.n, g.rows)
+    return _trusted(g.n, g.rows)
 
 
 _GENERATORS = {

@@ -217,11 +217,12 @@ def check_sturmian_pair(L: int = 100, k_equal: int = 5,
     a1, a2 = word_age(s1, L, k_diff), word_age(s2, L, k_diff)
     equal = all(a1.keys(k) == a2.keys(k) for k in range(k_equal + 1))
     r12, r21 = age_includes(a1, a2), age_includes(a2, a1)
+    g1, g2 = graph_of_word(s1, L), graph_of_word(s2, L)
     witnesses_ok = (
         not r12.included_at_scale and not r21.included_at_scale
         and r12.witness is not None and r21.witness is not None
-        and embeds(r12.witness, a1.source) and not embeds(r12.witness, a2.source)
-        and embeds(r21.witness, a2.source) and not embeds(r21.witness, a1.source))
+        and embeds(r12.witness, g1) and not embeds(r12.witness, g2)
+        and embeds(r21.witness, g2) and not embeds(r21.witness, g1))
     ok = factor_diff and equal and witnesses_ok
     return CheckResult(
         "sturmian-pair-ages", ok,

@@ -355,8 +355,8 @@ def scan_prime_age(w: Word, L: int, k_max: int) -> AgeApprox:
             for (gap, _), start in windows.items()) if is_prime(g)]
         forms = {canonical_key(g): canonical_form(g) for g in primes}
         levels[k] = dict(sorted(forms.items()))
-    return AgeApprox(source=source, source_desc=json.dumps({"word_prefix": L}),
-                     k_max=k_max, levels=levels, prime_only=True)
+    return AgeApprox(source_desc=json.dumps({"word_prefix": L}), k_max=k_max,
+                     levels=levels, prime_only=True)
 
 
 def join_substitution_prefix(rules: dict[str, str], seed: str, n: int) -> str:

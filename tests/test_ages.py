@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -42,9 +43,9 @@ from wordgraphs.graphs import (
 )
 from wordgraphs.primes import is_prime
 from wordgraphs.wordgraph import graph_of_word
-from wordgraphs.words import (ContinuedFraction, explicit_word, factors,
-                              fibonacci_word, mechanical_word, periodic_word,
-                              substitution_word)
+from wordgraphs.words import (ContinuedFraction, WordError, explicit_word,
+                              factors, fibonacci_word, mechanical_word,
+                              periodic_word, substitution_word)
 
 
 def test_age_of_p5_to_size_three():
@@ -149,8 +150,7 @@ def _assert_windows_give_the_prime_members(w, L, k):
     keys, forms and order alike."""
     fast = word_prime_age(w, L, k)
     slow = word_age(w, L, k)
-    assert (fast.source, fast.source_desc, fast.k_max) == \
-        (slow.source, slow.source_desc, slow.k_max)
+    assert (fast.source_desc, fast.k_max) == (slow.source_desc, slow.k_max)
     assert list(fast.levels) == list(slow.levels)
     for size, level in slow.levels.items():
         assert list(fast.levels[size].items()) == \
@@ -197,11 +197,40 @@ def test_word_prime_age_edges_match_word_age():
     _assert_windows_give_the_prime_members(explicit_word("0110"), 4, 5)
     _assert_windows_give_the_prime_members(explicit_word(""), 0, 1)
     _assert_windows_give_the_prime_members(explicit_word(""), 0, 0)
-    for route in (word_age, word_prime_age):
-        with pytest.raises(GraphError, match="k_max exceeds the source order"):
-            route(explicit_word("0110"), 4, 6)
-        with pytest.raises(GraphError, match="k_max exceeds the source order"):
-            route(explicit_word(""), 0, 2)
+
+
+@pytest.mark.parametrize("route", [word_age, word_prime_age, bounds_enumerate])
+@pytest.mark.parametrize("w, L, k_max, error, message", [
+    (fibonacci_word(), -1, 0, GraphError, "prefix length must be a nonnegative integer"),
+    (fibonacci_word(), -1, 2, GraphError, "prefix length must be a nonnegative integer"),
+    (explicit_word("0110"), 5, 3, WordError, "explicit word has only 4 letters"),
+    (explicit_word("0110"), 4, 6, GraphError, "k_max exceeds the source order"),
+    (explicit_word(""), 0, 2, GraphError, "k_max exceeds the source order"),
+], ids=["negative-L", "negative-L-k2", "word-shorter-than-L", "k_max-past-order",
+        "k_max-past-one-vertex"])
+def test_word_routes_keep_their_errors(route, w, L, k_max, error, message):
+    """A bad prefix length raises the word graph builder's own error, before
+    the order check; bounds_enumerate checks L >= k_max first."""
+    if route is bounds_enumerate and L < k_max:
+        error, message = GraphError, "prefix length must be at least k_max"
+    with pytest.raises(ValueError) as raised:
+        route(w, L, k_max)
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("route, k_max", [
+    (word_prime_age, 12), (word_age, 5), (bounds_enumerate, 4)])
+def test_word_routes_never_build_the_prefix_graph(route, k_max):
+    # the 20,001-vertex prefix graph alone holds about 50 MiB of rows
+    w = fibonacci_word()
+    tracemalloc.start()
+    try:
+        route(w, 20_000, k_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 @pytest.mark.parametrize("L, k_max, n_max", [(60, 7, 4), (60, 8, 4), (60, 10, 5)])
@@ -251,9 +280,10 @@ def test_sturmian_pair_ages_equal_at_five_distinct_at_six():
     b1, b2 = word_age(s1, 60, 6), word_age(s2, 60, 6)
     r12, r21 = age_includes(b1, b2), age_includes(b2, b1)
     assert not r12.included_at_scale and not r21.included_at_scale
-    # witnesses re-validate against both sources
-    assert embeds(r12.witness, b1.source) and not embeds(r12.witness, b2.source)
-    assert embeds(r21.witness, b2.source) and not embeds(r21.witness, b1.source)
+    # witnesses re-validate against both word graphs
+    g1, g2 = graph_of_word(s1, 60), graph_of_word(s2, 60)
+    assert embeds(r12.witness, g1) and not embeds(r12.witness, g2)
+    assert embeds(r21.witness, g2) and not embeds(r21.witness, g1)
 
 
 def test_bounds_of_all_ones_word():
