@@ -37,12 +37,11 @@ of maximum degree, so the bounds of size k are the step's classes from
 level k - 1 that are not members and pass the same deletion check
 (:func:`_deletion_keys`).
 
-The prime members of a word-graph age take a third route
-(``word_prime_age``): every prime sits on one of a few factor windows, so
-level k's primes come from the factors of length k - 1, read off their
-start masks in the one walk over the distinct factors that the word
-diagnostics also read, each window built from its factor, and the rest
-of the age is never enumerated.  No word route builds the prefix graph.
+The prime members of a word-graph age (``word_prime_age``) take the same
+walk with fewer moves: every prime sits on a window, a pattern that makes
+no gap move after its second vertex, so past level 2 the walk takes only
+adjacent moves, and each level keeps its prime classes.  No word route
+builds the prefix graph.
 
 The desk check walks the members its age holds (the primes of a
 ``prime_only`` age) and reads the cofinality table m(n) off one walk per
@@ -75,8 +74,8 @@ from .graphs import (
     extend_level,
 )
 from .primes import is_prime
-from .wordgraph import _prefix_bits, graph_of_word, letter_masks
-from .words import Word, _start_masks
+from .wordgraph import letter_masks
+from .words import Word
 
 
 @dataclass
@@ -153,21 +152,23 @@ def age_includes(a: AgeApprox, b: AgeApprox) -> InclusionResult:
 # -- word-graph ages by gapped-factor patterns ----------------------------------
 
 
-def _moves(ends: int, pos: tuple[int, int]) -> list[tuple[int, int, int]]:
+def _moves(ends: int, pos: tuple[int, int], gaps: bool) -> list[tuple[int, int, int]]:
     """The moves that append one vertex to a pattern ending at ``ends``.
 
     This is the move rule of the prefix graph, and its only owner.  The new
     vertex takes an index with letter c (``pos[c]``, from
     :func:`~wordgraphs.wordgraph.letter_masks`) one past an end (an adjacent
-    move) or at least two past the lowest end (a gap move).  A letter 0 sees
-    every earlier vertex and a letter 1 none, except that an adjacent move
-    flips the last one.  Each move is ``(base, flip, reach)``.  The new
-    vertex's row into the earlier vertices ``seen``, of which vertex
-    ``last`` is the last, is ``(base & seen) ^ (flip << last)``: all but the
-    last, all, only the last, or none.  ``reach`` is the mask of indices
-    where the longer pattern can end.  Moves that cannot occur are left out.
+    move) or, where ``gaps``, at least two past the lowest end (a gap
+    move).  A letter 0 sees every earlier vertex and a letter 1 none,
+    except that an adjacent move flips the last one.  Each move is
+    ``(base, flip, reach)``.  The new vertex's row into the earlier vertices
+    ``seen``, of which vertex ``last`` is the last, is
+    ``(base & seen) ^ (flip << last)``: all but the last, all, only the
+    last, or none.  ``reach`` is the mask of indices where the longer
+    pattern can end.  Moves that cannot occur are left out.
     """
-    above_gap = ~(((ends & -ends) << 2) - 1)  # indices >= lowest end + 2
+    # indices >= lowest end + 2, or none
+    above_gap = ~(((ends & -ends) << 2) - 1) if gaps else 0
     moves = []
     for base, letter_pos in ((-1, pos[0]), (0, pos[1])):
         for flip, reach in ((1, (ends << 1) & letter_pos),
@@ -178,10 +179,11 @@ def _moves(ends: int, pos: tuple[int, int]) -> list[tuple[int, int, int]]:
 
 
 def _extend_patterns(states: dict[tuple[CanonKey, int], int], pos: tuple[int, int],
-                     forms: dict[CanonKey, Graph]
+                     forms: dict[CanonKey, Graph], gaps: bool
                      ) -> tuple[dict[tuple[CanonKey, int], int], dict[CanonKey, Graph]]:
-    """Append one letter to every state, by each of its :func:`_moves`; the
-    child states and the canonical forms of their classes.
+    """Append one letter to every state, by each of its :func:`_moves`
+    (gap moves only where ``gaps``); the child states and the canonical
+    forms of their classes.
 
     A state maps ``(class key, at)`` to the OR of its patterns' end masks,
     where ``at`` is the index of the patterns' last vertex in the class's
@@ -196,13 +198,34 @@ def _extend_patterns(states: dict[tuple[CanonKey, int], int], pos: tuple[int, in
     for (key, at), ends in states.items():
         parent = forms[key]
         full = (1 << parent.n) - 1
-        for base, flip, reach in _moves(ends, pos):
+        for base, flip, reach in _moves(ends, pos, gaps):
             child_key, order = _classify(
                 add_vertex(parent, (base & full) ^ (flip << at)), child_forms)
             # the new vertex, parent.n, is the child's last vertex
             child = (child_key, order.index(parent.n))
             nxt[child] = nxt.get(child, 0) | reach
     return nxt, child_forms
+
+
+def _pattern_levels(w: Word, L: int, k_max: int, windows: bool) -> AgeApprox:
+    """The pattern walk of :func:`word_age`, or, where ``windows``, of
+    :func:`word_prime_age`: gap moves only from level 1 to level 2, and each
+    level keeps its prime classes."""
+    pos = letter_masks(w, L)
+    levels = _start_levels(L + 1, k_max)
+    vertex = _trusted(1, (0,))
+    vertex_key = canonical_key(vertex)
+    forms = {vertex_key: vertex}
+    # one vertex ends anywhere in 0..L
+    states = {(vertex_key, 0): pos[0] | pos[1] | 1}
+    for k in range(1, k_max + 1):
+        if k > 1:
+            states, forms = _extend_patterns(states, pos, forms,
+                                             gaps=k == 2 or not windows)
+        levels[k] = dict(sorted((key, g) for key, g in forms.items()
+                                if not windows or is_prime(g)))
+    return AgeApprox(source_desc=json.dumps({"word_prefix": L}), k_max=k_max,
+                     levels=levels, prime_only=windows)
 
 
 def word_age(w: Word, L: int, k_max: int) -> AgeApprox:
@@ -214,25 +237,13 @@ def word_age(w: Word, L: int, k_max: int) -> AgeApprox:
     :func:`_extend_patterns`).  A level is the canonical forms of its
     states' classes, sorted by key.
     """
-    pos = letter_masks(w, L)
-    levels = _start_levels(L + 1, k_max)
-    vertex = _trusted(1, (0,))
-    vertex_key = canonical_key(vertex)
-    forms = {vertex_key: vertex}
-    # one vertex ends anywhere in 0..L
-    states = {(vertex_key, 0): pos[0] | pos[1] | 1}
-    for k in range(1, k_max + 1):
-        if k > 1:
-            states, forms = _extend_patterns(states, pos, forms)
-        levels[k] = dict(sorted(forms.items()))
-    return AgeApprox(source_desc=json.dumps({"word_prefix": L}), k_max=k_max,
-                     levels=levels)
+    return _pattern_levels(w, L, k_max, windows=False)
 
 
 def word_prime_age(w: Word, L: int, k_max: int) -> AgeApprox:
-    """The prime members of :func:`word_age`, read off factor windows: each
-    level holds the same keys and canonical forms as word_age's level
-    filtered by :func:`~wordgraphs.primes.is_prime`, and nothing else.
+    """The prime members of :func:`word_age`, read off windows: each level
+    holds the same keys and canonical forms as word_age's level filtered by
+    :func:`~wordgraphs.primes.is_prime`, and nothing else.
 
     Window lemma: a prime induced subgraph of order k >= 3 of the prefix
     graph sits on an interval of k consecutive indices, or on one index, a
@@ -244,36 +255,13 @@ def word_prime_age(w: Word, L: int, k_max: int) -> AgeApprox:
     order <= 2 are prime by convention, and every one of them is a window:
     a pair of indices is consecutive or has a gap.
 
-    A pair is decided by the letter at its larger index and by whether the
-    two indices are consecutive, so a window's graph is fixed by its shape
-    and the factor f of length k - 1 at its indices past the first.  The
-    interval a..a+k-1 is the word graph of f, the letters at a+1..a+k-1.
-    A lone vertex at least two below b (index 0 whenever b >= 2) with the
-    interval b..b+k-2 is the word graph of f, the letters at b..b+k-2,
-    with the pair {0, 1} read as not consecutive: both its bits flip.  At
-    k = 1 both shapes are one vertex.  So a level's windows come off the
-    start masks of the length-(k - 1) factors (bit s set where the factor
-    starts at index s + 1): the interval window from the lowest start, and
-    a gap window from the lowest start s >= 1 if there is one.  That is at
-    most 2 p(k - 1) windows, p the factor complexity.
+    So the windows are the patterns that make no gap move after their
+    second vertex, and word_age's walk restricted to those moves reaches
+    each of them.  The two shapes share states, since what follows a state
+    depends only on its class, ``at`` and end mask.  A level holds at most
+    2 p(k - 1) states, p the factor complexity.
     """
-    p = _prefix_bits(w, L)
-    levels = _start_levels(L + 1, k_max)
-    for k, masks in zip(range(1, k_max + 1), _start_masks(p)):
-        forms: dict[CanonKey, Graph] = {}
-        for mask in masks:
-            a = (mask & -mask).bit_length() - 1
-            windows = [graph_of_word(p[a:a + k - 1])]
-            if k > 1 and (late := mask & ~1):  # the starts s >= 1
-                s = (late & -late).bit_length() - 1
-                rows = graph_of_word(p[s:s + k - 1]).rows
-                windows.append(_trusted(k, (rows[0] ^ 2, rows[1] ^ 1, *rows[2:])))
-            for g in windows:
-                if is_prime(g):
-                    _classify(g, forms)
-        levels[k] = dict(sorted(forms.items()))
-    return AgeApprox(source_desc=json.dumps({"word_prefix": L}), k_max=k_max,
-                     levels=levels, prime_only=True)
+    return _pattern_levels(w, L, k_max, windows=True)
 
 
 def subsets_in_word_age(h: Graph, w: Word, L: int) -> set[int]:
@@ -305,7 +293,7 @@ def subsets_in_word_age(h: Graph, w: Word, L: int) -> set[int]:
         for (used, last), ends in states.items():
             ends_moves = moves.get(ends)
             if ends_moves is None:
-                ends_moves = moves[ends] = _moves(ends, pos)
+                ends_moves = moves[ends] = _moves(ends, pos, gaps=True)
             rest, row = used ^ (1 << last), rows[last]
             on_all, on_none = sees_all[rest], sees_none[rest]
             if used not in sees_all:

@@ -13,8 +13,9 @@ abbreviated: a prefix of a flag is an unrecognized argument.  Counts
 whether given as flags or in a config file.
 
 Exit codes: 0 success, 1 internal invariant violation (a bug tripwire
-fired), 2 user or configuration error, or a resource limit such as the
-recursion limit; reading the input and running map errors the same way.
+fired), 2 user or configuration error, or a resource limit (the
+recursion limit, memory, or an integer too large for an index); reading
+the input and running map errors the same way.
 A JSON config file can pre-set any flag of the chosen subcommand but
 ``--config`` and ``--help`` (explicit flags win; a key naming no such flag,
 a value of another JSON type than the flag takes, or a value outside the
@@ -497,8 +498,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(argv)
         return args.run(args)
-    except RecursionError as exc:  # a RuntimeError, but not a broken invariant
-        print(f"error: resource limit: {exc}", file=sys.stderr)
+    # RecursionError is a RuntimeError, but none of the three is a broken
+    # invariant; a MemoryError may carry no message, so its type names it
+    except (RecursionError, MemoryError, OverflowError) as exc:
+        print(f"error: resource limit: {str(exc) or type(exc).__name__}",
+              file=sys.stderr)
         return 2
     except (AssertionError, RuntimeError) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)

@@ -31,7 +31,6 @@ which also bounds the masks' memory on a dense word.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -277,26 +276,20 @@ def factors(w: Word, n: int, L: int) -> FactorSet:
 _MASK_LEVEL_LIMIT = 128
 
 
-def _start_masks(p: str):
-    """For n = 0, 1, 2, ..., without end, the start masks of the distinct
-    length-n factors of ``p`` (bit i set when the factor starts at i), in no
-    order; past n = len(p) the levels are empty."""
+def _by_level(p: str, n_max: int, from_masks, from_pass) -> list:
+    """``from_masks(masks, n)`` for n = 1, 2, ..., where ``masks`` are the
+    start masks of the distinct length-n factors of ``p`` (bit i set when
+    the factor starts at i) in no order, up to the first level holding more
+    than ``_MASK_LEVEL_LIMIT`` factors, then ``from_pass(n)`` up to
+    ``n_max``."""
     ones = int(p[::-1], 2) if p else 0
     letters = (ones ^ ((1 << len(p)) - 1), ones)
     masks = [(1 << (len(p) + 1)) - 1]  # the empty factor starts everywhere
-    for n in itertools.count(1):
-        yield masks
+    out = []
+    for n in range(1, n_max + 1):
         # a factor's starts: its prefix's, where the next letter follows
         shifted = [m >> (n - 1) for m in letters]
         masks = [x for mask in masks for s in shifted if (x := mask & s)]
-
-
-def _by_level(p: str, n_max: int, from_masks, from_pass) -> list:
-    """``from_masks(masks, n)`` for n = 1, 2, ... off one walk of
-    :func:`_start_masks`, up to the first level holding more than
-    ``_MASK_LEVEL_LIMIT`` factors, then ``from_pass(n)`` up to ``n_max``."""
-    out = []
-    for n, masks in enumerate(itertools.islice(_start_masks(p), 1, n_max + 1), 1):
         if len(masks) > _MASK_LEVEL_LIMIT:
             break
         out.append(from_masks(masks, n))

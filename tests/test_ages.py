@@ -1,5 +1,6 @@
 """Age enumeration, inclusion, bound certificates, desk checks."""
 
+import itertools
 import json
 import random
 import tracemalloc
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import bit_words, graphs
+from wordgraphs import ages
 from wordgraphs.ages import (
     BoundCertificate,
     age_csv,
@@ -29,6 +31,7 @@ from wordgraphs.ages import (
 from wordgraphs.cli import main
 from wordgraphs.graphs import (
     GraphError,
+    add_vertex,
     canonical_key,
     clique,
     complete_bipartite,
@@ -44,8 +47,8 @@ from wordgraphs.graphs import (
 from wordgraphs.primes import is_prime
 from wordgraphs.wordgraph import graph_of_word
 from wordgraphs.words import (ContinuedFraction, WordError, explicit_word,
-                              factors, fibonacci_word, mechanical_word,
-                              periodic_word, substitution_word)
+                              factor_complexity, factors, fibonacci_word,
+                              mechanical_word, periodic_word, substitution_word)
 
 
 def test_age_of_p5_to_size_three():
@@ -145,9 +148,15 @@ def test_word_age_rejects_k_max_beyond_source():
         word_age(explicit_word("0110"), 4, 6)
 
 
+def _assert_same_levels(fast, slow):
+    assert fast == slow
+    assert all(list(fast.levels[k].items()) == list(level.items())
+               for k, level in slow.levels.items())
+
+
 def _assert_windows_give_the_prime_members(w, L, k):
-    """The window route's levels are the pattern route's prime members,
-    keys, forms and order alike."""
+    """The window walk's levels are the full walk's prime members,
+    keys, forms and order alike, and the position scan's windows."""
     fast = word_prime_age(w, L, k)
     slow = word_age(w, L, k)
     assert (fast.source_desc, fast.k_max) == (slow.source_desc, slow.k_max)
@@ -155,6 +164,7 @@ def _assert_windows_give_the_prime_members(w, L, k):
     for size, level in slow.levels.items():
         assert list(fast.levels[size].items()) == \
             [(key, g) for key, g in level.items() if is_prime(g)]
+    _assert_same_levels(fast, oracles.scan_prime_age(w, L, k))
 
 
 @settings(max_examples=40, deadline=None)
@@ -186,10 +196,32 @@ def test_word_prime_age_matches_the_position_scan_on_dense_levels(seed):
     L = rng.randint(280, 320)
     w = explicit_word("".join(rng.choice("01") for _ in range(L)))
     assert len(factors(w, 8, L).factors) > 128
-    fast, slow = word_prime_age(w, L, 12), oracles.scan_prime_age(w, L, 12)
-    assert fast == slow
-    assert all(list(fast.levels[k].items()) == list(level.items())
-               for k, level in slow.levels.items())
+    _assert_same_levels(word_prime_age(w, L, 12), oracles.scan_prime_age(w, L, 12))
+
+
+def test_word_prime_age_matches_the_position_scan_on_every_short_word():
+    for n in range(9):
+        for bits in itertools.product("01", repeat=n):
+            w = explicit_word("".join(bits))
+            for k in range(n + 2):
+                _assert_same_levels(word_prime_age(w, n, k),
+                                    oracles.scan_prime_age(w, n, k))
+
+
+def test_word_prime_age_extends_only_windows(monkeypatch):
+    # level j + 1 holds at most 2 p(j) states with at most two adjacent
+    # moves each; gap moves past level 2 would extend every pattern
+    w, L, k = fibonacci_word(), 300, 12
+    calls = []
+
+    def counted(g, nbrs):
+        calls.append(nbrs)
+        return add_vertex(g, nbrs)
+
+    monkeypatch.setattr(ages, "add_vertex", counted)
+    word_prime_age(w, L, k)
+    p = [1] + factor_complexity(w, L, k - 2)
+    assert len(calls) <= 4 * sum(p) == 264
 
 
 def test_word_prime_age_edges_match_word_age():

@@ -232,14 +232,28 @@ def test_empty_path_flag_exits_2(capsys, tmp_path, monkeypatch, argv, flag):
 
 
 def test_recursion_error_is_a_resource_limit(capsys, monkeypatch):
-    def deep(args):
-        raise RecursionError("maximum recursion depth exceeded")
+    # memory and integer size are resource limits too; a MemoryError may
+    # carry no message, and the report still names the limit
+    for exc, message in [
+            (RecursionError("maximum recursion depth exceeded"),
+             "maximum recursion depth exceeded"),
+            (MemoryError(), "MemoryError"),
+            (OverflowError("cannot fit 'int' into an index-sized integer"),
+             "cannot fit 'int' into an index-sized integer")]:
+        def limited(args, exc=exc):
+            raise exc
 
-    monkeypatch.setattr(cli, "_word_from_args", deep)
-    assert main(["word", "--fib", "--length", "8"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: resource limit: maximum recursion depth")
-    assert "invariant" not in err
+        monkeypatch.setattr(cli, "_word_from_args", limited)
+        assert main(["word", "--fib", "--length", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: resource limit: {message}\n"
+    monkeypatch.undo()
+    # a real one: the repeat count overflows before anything is allocated
+    assert main(["word", "--periodic", "01", "--length", "1" + "0" * 20]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: resource limit: ")
 
 
 @pytest.mark.parametrize("argv", [["word", "--fib", "--config"], ["word", "--word-json"]])
