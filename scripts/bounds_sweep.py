@@ -2,7 +2,8 @@
 """Sweep bound-certificate counts over member size for several words.
 
 Writes one CSV per word (size, bound_count) plus a combined summary, and
-re-validates every certificate at twice the prefix before counting it.
+re-validates every certificate at the prefix and at twice it, in one walk
+per certificate; the summary's ``stable_at_2x`` says whether all held.
 Periodic nonconstant words are worth a look here: their counts flattening
 out with k is the exploratory side of the finiteness question for such
 ages, so the summary marks those rows as exploratory.
@@ -42,7 +43,7 @@ def main() -> int:
         for k in range(3, args.k_max + 1):
             L = args.scale * k
             certs = bounds_enumerate(word, L, k)
-            stable = all(validate_bound_certificate(c, word, 2 * L) for c in certs)
+            stable = all(validate_bound_certificate(c, word, L, 2 * L) for c in certs)
             rows.append((k, len(certs)))
             summary.append((name, k, len(certs), stable, exploratory))
             print(f"{name:18s} k={k} L={L}: {len(certs)} bounds "

@@ -51,7 +51,13 @@ host, which the walk reaches last.
 
 Everything about an infinite age is reported at a finite scale and says so:
 a bound certificate records the prefix length at which the non-membership
-search failed and can be re-validated from scratch at any larger scale.
+search failed.  Prefix graphs are nested, so a certificate is a bound on an
+interval of prefix lengths, from where its last one-vertex deletion appears
+to just before the graph itself appears, and that interval may end at any
+length past the recorded one: a bound of a finite prefix need not be a
+bound of the word.  One walk by vertex orders (:func:`bound_scales`) reads
+the interval up to any scale, so one walk re-validates a certificate at
+every scale given.
 """
 
 from __future__ import annotations
@@ -264,9 +270,10 @@ def word_prime_age(w: Word, L: int, k_max: int) -> AgeApprox:
     return _pattern_levels(w, L, k_max, windows=True)
 
 
-def subsets_in_word_age(h: Graph, w: Word, L: int) -> set[int]:
+def subsets_in_word_age(h: Graph, w: Word, L: int) -> dict[int, int]:
     """The vertex masks S of ``h`` such that h[S] embeds in the word graph
-    of the length-L prefix of ``w``.
+    of the length-L prefix of ``w``, each with the least prefix length
+    t <= L at which it does.
 
     Decided from the prefix's letters, with no host graph and no canonical
     labelling.  An embedding of h[S], read in index order, is an order of S
@@ -279,18 +286,27 @@ def subsets_in_word_age(h: Graph, w: Word, L: int) -> set[int]:
     row sees all of the placed vertices before ``last`` or none of them,
     and ``last`` or not, so the vertices that fit it come from two masks
     kept per placed set: the vertices that see all of it, and none of it.
+
+    One walk answers every scale up to L.  The prefix-t graph is the
+    prefix-L graph induced on indices 0..t, so an embedding lies in it iff
+    its last index is at most t, and end masks are exact sets of last
+    indices: h[S] embeds at scale t <= L iff the lowest end over S's states
+    is at most t.  So ``{S : least[S] <= t}`` is this function at scale t.
     """
     pos = letter_masks(w, L)
     rows, full = h.rows, (1 << h.n) - 1
     # one vertex ends at any index 0..L
     states = {(1 << v, v): pos[0] | pos[1] | 1 for v in range(h.n)}
-    found = {0}
+    least = {0: 0}
     moves: dict[int, list[tuple[int, int, int]]] = {}  # ends -> _moves
     sees_all, sees_none = {0: full}, {0: full}  # placed set -> vertex mask
     while states:
-        found.update(used for used, _ in states)
         nxt: dict[tuple[int, int], int] = {}
         for (used, last), ends in states.items():
+            # the lowest end index: the least scale of this state's orders
+            at = (ends & -ends).bit_length() - 1
+            if least.get(used, L + 1) > at:
+                least[used] = at
             ends_moves = moves.get(ends)
             if ends_moves is None:
                 ends_moves = moves[ends] = _moves(ends, pos, gaps=True)
@@ -310,7 +326,7 @@ def subsets_in_word_age(h: Graph, w: Word, L: int) -> set[int]:
                     child = (used | bit, bit.bit_length() - 1)
                     nxt[child] = nxt.get(child, 0) | reach
         states = nxt
-    return found
+    return least
 
 
 # -- bounds ---------------------------------------------------------------------
@@ -354,16 +370,29 @@ def bounds_enumerate(w: Word, L: int, k_max: int) -> list[BoundCertificate]:
     return certificates
 
 
-def validate_bound_certificate(cert: BoundCertificate, w: Word, L: int) -> bool:
-    """Re-check from scratch at scale L: deletions embed, the graph does not.
+def bound_scales(cert: BoundCertificate, w: Word, L: int) -> range:
+    """The prefix lengths t <= L at which ``cert`` is a bound: every
+    deletion embeds and the graph does not.
 
+    Prefix graphs are nested, so this is an interval: it starts where the
+    last deletion appears and ends just before the graph does.  The graph's
+    own least length, where it is at most L, is the interval's ``stop``.
     One pass of :func:`subsets_in_word_age`, which goes by vertex orders,
     not by the patterns and canonical forms that made the certificate.
     """
-    found = subsets_in_word_age(cert.graph, w, L)
+    least = subsets_in_word_age(cert.graph, w, L)
     full = (1 << cert.graph.n) - 1
-    return full not in found and all(full ^ (1 << v) in found
-                                     for v in range(cert.graph.n))
+    start = max((least.get(full ^ (1 << v), L + 1) for v in range(cert.graph.n)),
+                default=0)
+    return range(start, least.get(full, L + 1))
+
+
+def validate_bound_certificate(cert: BoundCertificate, w: Word, *scales: int) -> bool:
+    """Re-check from scratch at every one of ``scales``: deletions embed, the
+    graph does not.  One walk, at the largest scale, answers all of them
+    (:func:`bound_scales`)."""
+    interval = bound_scales(cert, w, max(scales))
+    return all(s in interval for s in scales)
 
 
 # -- Joensson desk check ------------------------------------------------------------

@@ -13,9 +13,12 @@ abbreviated: a prefix of a flag is an unrecognized argument.  Counts
 whether given as flags or in a config file.
 
 Exit codes: 0 success, 1 internal invariant violation (a bug tripwire
-fired), 2 user or configuration error, or a resource limit (the
-recursion limit, memory, or an integer too large for an index); reading
-the input and running map errors the same way.
+fired), 2 user or configuration error, a resource limit (the recursion
+limit, memory, or an integer too large for an index), or, under
+``bounds --revalidate-2x``, a certificate of the length-L prefix whose
+graph is a member of a prefix of length at most 2L (the message names
+the graph and that length); reading the input and running map errors the
+same way.
 A JSON config file can pre-set any flag of the chosen subcommand but
 ``--config`` and ``--help`` (explicit flags win; a key naming no such flag,
 a value of another JSON type than the flag takes, or a value outside the
@@ -37,6 +40,7 @@ from . import catalogue as cat
 from .ages import (
     age_csv,
     age_to_json,
+    bound_scales,
     bounds_enumerate,
     bounds_summary_csv,
     bounds_to_json,
@@ -272,13 +276,19 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     word = _word_from_args(args)
     length = 10 * args.k_max if args.length is None else args.length
     certs = bounds_enumerate(word, length, args.k_max)
+    scales = (length, 2 * length) if args.revalidate_2x else (length,)
     for cert in certs:
-        if not validate_bound_certificate(cert, word, length):
+        if validate_bound_certificate(cert, word, *scales):
+            continue
+        interval = bound_scales(cert, word, scales[-1])
+        if length not in interval:
             raise AssertionError("bound certificate failed re-validation")
-    if args.revalidate_2x:
-        for cert in certs:
-            if not validate_bound_certificate(cert, word, 2 * length):
-                raise AssertionError("bound certificate unstable at doubled scale")
+        # a bound of the prefix that a longer prefix holds: a finding at
+        # this scale, not a broken invariant
+        raise WordError(
+            f"bound certificate {to_graph6(cert.graph)} of the length-{length} "
+            f"prefix is no bound at 2L = {2 * length}: its graph embeds from "
+            f"prefix length {interval.stop} on")
     if args.fmt == "csv":
         _emit(bounds_summary_csv(certs), args.out)
     else:

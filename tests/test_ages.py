@@ -19,6 +19,7 @@ from wordgraphs.ages import (
     age_enumerate,
     age_includes,
     age_to_json,
+    bound_scales,
     bounds_enumerate,
     bounds_to_json,
     jonsson_desk_check,
@@ -29,6 +30,7 @@ from wordgraphs.ages import (
     word_prime_age,
 )
 from wordgraphs.cli import main
+from wordgraphs.graph6 import to_graph6
 from wordgraphs.graphs import (
     GraphError,
     add_vertex,
@@ -360,7 +362,47 @@ def test_subsets_in_word_age_match_host_embedding(h, prefix):
     want = {s for s in range(1 << h.n)
             if embeds(induced_subgraph(h, [v for v in range(h.n) if s >> v & 1]),
                       host)}
-    assert subsets_in_word_age(h, w, L) == want
+    assert subsets_in_word_age(h, w, L).keys() == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_n=6), _PREFIXES, st.data())
+def test_least_scales_answer_every_smaller_scale(h, prefix, data):
+    # one walk at L holds the walk at every t <= L: the sets whose least
+    # length is at most t
+    w, L = prefix
+    least = subsets_in_word_age(h, w, L)
+    for t in range(L + 1):
+        assert {s for s, at in least.items() if at <= t} == \
+            subsets_in_word_age(h, w, t).keys(), t
+    t = data.draw(st.integers(min_value=0, max_value=L))
+    host = graph_of_word(w, t)
+    assert {s for s, at in least.items() if at <= t} == {
+        s for s in range(1 << h.n)
+        if embeds(induced_subgraph(h, [v for v in range(h.n) if s >> v & 1]), host)}
+
+
+def _certificate(w, L, k, graph6):
+    (cert,) = [c for c in bounds_enumerate(w, L, k) if to_graph6(c.graph) == graph6]
+    return cert
+
+
+def test_short_lived_certificates_fail_outside_their_scales():
+    fib = fibonacci_word()
+    # CJ is a bound of the length-4 prefix and of the length-5 one only
+    cj = _certificate(fib, 4, 4, "CJ")
+    assert bound_scales(cj, fib, 8) == range(4, 6)
+    assert validate_bound_certificate(cj, fib, 4)
+    assert validate_bound_certificate(cj, fib, 5)
+    assert not validate_bound_certificate(cj, fib, 4, 8)
+    assert not validate_bound_certificate(cj, fib, 8)
+    # the four isolated vertices are a bound at L = 5, where their last
+    # deletion first appears, and not at 4
+    empty4 = _certificate(fib, 5, 4, "C?")
+    assert bound_scales(empty4, fib, 5).start == 5
+    assert validate_bound_certificate(empty4, fib, 5)
+    assert not validate_bound_certificate(empty4, fib, 4)
+    assert not validate_bound_certificate(empty4, fib, 4, 5)
 
 
 def _certificates_and_deletions(certs):

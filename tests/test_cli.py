@@ -5,12 +5,13 @@ import json
 import pytest
 
 import oracles
-from wordgraphs import cli
+from wordgraphs import ages, cli
+from wordgraphs.ages import BoundCertificate
 from wordgraphs.catalogue import family_member
 from wordgraphs.cli import main
 from wordgraphs.graph6 import from_graph6, to_graph6
-from wordgraphs.graphs import path
-from wordgraphs.words import ContinuedFraction
+from wordgraphs.graphs import canonical_key, path
+from wordgraphs.words import ContinuedFraction, fibonacci_word
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -133,6 +134,50 @@ def test_bounds_length_zero_is_not_the_default(capsys):
     assert main(["bounds", "--fib", "--k-max", "3", "--length", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "at least k_max" in captured.err
+
+
+def test_bound_that_a_doubled_prefix_holds_exits_2(capsys):
+    # B? (three isolated vertices) bounds the length-4 Fibonacci prefix and
+    # embeds in the length-5 one: a finding at L = 4, not a broken invariant
+    argv = ["bounds", "--fib", "--k-max", "4", "--length", "4"]
+    assert main(argv + ["--revalidate-2x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: bound certificate B? of the length-4 prefix is no bound at "
+        "2L = 8: its graph embeds from prefix length 5 on\n")
+    code, out = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["L"] == 4
+
+
+def test_bound_that_fails_at_its_own_scale_is_an_invariant_violation(
+        capsys, monkeypatch):
+    # P_4 embeds in the length-40 Fibonacci prefix: a forged bound that
+    # fails at its own scale, with or without the doubled one
+    assert oracles.in_word_age(path(4), fibonacci_word(), 40)
+    member = BoundCertificate(graph=path(4), key=canonical_key(path(4)),
+                              deletion_keys=(), non_membership_scale=40)
+    monkeypatch.setattr(cli, "bounds_enumerate", lambda w, L, k: [member])
+    for flags in ([], ["--revalidate-2x"]):
+        assert main(["bounds", "--fib", "--k-max", "4", "--length", "40"] + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("internal invariant violation: bound certificate "
+                                "failed re-validation\n")
+
+
+def test_bounds_revalidate_2x_walks_once_per_certificate(capsys, monkeypatch):
+    walks, walk = [], ages.subsets_in_word_age
+
+    def counted(h, w, L):
+        walks.append(L)
+        return walk(h, w, L)
+
+    monkeypatch.setattr(ages, "subsets_in_word_age", counted)
+    code, out = run(capsys, "bounds", "--fib", "--k-max", "6", "--length", "32",
+                    "--revalidate-2x")
+    assert code == 0 and len(json.loads(out)["certificates"]) == 22
+    assert walks == [64] * 22
 
 
 def test_realizer_command(capsys):
