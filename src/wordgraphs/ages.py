@@ -37,11 +37,12 @@ of maximum degree, so the bounds of size k are the step's classes from
 level k - 1 that are not members and pass the same deletion check
 (:func:`_deletion_keys`).
 
-The prime members of a word-graph age (``word_prime_age``) take the same
-walk with fewer moves: every prime sits on a window, a pattern that makes
-no gap move after its second vertex, so past level 2 the walk takes only
-adjacent moves, and each level keeps its prime classes.  No word route
-builds the prefix graph.
+The prime members of a word-graph age (``word_prime_age``) are read off
+the distinct factors, with no walk: every prime sits on a window (one
+interval of indices, or one index, a gap and an interval), which is the word
+graph of its factor, with the first letter flipped after a gap, up to a swap
+of its first two vertices; a level classifies one such graph per normal
+form.  No word route builds the prefix graph.
 
 The desk check walks the members its age holds (the primes of a
 ``prime_only`` age) and reads the cofinality table m(n) off one walk per
@@ -80,8 +81,8 @@ from .graphs import (
     extend_level,
 )
 from .primes import is_prime
-from .wordgraph import letter_masks
-from .words import Word
+from .wordgraph import _prefix_bits, _word_rows, letter_masks
+from .words import Word, factor_last_starts
 
 
 @dataclass
@@ -158,23 +159,21 @@ def age_includes(a: AgeApprox, b: AgeApprox) -> InclusionResult:
 # -- word-graph ages by gapped-factor patterns ----------------------------------
 
 
-def _moves(ends: int, pos: tuple[int, int], gaps: bool) -> list[tuple[int, int, int]]:
+def _moves(ends: int, pos: tuple[int, int]) -> list[tuple[int, int, int]]:
     """The moves that append one vertex to a pattern ending at ``ends``.
 
     This is the move rule of the prefix graph, and its only owner.  The new
     vertex takes an index with letter c (``pos[c]``, from
     :func:`~wordgraphs.wordgraph.letter_masks`) one past an end (an adjacent
-    move) or, where ``gaps``, at least two past the lowest end (a gap
-    move).  A letter 0 sees every earlier vertex and a letter 1 none,
-    except that an adjacent move flips the last one.  Each move is
-    ``(base, flip, reach)``.  The new vertex's row into the earlier vertices
-    ``seen``, of which vertex ``last`` is the last, is
-    ``(base & seen) ^ (flip << last)``: all but the last, all, only the
-    last, or none.  ``reach`` is the mask of indices where the longer
-    pattern can end.  Moves that cannot occur are left out.
+    move) or at least two past the lowest end (a gap move).  A letter 0
+    sees every earlier vertex and a letter 1 none, except that an adjacent
+    move flips the last one.  Each move is ``(base, flip, reach)``.  The
+    new vertex's row into the earlier vertices ``seen``, of which vertex
+    ``last`` is the last, is ``(base & seen) ^ (flip << last)``: all but
+    the last, all, only the last, or none.  ``reach`` is the mask of indices
+    where the longer pattern can end.  Moves that cannot occur are left out.
     """
-    # indices >= lowest end + 2, or none
-    above_gap = ~(((ends & -ends) << 2) - 1) if gaps else 0
+    above_gap = ~(((ends & -ends) << 2) - 1)  # indices >= lowest end + 2
     moves = []
     for base, letter_pos in ((-1, pos[0]), (0, pos[1])):
         for flip, reach in ((1, (ends << 1) & letter_pos),
@@ -185,11 +184,10 @@ def _moves(ends: int, pos: tuple[int, int], gaps: bool) -> list[tuple[int, int, 
 
 
 def _extend_patterns(states: dict[tuple[CanonKey, int], int], pos: tuple[int, int],
-                     forms: dict[CanonKey, Graph], gaps: bool
+                     forms: dict[CanonKey, Graph]
                      ) -> tuple[dict[tuple[CanonKey, int], int], dict[CanonKey, Graph]]:
-    """Append one letter to every state, by each of its :func:`_moves`
-    (gap moves only where ``gaps``); the child states and the canonical
-    forms of their classes.
+    """Append one letter to every state, by each of its :func:`_moves`; the
+    child states and the canonical forms of their classes.
 
     A state maps ``(class key, at)`` to the OR of its patterns' end masks,
     where ``at`` is the index of the patterns' last vertex in the class's
@@ -204,7 +202,7 @@ def _extend_patterns(states: dict[tuple[CanonKey, int], int], pos: tuple[int, in
     for (key, at), ends in states.items():
         parent = forms[key]
         full = (1 << parent.n) - 1
-        for base, flip, reach in _moves(ends, pos, gaps):
+        for base, flip, reach in _moves(ends, pos):
             child_key, order = _classify(
                 add_vertex(parent, (base & full) ^ (flip << at)), child_forms)
             # the new vertex, parent.n, is the child's last vertex
@@ -213,10 +211,8 @@ def _extend_patterns(states: dict[tuple[CanonKey, int], int], pos: tuple[int, in
     return nxt, child_forms
 
 
-def _pattern_levels(w: Word, L: int, k_max: int, windows: bool) -> AgeApprox:
-    """The pattern walk of :func:`word_age`, or, where ``windows``, of
-    :func:`word_prime_age`: gap moves only from level 1 to level 2, and each
-    level keeps its prime classes."""
+def word_age(w: Word, L: int, k_max: int) -> AgeApprox:
+    """Age of the word graph at prefix ``L``, by the pattern walk: no search."""
     pos = letter_masks(w, L)
     levels = _start_levels(L + 1, k_max)
     vertex = _trusted(1, (0,))
@@ -226,30 +222,16 @@ def _pattern_levels(w: Word, L: int, k_max: int, windows: bool) -> AgeApprox:
     states = {(vertex_key, 0): pos[0] | pos[1] | 1}
     for k in range(1, k_max + 1):
         if k > 1:
-            states, forms = _extend_patterns(states, pos, forms,
-                                             gaps=k == 2 or not windows)
-        levels[k] = dict(sorted((key, g) for key, g in forms.items()
-                                if not windows or is_prime(g)))
+            states, forms = _extend_patterns(states, pos, forms)
+        levels[k] = dict(sorted(forms.items()))
     return AgeApprox(source_desc=json.dumps({"word_prefix": L}), k_max=k_max,
-                     levels=levels, prime_only=windows)
-
-
-def word_age(w: Word, L: int, k_max: int) -> AgeApprox:
-    """Age of the word graph at prefix ``L``, enumerated without any search.
-
-    States of level k map a class and the position of the last vertex in
-    its canonical form to the bitmask of source indices where some k-vertex
-    pattern with that class and last vertex can end (see
-    :func:`_extend_patterns`).  A level is the canonical forms of its
-    states' classes, sorted by key.
-    """
-    return _pattern_levels(w, L, k_max, windows=False)
+                     levels=levels)
 
 
 def word_prime_age(w: Word, L: int, k_max: int) -> AgeApprox:
-    """The prime members of :func:`word_age`, read off windows: each level
-    holds the same keys and canonical forms as word_age's level filtered by
-    :func:`~wordgraphs.primes.is_prime`, and nothing else.
+    """The prime members of :func:`word_age`, read off the word's distinct
+    factors: the keys and canonical forms, in order, of word_age's levels
+    filtered by :func:`~wordgraphs.primes.is_prime`.
 
     Window lemma: a prime induced subgraph of order k >= 3 of the prefix
     graph sits on an interval of k consecutive indices, or on one index, a
@@ -261,13 +243,36 @@ def word_prime_age(w: Word, L: int, k_max: int) -> AgeApprox:
     order <= 2 are prime by convention, and every one of them is a window:
     a pair of indices is consecutive or has a gap.
 
-    So the windows are the patterns that make no gap move after their
-    second vertex, and word_age's walk restricted to those moves reaches
-    each of them.  The two shapes share states, since what follows a state
-    depends only on its class, ``at`` and end mask.  A level holds at most
-    2 p(k - 1) states, p the factor complexity.
+    A window of order k is fixed by its shape and the factor f of length
+    k - 1 at its last k - 1 indices (a pair is decided by its larger index).
+    On an interval it is the word graph of u = f, its first index playing
+    vertex -1.  After a gap, which needs a start of f >= 1, it is the word
+    graph of u = f with f[0] flipped: the lone index sees the next one iff
+    f[0] = 0, as they are not consecutive, and every later one as vertex -1
+    does.  Swapping vertices -1 and 0 of u's word graph flips u[1]: vertex 1
+    sees -1 iff u[1] = 0 and 0 iff u[1] = 1, and every later vertex sees the
+    two alike.  So a window is isomorphic to the word graph of u[0] + "0" +
+    u[2:], and a level classifies one such graph per normal form (u[0],
+    u[2:]), at most 2 p(k - 3) of them (p the factor complexity), read off
+    :func:`~wordgraphs.words.factor_last_starts`.
     """
-    return _pattern_levels(w, L, k_max, windows=True)
+    _prefix_bits(w, L)  # a bad prefix length is the word graph's error
+    levels = _start_levels(L + 1, k_max)
+    # the empty factor starts at every index 0..L
+    by_length = [{"": L}] + factor_last_starts(w, L, k_max - 1)
+    for k, starts in enumerate(by_length[:k_max], 1):
+        words = set()
+        for f, last in starts.items():
+            rest = "0" + f[2:] if len(f) > 1 else ""
+            words.add(f[:1] + rest)
+            if f and last:  # the gap shape
+                words.add(("1" if f[0] == "0" else "0") + rest)
+        forms: dict[CanonKey, Graph] = {}
+        for u in words:
+            _classify(_trusted(k, _word_rows(u)), forms)
+        levels[k] = dict(sorted((key, g) for key, g in forms.items() if is_prime(g)))
+    return AgeApprox(source_desc=json.dumps({"word_prefix": L}), k_max=k_max,
+                     levels=levels, prime_only=True)
 
 
 def subsets_in_word_age(h: Graph, w: Word, L: int) -> dict[int, int]:
@@ -309,7 +314,7 @@ def subsets_in_word_age(h: Graph, w: Word, L: int) -> dict[int, int]:
                 least[used] = at
             ends_moves = moves.get(ends)
             if ends_moves is None:
-                ends_moves = moves[ends] = _moves(ends, pos, gaps=True)
+                ends_moves = moves[ends] = _moves(ends, pos)
             rest, row = used ^ (1 << last), rows[last]
             on_all, on_none = sees_all[rest], sees_none[rest]
             if used not in sees_all:

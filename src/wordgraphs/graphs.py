@@ -282,11 +282,13 @@ def make(family: str, *params: int) -> Graph:
 # then followed over those masks alone, one extension per orbit, before any
 # canonical search.  :func:`max_degree_extensions` owns that rule, and
 # :func:`extend_level` owns the level step built on it (extend, classify,
-# sort).  Both level steps, this one and the word-age pattern step, classify
-# an extension by one LRU lookup in :func:`_classify`, which builds the
-# canonical form only for a class not seen before.  The census (:func:`enumerate_graphs`) iterates that
-# step; the bound candidates (:func:`~wordgraphs.ages.bounds_enumerate`) and the
-# generic age route (:func:`~wordgraphs.ages.age_enumerate`) filter it.
+# sort).  Its callers classify by one LRU lookup in :func:`_classify`, which
+# builds the canonical form only for a class not seen before: this step and
+# the word-age pattern step an extension each, the prime windows' factor read
+# (:func:`~wordgraphs.ages.word_prime_age`) one word graph per normal form.
+# The census (:func:`enumerate_graphs`) iterates this step; the bound
+# candidates (:func:`~wordgraphs.ages.bounds_enumerate`) and the generic age
+# route (:func:`~wordgraphs.ages.age_enumerate`) filter it.
 
 
 def _refine(rows: tuple[int, ...], cell_at: list[int], multis: list[int],

@@ -27,71 +27,57 @@ from .graphs import Graph, GraphError, _trusted
 from .words import Word, explicit_word
 
 
-def _as_word(w: Word | str) -> Word:
-    return explicit_word(w) if isinstance(w, str) else w
-
-
 def _prefix_bits(w: Word | str, L: int | None) -> str:
     if isinstance(w, str) and L is None:
         L = len(w)
     if L is None or L < 0:
         raise GraphError("prefix length must be a nonnegative integer")
-    return _as_word(w).prefix(L)
-
-
-def _ones_mask(bits: str) -> int:
-    """Bit t set iff the letter at position t is 1."""
-    return int(bits[::-1], 2) if bits else 0
+    return (explicit_word(w) if isinstance(w, str) else w).prefix(L)
 
 
 def letter_masks(w: Word | str, L: int | None = None) -> tuple[int, int]:
-    """The letters of the backward word graph's indices, as two masks.
+    """The letters of the backward word graph's indices, as two masks: mask
+    c has bit t set iff the letter at index t is c, for t in 1..L (index t
+    holds label t - 1; index 0, label -1, has no letter)."""
+    return _index_masks(_prefix_bits(w, L))
 
-    Index t holds label t - 1, so the letter at label t - 1 sits at index t;
-    index 0 (label -1) has no letter.  Mask c has bit t set iff the letter at
-    index t is c, for t in 1..L.
-    """
-    bits = _prefix_bits(w, L)
-    ones = _ones_mask(bits) << 1
+
+def _index_masks(bits: str) -> tuple[int, int]:
+    """:func:`letter_masks` of the word ``bits``."""
+    ones = int(bits[::-1], 2) << 1 if bits else 0
     return ((1 << (len(bits) + 1)) - 2) ^ ones, ones
+
+
+def _word_rows(bits: str) -> tuple[int, ...]:
+    """The rows of the backward word graph of ``bits``, on indices
+    0..len(bits); the row rule's only owner."""
+    zeros, ones = _index_masks(bits)
+    # a 0 at index j joins j to every index below j - 1, a 1 only to j - 1
+    rows = [(zeros >> 2 << 2) | (ones & 2)]  # index 0 has nothing below
+    for i, letter in enumerate(bits, 1):
+        below = 1 << (i - 1) if letter == "1" else (1 << (i - 1)) - 1
+        rows.append(below | (zeros >> (i + 2) << (i + 2)) | (ones & (2 << i)))
+    return tuple(rows)
 
 
 def graph_of_word(w: Word | str, L: int | None = None) -> Graph:
     """Backward word graph on vertex labels -1, 0, ..., L-1."""
-    zeros, ones = letter_masks(w, L)
-    n = (zeros | ones).bit_length() or 1  # indices 0..L, letters from 1
-    # a 0 at index j joins j to every index below j - 1, a 1 only to j - 1
-    rows = []
-    for i in range(n):
-        if i == 0:
-            below = 0
-        elif (ones >> i) & 1:
-            below = 1 << (i - 1)
-        else:
-            below = (1 << (i - 1)) - 1
-        above = (zeros >> (i + 2) << (i + 2)) | (ones & (2 << i))
-        rows.append(below | above)
-    return _trusted(n, tuple(rows), tuple(range(-1, n - 1)))
+    bits = _prefix_bits(w, L)
+    return _trusted(len(bits) + 1, _word_rows(bits), tuple(range(-1, len(bits))))
 
 
 def graph_of_word_forward(w: Word | str, L: int | None = None) -> Graph:
     """Forward variant on labels 0, ..., L-1, L; the letter at the smaller
     index decides each pair."""
     bits = _prefix_bits(w, L)
-    L = len(bits)
-    n = L + 1
-    # a 0 at index i joins i to every index above i + 1, a 1 only to i + 1
-    ones = _ones_mask(bits)
-    zeros = ((1 << L) - 1) ^ ones
+    n = len(bits) + 1
+    zeros, ones = (mask >> 1 for mask in _index_masks(bits))
     full = (1 << n) - 1
     rows = []
     for i in range(n):
-        if i == L:
-            above = 0
-        elif (ones >> i) & 1:
-            above = 2 << i
-        else:
-            above = full >> (i + 2) << (i + 2)
+        # a 0 at index i joins i to every index above i + 1, a 1 only to
+        # i + 1, and the last index, with no letter, to none above
+        above = 2 << i if (ones >> i) & 1 else full >> (i + 2) << (i + 2)
         below = 0 if i == 0 else (zeros & ((1 << (i - 1)) - 1)) | (ones & (1 << (i - 1)))
         rows.append(below | above)
     return _trusted(n, tuple(rows), tuple(range(n)))

@@ -15,13 +15,13 @@ once two consecutive convergents (which bracket the limit slope) produce
 identical floor sequences, which pins the exact prefix by monotonicity of
 ``floor(i*slope + intercept)`` in the slope.
 
-The complexity p(n) and the recurrence bounds R(n) read, off one walk over
-the levels, the start masks of the distinct length-n factors: bit i of a
-factor's mask is set when the factor starts at i, and a length-(n+1)
-factor's mask is its length-n prefix's mask ANDed with the next letter's
-mask shifted right by n.  p(n) is the number of nonzero masks; R(n) takes
-each factor's first start, last start and longest gap between starts off
-its mask.  A level costs about p(n) big-integer operations on L bits,
+The distinct factors, the complexity p(n) and the recurrence bounds R(n)
+are read off one walk over the levels' start masks: bit i of a factor's
+mask is set when the factor starts at i, and a length-(n+1) factor's mask
+is its length-n prefix's mask ANDed with the next letter's mask shifted
+right by n.  Each nonzero mask is a factor, read at its last start; R(n)
+takes each factor's first start, last start and longest gap between starts
+off its mask.  A level costs about p(n) big-integer operations on L bits,
 against L interpreted steps for a pass over the positions, so the words
 the generators give (p(n) = n + 1 for Sturmian words, about 3n for
 Thue-Morse) cost little.  From the first level holding more than
@@ -282,6 +282,8 @@ def _by_level(p: str, n_max: int, from_masks, from_pass) -> list:
     the factor starts at i) in no order, up to the first level holding more
     than ``_MASK_LEVEL_LIMIT`` factors, then ``from_pass(n)`` up to
     ``n_max``."""
+    if n_max > len(p):
+        raise WordError("factor length exceeds prefix length")
     ones = int(p[::-1], 2) if p else 0
     letters = (ones ^ ((1 << len(p)) - 1), ones)
     masks = [(1 << (len(p) + 1)) - 1]  # the empty factor starts everywhere
@@ -296,13 +298,20 @@ def _by_level(p: str, n_max: int, from_masks, from_pass) -> list:
     return out + [from_pass(n) for n in range(len(out) + 1, n_max + 1)]
 
 
+def factor_last_starts(w: Word, L: int, n_max: int) -> list[dict[str, int]]:
+    """Each distinct length-n factor of prefix(L) mapped to its last start,
+    n = 1..n_max."""
+    p = w.prefix(L)
+    return _by_level(p, n_max, lambda masks, n: {
+        p[i:i + n]: i for i in (mask.bit_length() - 1 for mask in masks)},
+        lambda n: {p[i:i + n]: i for i in range(L - n + 1)})
+
+
 def factor_complexity(w: Word, L: int, n_max: int) -> list[int]:
     """p(n) = number of distinct length-n factors of prefix(L), n = 1..n_max."""
     if n_max > L // 2:
         raise WordError("n_max beyond L/2; counts would not have stabilized")
-    p = w.prefix(L)
-    return _by_level(p, n_max, lambda masks, n: len(masks),
-                     lambda n: len({p[i:i + n] for i in range(L - n + 1)}))
+    return list(map(len, factor_last_starts(w, L, n_max)))
 
 
 def recurrence_bound(w: Word, L: int, n_max: int) -> list[int | None]:
@@ -311,8 +320,6 @@ def recurrence_bound(w: Word, L: int, n_max: int) -> list[int | None]:
     so the certificate is supported by many windows; the whole prefix
     trivially contains its own factors, which certifies nothing.
     """
-    if n_max > L:
-        raise WordError("factor length exceeds prefix length")
     p = w.prefix(L)
     return _by_level(p, n_max, lambda masks, n: _mask_recurrence(masks, n, L),
                      lambda n: _positional_recurrence(p, n))

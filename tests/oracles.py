@@ -269,7 +269,7 @@ def rows_keyed_word_age(w: Word, L: int, k_max: int) -> dict[int, dict[bytes, Gr
         if k > 1:
             nxt: dict[tuple[int, ...], int] = {}
             for rows, ends in states.items():
-                for base, flip, reach in _moves(ends, pos, gaps=True):
+                for base, flip, reach in _moves(ends, pos):
                     nbrs = (base & ((1 << (k - 1)) - 1)) ^ (flip << (k - 2))
                     grown = tuple(r | (((nbrs >> i) & 1) << (k - 1))
                                   for i, r in enumerate(rows)) + (nbrs,)
@@ -338,8 +338,8 @@ def one_pass_recurrence(p: str, n: int) -> int | None:
 def scan_prime_age(w: Word, L: int, k_max: int) -> AgeApprox:
     """``ages.word_prime_age`` with each level's windows found by a scan
     over every position of the prefix, deduped by (gap shape, factor) and
-    sliced out of the prefix graph by index sets, in place of the pattern
-    walk."""
+    sliced out of the prefix graph by index sets, in place of the factor
+    read: no factor masks, no normal forms and no word graphs of factors."""
     source = graph_of_word(w, L)
     bits = w.prefix(L)  # the letter at index t is bits[t - 1]
     levels = {0: {canonical_key(Graph(0, ())): Graph(0, ())}}

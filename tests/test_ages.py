@@ -33,7 +33,7 @@ from wordgraphs.cli import main
 from wordgraphs.graph6 import to_graph6
 from wordgraphs.graphs import (
     GraphError,
-    add_vertex,
+    _classify,
     canonical_key,
     clique,
     complete_bipartite,
@@ -193,7 +193,8 @@ def test_word_prime_age_matches_filtered_word_age_fixed(w, L, k):
 @pytest.mark.parametrize("seed", range(3))
 def test_word_prime_age_matches_the_position_scan_on_dense_levels(seed):
     # a random word of about 300 letters holds more than 128 factors of each
-    # length from 8 on, so levels 9..12 read their windows off that many masks
+    # length from 8 on, so levels 9..12 read their factors off the
+    # positional pass of words.factor_last_starts, not off masks
     rng = random.Random(seed)
     L = rng.randint(280, 320)
     w = explicit_word("".join(rng.choice("01") for _ in range(L)))
@@ -210,20 +211,44 @@ def test_word_prime_age_matches_the_position_scan_on_every_short_word():
                                     oracles.scan_prime_age(w, n, k))
 
 
-def test_word_prime_age_extends_only_windows(monkeypatch):
-    # level j + 1 holds at most 2 p(j) states with at most two adjacent
-    # moves each; gap moves past level 2 would extend every pattern
+def test_word_prime_age_classifies_one_window_per_normal_form(monkeypatch):
+    # level 1 is one vertex and level 2 one edge and one non-edge; from
+    # level 3 on, a normal form (u[0], u[2:]) holds one letter and a factor
+    # of length k - 3, so level k classifies at most 2 p(k - 3) windows
     w, L, k = fibonacci_word(), 300, 12
-    calls = []
+    classified = []
 
-    def counted(g, nbrs):
-        calls.append(nbrs)
-        return add_vertex(g, nbrs)
+    def counted(g, forms):
+        classified.append(g)
+        return _classify(g, forms)
 
-    monkeypatch.setattr(ages, "add_vertex", counted)
+    def never(*args):
+        raise AssertionError("the factor read walks no patterns")
+
+    monkeypatch.setattr(ages, "_classify", counted)
+    monkeypatch.setattr(ages, "_extend_patterns", never)
+    monkeypatch.setattr(ages, "add_vertex", never)
     word_prime_age(w, L, k)
-    p = [1] + factor_complexity(w, L, k - 2)
-    assert len(calls) <= 4 * sum(p) == 264
+    p = [1] + factor_complexity(w, L, k - 3)
+    assert len(classified) <= 1 + 2 + 2 * sum(p) == 113
+
+
+def test_window_identities_on_every_short_factor():
+    """The interval window over f is the word graph of f, the gap window
+    is the word graph of f with its first letter flipped, and flipping f[1]
+    keeps the class."""
+    flip = {"0": "1", "1": "0"}
+    for n in range(2, 11):
+        for bits in itertools.product("01", repeat=n):
+            f = "".join(bits)
+            for first in "01":  # f starts at 1, after one more letter
+                prefix = graph_of_word(first + f)
+                assert induced_subgraph(prefix, range(1, n + 2)).rows == \
+                    graph_of_word(f).rows
+                assert induced_subgraph(prefix, [0, *range(2, n + 2)]).rows == \
+                    graph_of_word(flip[f[0]] + f[1:]).rows
+            assert canonical_key(graph_of_word(f)) == \
+                canonical_key(graph_of_word(f[0] + flip[f[1]] + f[2:]))
 
 
 def test_word_prime_age_edges_match_word_age():

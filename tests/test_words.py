@@ -16,6 +16,7 @@ from wordgraphs.words import (
     complement_word,
     explicit_word,
     factor_complexity,
+    factor_last_starts,
     factors,
     fibonacci_word,
     golden_slope,
@@ -237,6 +238,46 @@ def test_factor_complexity():
     assert fib == [n + 1 for n in range(1, 11)]
     assert factor_complexity(periodic_word("01"), 100, 8) == [2] * 8
     assert factor_complexity(periodic_word("1"), 100, 5) == [1] * 5
+
+
+def _scanned_last_starts(p: str, n: int) -> dict[str, int]:
+    """Each length-n factor of ``p`` at its last start, scanning the starts
+    from the last one down."""
+    last: dict[str, int] = {}
+    for i in range(len(p) - n, -1, -1):
+        last.setdefault(p[i:i + n], i)
+    return last
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+def test_factor_last_starts_match_the_factor_sets_and_a_scan(seed):
+    # Fibonacci holds n + 1 factors of length n, so its levels outgrow the
+    # mask limit at length 128; a random word of about 300 letters, near
+    # length 8.  Both read masks below that level and the positional pass
+    # from it on.
+    if seed is None:
+        p, n_max = fibonacci_word().prefix(300), 140
+    else:
+        rng = random.Random(seed)
+        p = "".join(rng.choice("01") for _ in range(rng.randint(280, 320)))
+        n_max = 20
+    w, L = explicit_word(p), len(p)
+    levels = factor_last_starts(w, L, n_max)
+    assert [set(level) for level in levels] == [
+        factors(w, n, L).factors for n in range(1, n_max + 1)]
+    assert levels == [_scanned_last_starts(p, n) for n in range(1, n_max + 1)]
+    sizes = list(map(len, levels))
+    assert sizes[0] <= words._MASK_LEVEL_LIMIT < sizes[-1]
+
+
+@given(bit_words)
+def test_factor_last_starts_on_short_words(bits):
+    L = len(bits)
+    assert factor_last_starts(explicit_word(bits), L, L) == [
+        _scanned_last_starts(bits, n) for n in range(1, L + 1)]
+    assert factor_last_starts(explicit_word(bits), L, 0) == []
+    with pytest.raises(WordError):
+        factor_last_starts(explicit_word(bits), L, L + 1)
 
 
 def test_recurrence_bound_examples():
