@@ -38,17 +38,11 @@ level k - 1 that are not members and pass the same deletion check
 (:func:`_deletion_keys`).
 
 The prime members of a word-graph age (``word_prime_age``) are read off
-the distinct factors, with no walk: every prime sits on a window (one
-interval of indices, or one index, a gap and an interval), which is the word
-graph of its factor, with the first letter flipped after a gap, up to a swap
-of its first two vertices; a level classifies one such graph per normal
-form.  No word route builds the prefix graph.
-
-The desk check walks the members its age holds (the primes of a
-``prime_only`` age) and reads the cofinality table m(n) off one walk per
-member through the hosts, largest first, for every order alike: the empty
-graph embeds in every host, and a single vertex misses only the empty
-host, which the walk reaches last.
+the distinct factors, with no walk: every prime sits on a window, the word
+graph of its factor (the first letter flipped after a gap) up to a swap of
+its first two vertices, so a level classifies one graph per normal form.
+The Jónsson desk check reads containment off the same windows of each prime
+host, with no search.  No word route builds the prefix graph.
 
 Everything about an infinite age is reported at a finite scale and says so:
 a bound certificate records the prefix length at which the non-membership
@@ -65,7 +59,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
 
 from .graph6 import to_graph6
 from .graphs import (
@@ -82,24 +77,20 @@ from .graphs import (
 )
 from .primes import is_prime
 from .wordgraph import _prefix_bits, _word_rows, letter_masks
-from .words import Word, factor_last_starts
+from .words import Word, explicit_word, factor_last_starts
 
 
 @dataclass
 class AgeApprox:
     """Exact induced-subgraph classes of the source ``source_desc`` names, up
-    to size ``k_max``: all of them or, where ``prime_only``, the prime ones."""
+    to size ``k_max`` (all of them, or the prime ones of a prime age)."""
 
     source_desc: str
     k_max: int
     levels: dict[int, dict[CanonKey, Graph]]
-    prime_only: bool = False
 
     def keys(self, size: int) -> set[CanonKey]:
         return set(self.levels.get(size, {}))
-
-    def members(self, size: int) -> list[Graph]:
-        return list(self.levels.get(size, {}).values())
 
     def level_counts(self) -> dict[int, int]:
         return {size: len(self.levels[size]) for size in sorted(self.levels)}
@@ -256,23 +247,37 @@ def word_prime_age(w: Word, L: int, k_max: int) -> AgeApprox:
     u[2:]), at most 2 p(k - 3) of them (p the factor complexity), read off
     :func:`~wordgraphs.words.factor_last_starts`.
     """
-    _prefix_bits(w, L)  # a bad prefix length is the word graph's error
-    levels = _start_levels(L + 1, k_max)
+    return _prime_age(w, L, k_max)[0]
+
+
+def _window_forms(w: Word, L: int, k_max: int) -> list[set[str]]:
+    """Per order k = 1..k_max, the normal forms of the windows over each
+    length-(k - 1) factor (see :func:`word_prime_age`)."""
+    levels = []
     # the empty factor starts at every index 0..L
-    by_length = [{"": L}] + factor_last_starts(w, L, k_max - 1)
-    for k, starts in enumerate(by_length[:k_max], 1):
-        words = set()
+    for starts in ([{"": L}] + factor_last_starts(w, L, k_max - 1))[:k_max]:
+        forms = set()
         for f, last in starts.items():
             rest = "0" + f[2:] if len(f) > 1 else ""
-            words.add(f[:1] + rest)
+            forms.add(f[:1] + rest)
             if f and last:  # the gap shape
-                words.add(("1" if f[0] == "0" else "0") + rest)
+                forms.add(("1" if f[0] == "0" else "0") + rest)
+        levels.append(forms)
+    return levels
+
+
+def _prime_age(w: Word, L: int, k_max: int) -> tuple[AgeApprox, dict[CanonKey, str]]:
+    """:func:`word_prime_age`, and the least normal form of each class."""
+    _prefix_bits(w, L)  # a bad prefix length is the word graph's error
+    levels = _start_levels(L + 1, k_max)
+    least: dict[CanonKey, str] = {}
+    for k, words in enumerate(_window_forms(w, L, k_max), 1):
         forms: dict[CanonKey, Graph] = {}
-        for u in words:
-            _classify(_trusted(k, _word_rows(u)), forms)
+        for u in sorted(words):
+            least.setdefault(_classify(_trusted(k, _word_rows(u)), forms)[0], u)
         levels[k] = dict(sorted((key, g) for key, g in forms.items() if is_prime(g)))
     return AgeApprox(source_desc=json.dumps({"word_prefix": L}), k_max=k_max,
-                     levels=levels, prime_only=True)
+                     levels=levels), least
 
 
 def subsets_in_word_age(h: Graph, w: Word, L: int) -> dict[int, int]:
@@ -407,54 +412,52 @@ def validate_bound_certificate(cert: BoundCertificate, w: Word, *scales: int) ->
 class JonssonReport:
     """Finite-scale evidence only; never a minimality verdict."""
 
-    prime_only: bool
     level_counts: dict[int, int]
     cofinality: dict[int, int | None]
-    failure_witnesses: dict[int, tuple[Graph, Graph]] = field(default_factory=dict)
     degenerate: bool = False
-    note: str = ""
 
 
-def jonsson_desk_check(age: AgeApprox, n_max: int = 5) -> JonssonReport:
-    """Per-level member counts plus the cofinality table m(n), over the
-    members ``age`` holds (the primes where it is ``prime_only``).
+def jonsson_desk_check(w: Word, L: int, k_max: int, n_max: int = 5) -> JonssonReport:
+    """Per-level counts of :func:`word_prime_age`, and the cofinality table
+    m(n): the least m such that every member of order at most n embeds in
+    every member of order at least m, within the approximation (None if no
+    m at the scale works).
 
-    m(n) is the least m such that every member of size at most n embeds in
-    every member of size at least m, within the approximation; None with a
-    witness pair when no m at the scale works.
-    One pass: each member s gets m_s, one more than the order of the first
-    host it misses, walking the hosts from size ``k_max`` down (0 if it
-    misses none), and m(n) is the largest m_s over sizes up to n.  A walk
-    stops below that running maximum, where a miss cannot raise it.  The
-    first member to miss a host of size ``k_max`` is the witness from then
-    on.
+    Containment is read off windows, with no embedding search.  A host of
+    order m >= 1 is the word graph of its least normal form u, so by the
+    window lemma its prime members of order j are the prime classes of u's
+    windows: each start i of a length-(j - 1) factor g of u gives g's normal
+    form, and where i >= 1 also that of g with g[0] flipped.  Orders 0 to 2
+    come out of the same rule, with the empty graph in every host.  So a
+    prime of order j lies in the host iff its key is one of those forms'.
+
+    Each member s gets m_s, one more than the order of the first host it
+    misses, walking the hosts from order ``k_max`` down to the empty one (0
+    if it misses none), and m(n) is the largest m_s over orders up to n.
     """
-    level_counts = age.level_counts()
+    age, least = _prime_age(w, L, k_max)
     # no prime has order 3, so only an age reaching size 4 can show its
     # members stopping at size 2
-    degenerate = age.k_max >= 4 and max(
-        (s for s, c in level_counts.items() if c), default=0) <= 2
-    hosts = [h for size in sorted(age.levels, reverse=True) for h in age.members(size)]
+    degenerate = k_max >= 4 and not any(age.levels[k] for k in range(3, k_max + 1))
+    key_of = cache(lambda v: canonical_key(_trusted(len(v) + 1, _word_rows(v))))
+    hosts = []
+    for m in sorted(age.levels, reverse=True):
+        for key in age.levels[m]:
+            # the host's windows of order 1..n_max; the empty host has none
+            u = least.get(key, "")
+            forms = set().union(*_window_forms(explicit_word(u), len(u), min(n_max, m)))
+            hosts.append((m, age.keys(0) | set(map(key_of, forms))))
     cofinality: dict[int, int | None] = {}
-    failures: dict[int, tuple[Graph, Graph]] = {}
-    worst, witness = 0, None
+    worst = 0
     for n in range(0, n_max + 1):
-        for s in age.members(n):
-            for h in hosts:
-                if h.n < worst:
+        for key in age.levels.get(n, {}):
+            for m, keys in hosts:
+                if key not in keys:
+                    worst = max(worst, m + 1)
                     break
-                if not embeds(s, h):
-                    worst = h.n + 1
-                    if worst > age.k_max:
-                        witness = (s, h)
-                    break
-        cofinality[n] = worst if worst <= age.k_max else None
-        if witness is not None:
-            failures[n] = witness
-    note = "prime members stop at size 2; degenerate case" if degenerate else ""
-    return JonssonReport(prime_only=age.prime_only, level_counts=level_counts,
-                         cofinality=cofinality, failure_witnesses=failures,
-                         degenerate=degenerate, note=note)
+        cofinality[n] = worst if worst <= k_max else None
+    return JonssonReport(level_counts=age.level_counts(), cofinality=cofinality,
+                         degenerate=degenerate)
 
 
 # -- serialization ---------------------------------------------------------------
@@ -492,9 +495,10 @@ def bounds_summary_csv(certs: list[BoundCertificate]) -> str:
 
 def jonsson_to_json(report: JonssonReport) -> dict:
     return {
-        "prime_only": report.prime_only,
+        "prime_only": True,
         "level_counts": {str(k): v for k, v in report.level_counts.items()},
         "cofinality": {str(k): v for k, v in report.cofinality.items()},
         "degenerate": report.degenerate,
-        "note": report.note,
+        "note": "prime members stop at size 2; degenerate case"
+                if report.degenerate else "",
     }

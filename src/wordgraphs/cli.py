@@ -48,7 +48,6 @@ from .ages import (
     jonsson_to_json,
     validate_bound_certificate,
     word_age,
-    word_prime_age,
 )
 from .graph6 import from_graph6, labels_sidecar, to_dot, to_graph6
 from .graphs import Graph
@@ -303,9 +302,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 def _cmd_jonsson(args: argparse.Namespace) -> int:
     if args.n_max > args.k_max:  # m(n) only for sizes the age reached
         raise WordError(f"--n-max {args.n_max} exceeds --k-max {args.k_max}")
-    enumerate_age = word_age if args.all_members else word_prime_age
-    age = enumerate_age(_word_from_args(args), args.length, args.k_max)
-    report = jonsson_desk_check(age, n_max=args.n_max)
+    report = jonsson_desk_check(_word_from_args(args), args.length, args.k_max,
+                                n_max=args.n_max)
     _emit(json.dumps(jonsson_to_json(report), sort_keys=True) + "\n", args.out)
     return 0
 
@@ -407,8 +405,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
     p_jon.add_argument("--length", type=int, default=60)
     p_jon.add_argument("--k-max", type=int, default=8)
     p_jon.add_argument("--n-max", type=int, default=4)
-    p_jon.add_argument("--all-members", action="store_true",
-                       help="use all members, not only the prime ones")
 
     p_real = sub.add_parser("realizer", help="build and validate a realizer")
     p_real.set_defaults(run=_cmd_realizer)

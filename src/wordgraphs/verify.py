@@ -25,7 +25,6 @@ from .ages import (
     subsets_in_word_age,
     validate_bound_certificate,
     word_age,
-    word_prime_age,
 )
 from .graphs import (
     Graph,
@@ -263,8 +262,7 @@ def check_bounds(fib_ks: tuple[int, ...] = (4, 5, 6)) -> CheckResult:
 
 
 def check_jonsson(L: int = 60, k_max: int = 10, n_max: int = 5) -> CheckResult:
-    age = word_prime_age(fibonacci_word(), L, k_max)
-    report = jonsson_desk_check(age, n_max=n_max)
+    report = jonsson_desk_check(fibonacci_word(), L, k_max, n_max=n_max)
     level_finite = all(isinstance(c, int) for c in report.level_counts.values())
     cofinal_ok = all(report.cofinality[n] is not None for n in range(n_max + 1))
     ok = level_finite and cofinal_ok

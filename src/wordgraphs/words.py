@@ -311,7 +311,9 @@ def factor_complexity(w: Word, L: int, n_max: int) -> list[int]:
     """p(n) = number of distinct length-n factors of prefix(L), n = 1..n_max."""
     if n_max > L // 2:
         raise WordError("n_max beyond L/2; counts would not have stabilized")
-    return list(map(len, factor_last_starts(w, L, n_max)))
+    p = w.prefix(L)
+    return _by_level(p, n_max, lambda masks, n: len(masks),
+                     lambda n: len({p[i:i + n] for i in range(L - n + 1)}))
 
 
 def recurrence_bound(w: Word, L: int, n_max: int) -> list[int | None]:

@@ -14,21 +14,21 @@ representatives over all 2^n masks, from one image table per generator the
 caller passes in, cut to the masks that give a new vertex maximum degree.
 The module oracle by subset enumeration is the one ``verify`` runs, imported
 from there.  Nothing imports the algorithms under test beyond the plain
-Graph, Realizer and AgeApprox containers, save seven slow routes: the
+Graph, Realizer and AgeApprox containers, save six slow routes: the
 census's generation that tries every neighbourhood mask and heights over
 every subset, the bound candidates that extend every word-age member by
-every mask, the cofinality table that rescans every pair for each m, the
-one-pass table that walks every member, the word age with one state per
-gapped-factor pattern, and the prime windows found by a scan over every
-position of a word at every level.
+every mask, the cofinality table that rescans every pair for each m by
+embedding search, the word age with one state per gapped-factor pattern,
+and the prime windows found by a scan over every position of a word at
+every level.
 They differ from the fast routes only in what they try, and reuse the
 canonical key, form, primality test, embedding search, word age and move
 rule, which are checked against brute force or the extension route on their
 own.  ``are_isomorphic`` compares canonical keys, for tests that only need
 a yes or no, ``in_word_age`` reads the full vertex set off
 ``ages.subsets_in_word_age``, for tests that ask about one graph, and
-``prime_members`` cuts an age to its brute-force primes, for the desk
-check's prime tables.
+``prime_members`` cuts an age to its brute-force primes: the desk check's
+oracle is ``rescan_cofinality`` over ``prime_members(word_age(...))``.
 """
 
 from __future__ import annotations
@@ -133,9 +133,9 @@ def brute_is_prime(g: Graph) -> bool:
 
 
 def prime_members(age: AgeApprox) -> AgeApprox:
-    """``age`` with only the members :func:`brute_is_prime` accepts, marked
-    ``prime_only``: a prime age built without ``ages.word_prime_age``."""
-    return replace(age, prime_only=True, levels={
+    """``age`` with only the members :func:`brute_is_prime` accepts: a prime
+    age built without ``ages.word_prime_age``."""
+    return replace(age, levels={
         size: {key: g for key, g in level.items() if brute_is_prime(g)}
         for size, level in age.levels.items()})
 
@@ -357,7 +357,7 @@ def scan_prime_age(w: Word, L: int, k_max: int) -> AgeApprox:
         forms = {canonical_key(g): canonical_form(g) for g in primes}
         levels[k] = dict(sorted(forms.items()))
     return AgeApprox(source_desc=json.dumps({"word_prefix": L}), k_max=k_max,
-                     levels=levels, prime_only=True)
+                     levels=levels)
 
 
 def join_substitution_prefix(rules: dict[str, str], seed: str, n: int) -> str:

@@ -294,14 +294,15 @@ def test_word_routes_never_build_the_prefix_graph(route, k_max):
 
 @pytest.mark.parametrize("L, k_max, n_max", [(60, 7, 4), (60, 8, 4), (60, 10, 5)])
 def test_jonsson_command_matches_pattern_route(capsys, L, k_max, n_max):
-    """`jonsson` reads the primes from windows, with the bytes of the desk
-    check of word_age's brute-force primes."""
+    """`jonsson` prints the desk check's report, whose table is the one of
+    word_age's brute-force primes."""
     assert main(["jonsson", "--fib", "--length", str(L), "--k-max", str(k_max),
                  "--n-max", str(n_max)]) == 0
-    report = jonsson_desk_check(
-        oracles.prime_members(word_age(fibonacci_word(), L, k_max)), n_max=n_max)
+    report = jonsson_desk_check(fibonacci_word(), L, k_max, n_max)
     assert capsys.readouterr().out == \
         json.dumps(jonsson_to_json(report), sort_keys=True) + "\n"
+    assert (report.level_counts, report.cofinality) == \
+        _rescanned_table(fibonacci_word(), L, k_max, n_max)
 
 
 @settings(max_examples=20, deadline=None)
@@ -309,7 +310,7 @@ def test_jonsson_command_matches_pattern_route(capsys, L, k_max, n_max):
 def test_age_heredity(g):
     age = age_enumerate(g, min(5, g.n))
     for size in range(1, min(5, g.n) + 1):
-        for member in age.members(size):
+        for member in age.levels[size].values():
             for v in range(member.n):
                 assert canonical_key(delete_vertex(member, v)) in age.keys(size - 1)
 
@@ -513,9 +514,18 @@ def test_bounds_match_all_masks_oracle_on_explicit_words(bits, k):
         _certificate_rows(oracles.all_masks_bounds(w, len(bits), k))
 
 
+def _rescanned_table(w, L, k_max, n_max):
+    """The desk check's level counts and m(n), n <= n_max, by the oracle:
+    word_age cut to its brute-force primes, every pair rescanned for each m."""
+    age = oracles.prime_members(word_age(w, L, k_max))
+    members = {size: list(level.values()) for size, level in age.levels.items()}
+    return age.level_counts(), {n: oracles.rescan_cofinality(members, k_max, n)
+                                for n in range(n_max + 1)}
+
+
 def test_jonsson_path_age():
-    rep = jonsson_desk_check(oracles.prime_members(age_enumerate(path(30), 8, "path")),
-                             n_max=5)
+    # the word graph of 1^29 is the path on 30 vertices
+    rep = jonsson_desk_check(periodic_word("1"), 29, 8, n_max=5)
     # primes of a path's age: the paths of each order plus the order-two
     # convention classes (both K_2 and its complement count)
     assert rep.level_counts == {0: 1, 1: 1, 2: 2, 3: 0, 4: 1, 5: 1, 6: 1, 7: 1, 8: 1}
@@ -524,82 +534,89 @@ def test_jonsson_path_age():
 
 
 def test_jonsson_fibonacci_at_size_eight():
-    age = oracles.prime_members(word_age(fibonacci_word(), 60, 8))
-    rep = jonsson_desk_check(age, n_max=5)
+    rep = jonsson_desk_check(fibonacci_word(), 60, 8, n_max=5)
     assert rep.level_counts == {0: 1, 1: 1, 2: 2, 3: 0, 4: 1, 5: 2,
                                 6: 5, 7: 9, 8: 12}
     assert rep.cofinality[4] == 3
     # at this scale the table stops: a five-vertex prime member misses one
     # of the eight-vertex prime members (m(5) first exists at k_max = 10)
     assert rep.cofinality[5] is None
-    assert 5 in rep.failure_witnesses
-    _assert_witnesses_miss_a_top_host(age, rep)
+    age = word_prime_age(fibonacci_word(), 60, 8)
+    assert any(not embeds(s, h) for s in age.levels[5].values()
+               for h in age.levels[8].values())
 
 
-def _assert_witnesses_miss_a_top_host(age, rep):
-    for n, (small, host) in rep.failure_witnesses.items():
-        assert rep.cofinality[n] is None
-        assert small.n <= n and host.n == age.k_max
-        assert not embeds(small, host)
-
-
-_JONSSON_AGES = {
-    "path": lambda: age_enumerate(path(30), 8, "path"),
-    "fibonacci": lambda: word_age(fibonacci_word(), 60, 7),
-    "011": lambda: word_age(periodic_word("011"), 60, 7),
+_JONSSON_WORDS = {
+    "path": (periodic_word("1"), 29, 8),
+    "fibonacci": (fibonacci_word(), 60, 7),
+    "011": (periodic_word("011"), 60, 7),
 }
 
 
-# the members the desk check walks: the brute-force primes, or all of them
-_JONSSON_CUTS = pytest.mark.parametrize(
-    "cut", [oracles.prime_members, lambda age: age], ids=["primes", "all"])
+def _assert_table_of_every_member_is_empty_past_one(w, L, k_max):
+    """The table over all members, which the desk check no longer offers, by
+    Ramsey's theorem: a word graph holds an edge and a non-edge, and the
+    prefix graph holds a clique or an independent set of k_max vertices,
+    which misses one of them, so m(n) exists only for n <= 1."""
+    age = word_age(w, L, k_max)
+    members = {size: list(level.values()) for size, level in age.levels.items()}
+    top = [canonical_key(g) for g in (clique(k_max), empty_graph(k_max))]
+    assert k_max < 2 or any(key in age.levels[k_max] for key in top)
+    assert [oracles.rescan_cofinality(members, k_max, n) for n in range(k_max + 1)] \
+        == [0, 1, *[None] * (k_max - 1)][:k_max + 1]
 
 
-@pytest.mark.parametrize("source", sorted(_JONSSON_AGES))
+# the members whose table is checked: the primes, which the desk check
+# reads, or all of them, whose table is empty past size one
+_JONSSON_CUTS = pytest.mark.parametrize("cut", ["primes", "all"])
+
+
+@pytest.mark.parametrize("source", sorted(_JONSSON_WORDS))
 @_JONSSON_CUTS
 def test_jonsson_table_matches_rescan_oracle(source, cut):
-    age = cut(_JONSSON_AGES[source]())
-    rep = jonsson_desk_check(age, n_max=age.k_max + 1)
-    members = {size: age.members(size) for size in age.levels}
-    assert rep.cofinality == {n: oracles.rescan_cofinality(members, age.k_max, n)
-                              for n in range(age.k_max + 2)}
-    assert set(rep.failure_witnesses) == {
-        n for n, m in rep.cofinality.items() if m is None}
-    _assert_witnesses_miss_a_top_host(age, rep)
+    w, L, k_max = _JONSSON_WORDS[source]
+    if cut == "all":
+        _assert_table_of_every_member_is_empty_past_one(w, L, k_max)
+        return
+    rep = jonsson_desk_check(w, L, k_max, n_max=k_max)
+    assert (rep.level_counts, rep.cofinality) == _rescanned_table(w, L, k_max, k_max)
 
 
 @pytest.mark.parametrize("k_max", range(5))
 @_JONSSON_CUTS
 def test_jonsson_matches_walk_of_every_member(k_max, cut):
     """Small scales, where the empty graph and a single vertex decide m(0)
-    and m(1) with the same walk as every other member."""
-    for age in (word_age(fibonacci_word(), 30, k_max),
-                word_age(periodic_word("011"), 30, k_max),
-                age_enumerate(path(9), k_max, "path")):
-        age = cut(age)
-        rep = jonsson_desk_check(age, n_max=k_max + 1)
-        members = {size: age.members(size) for size in age.levels}
-        assert rep.cofinality == {n: oracles.rescan_cofinality(members, k_max, n)
-                                  for n in range(k_max + 2)}
-        assert set(rep.failure_witnesses) == {
-            n for n, m in rep.cofinality.items() if m is None}
-        _assert_witnesses_miss_a_top_host(age, rep)
+    and m(1) by the same containment read as every other member."""
+    for w, L in ((fibonacci_word(), 30), (periodic_word("011"), 30),
+                 (periodic_word("1"), 8)):
+        if cut == "all":
+            _assert_table_of_every_member_is_empty_past_one(w, L, k_max)
+            continue
+        rep = jonsson_desk_check(w, L, k_max, n_max=k_max)
+        assert (rep.level_counts, rep.cofinality) == \
+            _rescanned_table(w, L, k_max, k_max)
+
+
+def test_jonsson_matches_the_rescan_on_every_short_word():
+    for n in range(7):
+        for bits in itertools.product("01", repeat=n):
+            w = explicit_word("".join(bits))
+            for k in range(n + 2):
+                rep = jonsson_desk_check(w, n, k, n_max=k)
+                assert (rep.level_counts, rep.cofinality) == \
+                    _rescanned_table(w, n, k, k), ("".join(bits), k)
 
 
 def test_jonsson_reports_what_its_route_holds():
-    # prime_only is the age's, so no call can mislabel what it walked
-    w = fibonacci_word()
-    for age, prime_only in ((word_prime_age(w, 30, 5), True),
-                            (word_age(w, 30, 5), False),
-                            (age_enumerate(path(9), 5, "path"), False)):
-        assert age.prime_only is prime_only
-        rep = jonsson_desk_check(age, n_max=3)
-        assert rep.prime_only is prime_only
-        assert jonsson_to_json(rep)["prime_only"] is prime_only
+    # the route reads prime members only, and the report says so
+    for w in (fibonacci_word(), periodic_word("011"), periodic_word("1")):
+        rep = jonsson_desk_check(w, 30, 5, n_max=3)
+        assert rep.level_counts == word_prime_age(w, 30, 5).level_counts()
+        assert jonsson_to_json(rep)["prime_only"] is True
 
 
 @pytest.mark.parametrize("argv", [
-    ["--k-max", "2", "--n-max", "2", "--all-members"],
+    ["--k-max", "2", "--n-max", "2"],
     ["--k-max", "3", "--n-max", "2"],
     ["--k-max", "3", "--n-max", "3"],
 ])
@@ -611,12 +628,13 @@ def test_jonsson_is_not_degenerate_below_size_four(capsys, argv):
     assert doc["degenerate"] is False and doc["note"] == ""
 
 
-def test_jonsson_degenerate_clique():
-    rep = jonsson_desk_check(oracles.prime_members(age_enumerate(clique(9), 6)),
-                             n_max=3)
+def test_jonsson_degenerate_short_word():
+    # the word graph of 001 is a three-vertex path and an isolated vertex,
+    # so no member past order 2 is prime
+    rep = jonsson_desk_check(explicit_word("001"), 3, 4, n_max=3)
     assert rep.degenerate
-    assert rep.level_counts[3] == 0 and rep.level_counts[6] == 0
-    assert "degenerate" in rep.note
+    assert rep.level_counts[3] == 0 and rep.level_counts[4] == 0
+    assert "degenerate" in jonsson_to_json(rep)["note"]
 
 
 def test_age_stability_under_doubled_prefix():
