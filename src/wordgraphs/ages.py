@@ -41,8 +41,10 @@ The prime members of a word-graph age (``word_prime_age``) are read off
 the distinct factors, with no walk: every prime sits on a window, the word
 graph of its factor (the first letter flipped after a gap) up to a swap of
 its first two vertices, so a level classifies one graph per normal form.
-The Jónsson desk check reads containment off the same windows of each prime
-host, with no search.  No word route builds the prefix graph.
+The Jónsson desk check reads containment off the same classified windows:
+a host's members are its own class and those of its three windows one
+order down, each a window of the word too, so no host is read again.  No
+word route builds the prefix graph.
 
 Everything about an infinite age is reported at a finite scale and says so:
 a bound certificate records the prefix length at which the non-membership
@@ -60,10 +62,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
 
 from .graph6 import to_graph6
 from .graphs import (
+    CORE_WIDTH,
     CanonKey,
     Graph,
     GraphError,
@@ -77,7 +79,7 @@ from .graphs import (
 )
 from .primes import is_prime
 from .wordgraph import _prefix_bits, _word_rows, letter_masks
-from .words import Word, explicit_word, factor_last_starts
+from .words import Word, factor_last_starts
 
 
 @dataclass
@@ -110,7 +112,10 @@ def _deletion_keys(g: Graph,
 
 
 def _start_levels(order: int, k_max: int) -> dict[int, dict[CanonKey, Graph]]:
-    """Level 0, the empty graph, of an age of an ``order``-vertex source."""
+    """Level 0, the empty graph, of an age of an ``order``-vertex source.
+    Every member is canonically keyed, so no age reaches past CORE_WIDTH."""
+    if k_max > CORE_WIDTH:
+        raise GraphError(f"k_max {k_max} exceeds {CORE_WIDTH}, the canonical key's cap")
     if k_max > order:
         raise GraphError("k_max exceeds the source order")
     return {0: {canonical_key(Graph(0, ())): Graph(0, ())}}
@@ -250,34 +255,44 @@ def word_prime_age(w: Word, L: int, k_max: int) -> AgeApprox:
     return _prime_age(w, L, k_max)[0]
 
 
+def _forms(f: str, gap: bool) -> tuple[str, ...]:
+    """The normal forms of the windows over the factor ``f`` (see
+    :func:`word_prime_age`): the interval window's, u[0] + "0" + u[2:] for
+    u = f, and if ``gap`` the gap window's, for u = f with f[0] flipped.
+    An empty factor has one window, a single vertex.  The one owner of the
+    normal-form rule."""
+    rest = "0" + f[2:] if len(f) > 1 else ""
+    heads = (f[:1], "1" if f[0] == "0" else "0") if gap and f else (f[:1],)
+    return tuple(head + rest for head in heads)
+
+
 def _window_forms(w: Word, L: int, k_max: int) -> list[set[str]]:
     """Per order k = 1..k_max, the normal forms of the windows over each
-    length-(k - 1) factor (see :func:`word_prime_age`)."""
-    levels = []
+    length-(k - 1) factor; the gap window needs a start of the factor >= 1."""
     # the empty factor starts at every index 0..L
-    for starts in ([{"": L}] + factor_last_starts(w, L, k_max - 1))[:k_max]:
-        forms = set()
-        for f, last in starts.items():
-            rest = "0" + f[2:] if len(f) > 1 else ""
-            forms.add(f[:1] + rest)
-            if f and last:  # the gap shape
-                forms.add(("1" if f[0] == "0" else "0") + rest)
-        levels.append(forms)
-    return levels
+    return [{u for f, last in starts.items() for u in _forms(f, last > 0)}
+            for starts in ([{"": L}] + factor_last_starts(w, L, k_max - 1))[:k_max]]
 
 
-def _prime_age(w: Word, L: int, k_max: int) -> tuple[AgeApprox, dict[CanonKey, str]]:
-    """:func:`word_prime_age`, and the least normal form of each class."""
+def _drops(u: str) -> tuple[str, ...]:
+    """The normal forms of the windows one order down of the word graph of
+    the normal form ``u``: drop its last, first or second vertex (the drop
+    lemma of :func:`jonsson_desk_check`).  A single vertex has none."""
+    return (u[:-1], *_forms(u[1:], True)) if u else ()
+
+
+def _prime_age(w: Word, L: int, k_max: int) -> tuple[AgeApprox, dict[str, CanonKey]]:
+    """:func:`word_prime_age`, and the class key of every window form."""
     _prefix_bits(w, L)  # a bad prefix length is the word graph's error
     levels = _start_levels(L + 1, k_max)
-    least: dict[CanonKey, str] = {}
+    key_of: dict[str, CanonKey] = {}
     for k, words in enumerate(_window_forms(w, L, k_max), 1):
         forms: dict[CanonKey, Graph] = {}
         for u in sorted(words):
-            least.setdefault(_classify(_trusted(k, _word_rows(u)), forms)[0], u)
+            key_of[u] = _classify(_trusted(k, _word_rows(u)), forms)[0]
         levels[k] = dict(sorted((key, g) for key, g in forms.items() if is_prime(g)))
     return AgeApprox(source_desc=json.dumps({"word_prefix": L}), k_max=k_max,
-                     levels=levels), least
+                     levels=levels), key_of
 
 
 def subsets_in_word_age(h: Graph, w: Word, L: int) -> dict[int, int]:
@@ -423,38 +438,53 @@ def jonsson_desk_check(w: Word, L: int, k_max: int, n_max: int = 5) -> JonssonRe
     every member of order at least m, within the approximation (None if no
     m at the scale works).
 
-    Containment is read off windows, with no embedding search.  A host of
-    order m >= 1 is the word graph of its least normal form u, so by the
-    window lemma its prime members of order j are the prime classes of u's
-    windows: each start i of a length-(j - 1) factor g of u gives g's normal
-    form, and where i >= 1 also that of g with g[0] flipped.  Orders 0 to 2
-    come out of the same rule, with the empty graph in every host.  So a
-    prime of order j lies in the host iff its key is one of those forms'.
+    Containment is read off the word's own classified windows, with no
+    embedding search and no second read of any factor.  Drop lemma: let u
+    be the normal form of a window W of order j + 1 of the word, over the
+    factor f, on indices t0 < t1 < ... < tj.  The word graph of u has
+    exactly three windows of order j: less its last vertex it is the word
+    graph of u[:-1], less its first that of u[1:], and less its second the
+    gap window over u[1:] (leaving out any later vertex leaves two or more
+    before a gap).  Their normal forms (:func:`_drops`) are u[:-1] and x +
+    "0" + u[3:] for x = 0 and 1, and each is a window form of the word at
+    order j: W less tj is a window of W's shape over f[:-1], with the form
+    u[:-1]; W less t0 is the interval window over f[1:], and W less t1 has
+    the graph of the gap window over f[1:], as a pair two or more indices
+    apart is decided by its later letter, so their forms are x + "0" +
+    f[3:], and f[3:] = u[3:].  A smaller window of u grows one index at a
+    time into one of the three.  So by the window lemma applied to u's word
+    graph, its prime members are its own class, if prime, and those of its
+    three drops, every one of them keyed by :func:`_prime_age`.
 
-    Each member s gets m_s, one more than the order of the first host it
-    misses, walking the hosts from order ``k_max`` down to the empty one (0
-    if it misses none), and m(n) is the largest m_s over orders up to n.
+    Each prime of order 1..``n_max`` gets one bit, and a host's members are
+    a mask over those bits, built up the orders; the empty graph lies in
+    every host, and the empty host holds nothing else.  ``common[m]`` is
+    the AND of the masks of the prime hosts of order m, so a member s has
+    m_s = 1 + the largest m whose ``common[m]`` lacks s (0 if none does),
+    and m(n) is the largest m_s over orders up to n.
     """
-    age, least = _prime_age(w, L, k_max)
+    age, key_of = _prime_age(w, L, k_max)
     # no prime has order 3, so only an age reaching size 4 can show its
     # members stopping at size 2
     degenerate = k_max >= 4 and not any(age.levels[k] for k in range(3, k_max + 1))
-    key_of = cache(lambda v: canonical_key(_trusted(len(v) + 1, _word_rows(v))))
-    hosts = []
-    for m in sorted(age.levels, reverse=True):
-        for key in age.levels[m]:
-            # the host's windows of order 1..n_max; the empty host has none
-            u = least.get(key, "")
-            forms = set().union(*_window_forms(explicit_word(u), len(u), min(n_max, m)))
-            hosts.append((m, age.keys(0) | set(map(key_of, forms))))
+    # one bit per prime of order 1..n_max; the empty
+    # graph lies in every host, and the empty host holds nothing else
+    bit = {key: 1 << i for i, key in enumerate(
+        key for n in range(1, n_max + 1) for key in age.levels.get(n, {}))}
+    members: dict[str, int] = {}
+    common = {0: 0}
+    # key_of goes up the orders, so a form's drops come before it
+    for u, key in key_of.items():
+        members[u] = bit.get(key, 0)
+        for v in _drops(u):
+            members[u] |= members[v]
+        if key in age.levels[len(u) + 1]:
+            common[len(u) + 1] = common.get(len(u) + 1, -1) & members[u]
     cofinality: dict[int, int | None] = {}
-    worst = 0
-    for n in range(0, n_max + 1):
-        for key in age.levels.get(n, {}):
-            for m, keys in hosts:
-                if key not in keys:
-                    worst = max(worst, m + 1)
-                    break
+    need = 0  # the bits of the members of order at most n
+    for n in range(n_max + 1):
+        need |= sum(bit.get(key, 0) for key in age.levels.get(n, {}))
+        worst = max((m + 1 for m, mask in common.items() if need & ~mask), default=0)
         cofinality[n] = worst if worst <= k_max else None
     return JonssonReport(level_counts=age.level_counts(), cofinality=cofinality,
                          degenerate=degenerate)

@@ -607,6 +607,68 @@ def test_jonsson_matches_the_rescan_on_every_short_word():
                     _rescanned_table(w, n, k, k), ("".join(bits), k)
 
 
+def _assert_drops_give_the_level_below(w, L, k):
+    levels = ages._window_forms(w, L, k)
+    for j in range(1, k):  # orders j + 1 and j
+        assert {v for u in levels[j] for v in ages._drops(u)} == levels[j - 1], j
+
+
+def test_window_forms_drop_to_the_level_below():
+    """The drop lemma on strings: the drops of the window forms of order
+    j + 1 are the window forms of order j, for every j < k <= L + 1."""
+    for n in range(9):
+        for bits in itertools.product("01", repeat=n):
+            _assert_drops_give_the_level_below(explicit_word("".join(bits)), n, n + 1)
+    rng = random.Random(34)
+    for _ in range(40):
+        L = rng.randint(20, 120)
+        w = explicit_word("".join(rng.choice("01") for _ in range(L)))
+        _assert_drops_give_the_level_below(w, L, 14)
+    _assert_drops_give_the_level_below(fibonacci_word(), 2000, 40)
+    _assert_drops_give_the_level_below(substitution_word({"0": "01", "1": "10"}, "0"),
+                                       400, 30)
+
+
+def test_drops_are_the_vertex_deletions_of_a_form():
+    # less its last, first and second vertex, the word graph of a normal
+    # form u is the word graph of each of its drops, up to isomorphism
+    for n in range(2, 10):
+        for bits in itertools.product("01", repeat=n - 1):
+            u = bits[0] + "0" + "".join(bits[1:])
+            g = graph_of_word(u)
+            assert [canonical_key(delete_vertex(g, v)) for v in (n, 0, 1)] == \
+                [canonical_key(graph_of_word(d)) for d in ages._drops(u)], u
+    assert ages._drops("1") == ("", "") and ages._drops("") == ()
+
+
+@pytest.mark.parametrize("w, L, k_max, n_max", [
+    (fibonacci_word(), 300, 20, 7),
+    (substitution_word({"0": "01", "1": "10"}, "0"), 400, 14, 6),
+    (explicit_word("0110100"), 7, 8, 8),
+])
+def test_jonsson_reads_the_factors_once(monkeypatch, w, L, k_max, n_max):
+    """One desk check reads the word's factors once and classifies what
+    word_prime_age classifies, and nothing more: hosts are never re-read."""
+    calls = {"factor_last_starts": 0, "_classify": 0}
+
+    def counted(name):
+        real = getattr(ages, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(ages, name, counted(name))
+    word_prime_age(w, L, k_max)
+    assert calls["factor_last_starts"] == 1
+    classified = calls["_classify"]
+    calls.update(factor_last_starts=0, _classify=0)
+    jonsson_desk_check(w, L, k_max, n_max)
+    assert calls == {"factor_last_starts": 1, "_classify": classified}
+
+
 def test_jonsson_reports_what_its_route_holds():
     # the route reads prime members only, and the report says so
     for w in (fibonacci_word(), periodic_word("011"), periodic_word("1")):

@@ -136,6 +136,21 @@ def test_bounds_length_zero_is_not_the_default(capsys):
     assert captured.out == "" and "at least k_max" in captured.err
 
 
+@pytest.mark.parametrize("command", ["age", "bounds", "jonsson"])
+def test_k_max_past_the_canonical_cap_exits_2_before_any_work(
+        capsys, monkeypatch, command):
+    # every member of size k_max is canonically keyed, so a k_max past
+    # CORE_WIDTH can never succeed; it is refused before any classification
+    def never(*args):
+        raise AssertionError("a member was classified")
+
+    monkeypatch.setattr(ages, "_classify", never)
+    assert main([command, "--fib", "--length", "2000", "--k-max", "65"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: k_max 65 exceeds 64, the canonical key's cap\n"
+
+
 def test_bound_that_a_doubled_prefix_holds_exits_2(capsys):
     # B? (three isolated vertices) bounds the length-4 Fibonacci prefix and
     # embeds in the length-5 one: a finding at L = 4, not a broken invariant
