@@ -10,9 +10,9 @@ from .ages import (
     AgeApprox,
     BoundCertificate,
     age_enumerate,
-    age_includes,
     bounds_enumerate,
     jonsson_desk_check,
+    missing_member,
     validate_bound_certificate,
     word_age,
 )
@@ -54,13 +54,11 @@ from .realizers import Realizer, build_realizer, validate_realizer
 from .wordgraph import graph_of_word, graph_of_word_forward
 from .words import (
     ContinuedFraction,
-    FactorSet,
     Word,
     WordError,
     complement_word,
     explicit_word,
     factor_complexity,
-    factors,
     fibonacci_word,
     golden_slope,
     mechanical_word,

@@ -134,22 +134,16 @@ def age_enumerate(source: Graph, k_max: int, source_desc: str = "graph") -> AgeA
     return AgeApprox(source_desc=source_desc, k_max=k_max, levels=levels)
 
 
-@dataclass(frozen=True)
-class InclusionResult:
-    included_at_scale: bool
-    k_max: int
-    witness: Graph | None = None
-
-
-def age_includes(a: AgeApprox, b: AgeApprox) -> InclusionResult:
-    """Is every member of ``a`` a member of ``b``, at a's scale?"""
+def missing_member(a: AgeApprox, b: AgeApprox) -> Graph | None:
+    """A least member of ``a`` that ``b`` lacks, or None if every member of
+    ``a`` is one of ``b``: inclusion at a's scale."""
     if a.k_max > b.k_max:
         raise GraphError("inclusion check needs b enumerated at least as far as a")
     for size in sorted(a.levels):
         for key, member in a.levels[size].items():
             if key not in b.levels.get(size, {}):
-                return InclusionResult(False, a.k_max, witness=member)
-    return InclusionResult(True, a.k_max)
+                return member
+    return None
 
 
 # -- word-graph ages by gapped-factor patterns ----------------------------------
@@ -436,7 +430,8 @@ def jonsson_desk_check(w: Word, L: int, k_max: int, n_max: int = 5) -> JonssonRe
     """Per-level counts of :func:`word_prime_age`, and the cofinality table
     m(n): the least m such that every member of order at most n embeds in
     every member of order at least m, within the approximation (None if no
-    m at the scale works).
+    m at the scale works).  An ``n_max`` above ``k_max`` is a
+    :class:`GraphError`: the table covers only the orders the age reached.
 
     Containment is read off the word's own classified windows, with no
     embedding search and no second read of any factor.  Drop lemma: let u
@@ -463,6 +458,8 @@ def jonsson_desk_check(w: Word, L: int, k_max: int, n_max: int = 5) -> JonssonRe
     m_s = 1 + the largest m whose ``common[m]`` lacks s (0 if none does),
     and m(n) is the largest m_s over orders up to n.
     """
+    if n_max > k_max:  # m(n) only for sizes the age reached
+        raise GraphError(f"n_max {n_max} exceeds k_max {k_max}")
     age, key_of = _prime_age(w, L, k_max)
     # no prime has order 3, so only an age reaching size 4 can show its
     # members stopping at size 2

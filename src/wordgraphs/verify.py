@@ -8,7 +8,9 @@ battery in about 0.5 s; ``full`` runs the desk-scale experiment sizes in about
 
 Checks that pair an implementation with an independent oracle keep both
 routes here: the module search is re-verified against plain subset
-enumeration, not against itself.
+enumeration, not against itself, and age witnesses against
+:func:`in_word_age`, which reads one graph off the letters by vertex
+orders.  The tests import both oracles from here.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .ages import (
-    age_includes,
     bounds_enumerate,
     jonsson_desk_check,
+    missing_member,
     subsets_in_word_age,
     validate_bound_certificate,
     word_age,
@@ -49,7 +51,7 @@ from .words import (
     complement_word,
     explicit_word,
     factor_complexity,
-    factors,
+    factor_last_starts,
     fibonacci_word,
     golden_slope,
     mechanical_word,
@@ -200,11 +202,11 @@ def check_sturmian_diagnostics(L: int = 10_000, n_max: int = 12,
         f"mechanical_match={match_ok}")
 
 
-def _in_word_age(g: Graph, w: Word, L: int) -> bool:
-    """Does ``g`` embed in the length-L prefix's word graph?  Read off the
-    letters by vertex orders (the full set of
+def in_word_age(g: Graph, w: Word, L: int) -> bool:
+    """Independent oracle: does ``g`` embed in the length-L prefix's word
+    graph?  Read off the letters by vertex orders (the full set of
     :func:`~wordgraphs.ages.subsets_in_word_age`), not by the patterns and
-    canonical forms that made the ages."""
+    canonical forms that made the ages; the tests share it."""
     return (1 << g.n) - 1 in subsets_in_word_age(g, w, L)
 
 
@@ -220,16 +222,16 @@ def check_sturmian_pair(L: int = 100, k_equal: int = 5,
     """
     s1 = mechanical_word(ContinuedFraction((2,), (1,)), "slope")
     s2 = mechanical_word(ContinuedFraction((3,), (1,)), "slope")
-    factor_diff = any(factors(s1, n, 10 * n).factors != factors(s2, n, 10 * n).factors
+    factor_diff = any(factor_last_starts(s1, 10 * n, n)[-1].keys()
+                      != factor_last_starts(s2, 10 * n, n)[-1].keys()
                       for n in range(1, 11))
     a1, a2 = word_age(s1, L, k_diff), word_age(s2, L, k_diff)
     equal = all(a1.keys(k) == a2.keys(k) for k in range(k_equal + 1))
-    r12, r21 = age_includes(a1, a2), age_includes(a2, a1)
+    g12, g21 = missing_member(a1, a2), missing_member(a2, a1)
     witnesses_ok = (
-        not r12.included_at_scale and not r21.included_at_scale
-        and r12.witness is not None and r21.witness is not None
-        and _in_word_age(r12.witness, s1, L) and not _in_word_age(r12.witness, s2, L)
-        and _in_word_age(r21.witness, s2, L) and not _in_word_age(r21.witness, s1, L))
+        g12 is not None and g21 is not None
+        and in_word_age(g12, s1, L) and not in_word_age(g12, s2, L)
+        and in_word_age(g21, s2, L) and not in_word_age(g21, s1, L))
     ok = factor_diff and equal and witnesses_ok
     return CheckResult(
         "sturmian-pair-ages", ok,
@@ -299,7 +301,7 @@ def run_battery(level: str = "quick", seed: int = 0) -> list[CheckResult]:
             check_sturmian_diagnostics(),
             check_sturmian_pair(L=100),
             check_bounds((4, 5, 6)),
-            check_jonsson(60, 10, 5),
+            check_jonsson(300, 20, 7),
             check_determinism(seed),
         ]
     if level == "quick":

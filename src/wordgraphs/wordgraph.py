@@ -7,12 +7,15 @@ the letter is 0 and they are not.  The forward variant appends the extra
 vertex at the end and reads the letter at the smaller index instead; the two
 constructions swap under letterwise reversal of the word.
 
-Both builders read the rows off letter masks (bit t set iff the letter at
-index t is 1) in O(L) big-integer operations: a letter 0 joins its index to
-every index on the far side of the consecutive one, a letter 1 only to the
-consecutive one, so each row is a shifted slice of the zero-letter mask
-plus at most two single bits.  The graphs come out symmetric and loop-free
-by construction and skip the public constructor's checks.
+Both builders read the rows off the word's letter masks, whose one owner
+is ``words._letter_masks`` (bit i of mask c set iff the letter at i is c);
+the backward graph's index t holds the letter at t - 1, so its masks
+(:func:`letter_masks`) are those shifted up by one index.  A letter 0 joins
+its index to every index on the far side of the consecutive one, a letter
+1 only to the consecutive one, so each row is a shifted slice of the
+zero-letter mask plus at most two single bits, in O(L) big-integer
+operations.  The graphs come out symmetric and loop-free by construction
+and skip the public constructor's checks.
 
 Not every word-graph age transfers between one-sided and two-sided index
 domains; the known obstructions are degree-counting arguments about
@@ -24,7 +27,7 @@ realizability questions; only prefixes of one-sided words are compiled.
 from __future__ import annotations
 
 from .graphs import Graph, GraphError, _trusted
-from .words import Word, explicit_word
+from .words import Word, _letter_masks, explicit_word
 
 
 def _prefix_bits(w: Word | str, L: int | None) -> str:
@@ -43,9 +46,10 @@ def letter_masks(w: Word | str, L: int | None = None) -> tuple[int, int]:
 
 
 def _index_masks(bits: str) -> tuple[int, int]:
-    """:func:`letter_masks` of the word ``bits``."""
-    ones = int(bits[::-1], 2) << 1 if bits else 0
-    return ((1 << (len(bits) + 1)) - 2) ^ ones, ones
+    """:func:`letter_masks` of the word ``bits``: its letter masks shifted
+    up by one index."""
+    zeros, ones = _letter_masks(bits)
+    return zeros << 1, ones << 1
 
 
 def _word_rows(bits: str) -> tuple[int, ...]:
@@ -71,7 +75,7 @@ def graph_of_word_forward(w: Word | str, L: int | None = None) -> Graph:
     index decides each pair."""
     bits = _prefix_bits(w, L)
     n = len(bits) + 1
-    zeros, ones = (mask >> 1 for mask in _index_masks(bits))
+    zeros, ones = _letter_masks(bits)
     full = (1 << n) - 1
     rows = []
     for i in range(n):

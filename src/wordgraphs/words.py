@@ -15,18 +15,22 @@ once two consecutive convergents (which bracket the limit slope) produce
 identical floor sequences, which pins the exact prefix by monotonicity of
 ``floor(i*slope + intercept)`` in the slope.
 
-The distinct factors, the complexity p(n) and the recurrence bounds R(n)
-are read off one walk over the levels' start masks: bit i of a factor's
-mask is set when the factor starts at i, and a length-(n+1) factor's mask
-is its length-n prefix's mask ANDed with the next letter's mask shifted
-right by n.  Each nonzero mask is a factor, read at its last start; R(n)
-takes each factor's first start, last start and longest gap between starts
-off its mask.  A level costs about p(n) big-integer operations on L bits,
-against L interpreted steps for a pass over the positions, so the words
-the generators give (p(n) = n + 1 for Sturmian words, about 3n for
-Thue-Morse) cost little.  From the first level holding more than
-``_MASK_LEVEL_LIMIT`` factors on, the positional pass is taken instead,
-which also bounds the masks' memory on a dense word.
+The letter masks (bit i of mask c set iff the letter at i is c) have one
+owner, ``_letter_masks``; the word graph compilers in
+:mod:`~wordgraphs.wordgraph` read them too.  The distinct factors (by
+:func:`factor_last_starts`, their one reader), the complexity p(n) and the
+recurrence bounds R(n) are read off one walk over the levels' start masks:
+bit i of a factor's mask is set when the factor starts at i, and a
+length-(n+1) factor's mask is its length-n prefix's mask ANDed with the
+next letter's mask shifted right by n.  Each nonzero mask is a factor,
+read at its last start; R(n) takes each factor's first start, last start
+and longest gap between starts off its mask.  A level costs about p(n)
+big-integer operations on L bits, against L interpreted steps for a pass
+over the positions, so the words the generators give (p(n) = n + 1 for
+Sturmian words, about 3n for Thue-Morse) cost little.  From the first
+level holding more than ``_MASK_LEVEL_LIMIT`` factors on, the positional
+pass is taken instead, which also bounds the masks' memory on a dense
+word.
 """
 
 from __future__ import annotations
@@ -78,15 +82,6 @@ class ContinuedFraction:
             h_prev, h = h, a * h + h_prev
             k_prev, k = k, a * k + k_prev
         return Fraction(h, k)
-
-
-@dataclass(frozen=True)
-class FactorSet:
-    """Distinct length-``length`` blocks seen in a prefix of given length."""
-
-    length: int
-    prefix_length: int
-    factors: frozenset[str]
 
 
 def _check_bits(bits: str, what: str) -> str:
@@ -257,14 +252,11 @@ def reverse_star(w: Word, L: int) -> Word:
 # -- factor machinery ---------------------------------------------------------
 
 
-def factors(w: Word, n: int, L: int) -> FactorSet:
-    """All distinct length-n contiguous blocks of prefix(L)."""
-    if n > L:
-        raise WordError("factor length exceeds prefix length")
-    p = w.prefix(L)
-    return FactorSet(
-        length=n, prefix_length=L,
-        factors=frozenset(p[i:i + n] for i in range(L - n + 1)))
+def _letter_masks(p: str) -> tuple[int, int]:
+    """The letters of ``p`` as two masks: bit i of mask c is set iff
+    ``p[i]`` is c; the letter rule's only owner."""
+    ones = int(p[::-1], 2) if p else 0
+    return ones ^ ((1 << len(p)) - 1), ones
 
 
 # Masks or positions.  Timed level by level on seeded periodic and random
@@ -284,8 +276,7 @@ def _by_level(p: str, n_max: int, from_masks, from_pass) -> list:
     ``n_max``."""
     if n_max > len(p):
         raise WordError("factor length exceeds prefix length")
-    ones = int(p[::-1], 2) if p else 0
-    letters = (ones ^ ((1 << len(p)) - 1), ones)
+    letters = _letter_masks(p)
     masks = [(1 << (len(p) + 1)) - 1]  # the empty factor starts everywhere
     out = []
     for n in range(1, n_max + 1):

@@ -8,27 +8,27 @@ after each split, the canonical search on it that encodes each leaf pair by
 pair, the pair-by-pair word graph, the realizer builder that normalizes its
 two lists with polarity and swap flags, the label-pair realizer check, the
 strict order of a realizer's two linear orders built pair by pair, the
-plain embedding backtracking, the one-pass recurrence scan over a word's
-positions, the mechanical letters from ``Fraction`` floors, and the orbit
-representatives over all 2^n masks, from one image table per generator the
-caller passes in, cut to the masks that give a new vertex maximum degree.
-The module oracle by subset enumeration is the one ``verify`` runs, imported
-from there.  Nothing imports the algorithms under test beyond the plain
-Graph, Realizer and AgeApprox containers, save six slow routes: the
-census's generation that tries every neighbourhood mask and heights over
-every subset, the bound candidates that extend every word-age member by
-every mask, the cofinality table that rescans every pair for each m by
-embedding search, the word age with one state per gapped-factor pattern,
-and the prime windows found by a scan over every position of a word at
-every level.
+plain embedding backtracking, the factor set sliced at every start, the
+mechanical letters from ``Fraction`` floors, and the orbit representatives
+over all 2^n masks, from one image table per generator the caller passes
+in, cut to the masks that give a new vertex maximum degree.  The module
+oracle by subset enumeration and ``in_word_age``, which reads the full
+vertex set of one graph off ``ages.subsets_in_word_age``, are the ones
+``verify`` runs, imported from there.  Nothing imports the algorithms
+under test beyond the plain Graph, Realizer and AgeApprox containers,
+save six slow routes: the census's generation that tries every
+neighbourhood mask and heights over every subset, the bound candidates
+that extend every word-age member by every mask, the cofinality table
+that rescans every pair for each m by embedding search, the word age with
+one state per gapped-factor pattern, and the prime windows found by a
+scan over every position of a word at every level.
 They differ from the fast routes only in what they try, and reuse the
 canonical key, form, primality test, embedding search, word age and move
 rule, which are checked against brute force or the extension route on their
 own.  ``are_isomorphic`` compares canonical keys, for tests that only need
-a yes or no, ``in_word_age`` reads the full vertex set off
-``ages.subsets_in_word_age``, for tests that ask about one graph, and
-``prime_members`` cuts an age to its brute-force primes: the desk check's
-oracle is ``rescan_cofinality`` over ``prime_members(word_age(...))``.
+a yes or no, and ``prime_members`` cuts an age to its brute-force primes:
+the desk check's oracle is ``rescan_cofinality`` over
+``prime_members(word_age(...))``.
 """
 
 from __future__ import annotations
@@ -38,13 +38,7 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from wordgraphs.ages import (
-    AgeApprox,
-    BoundCertificate,
-    _moves,
-    subsets_in_word_age,
-    word_age,
-)
+from wordgraphs.ages import AgeApprox, BoundCertificate, _moves, word_age
 from wordgraphs.graphs import (
     Graph,
     GraphError,
@@ -57,7 +51,7 @@ from wordgraphs.graphs import (
 )
 from wordgraphs.primes import is_prime
 from wordgraphs.realizers import Realizer
-from wordgraphs.verify import modules_by_subsets as brute_modules
+from wordgraphs.verify import in_word_age, modules_by_subsets as brute_modules
 from wordgraphs.wordgraph import graph_of_word, letter_masks
 from wordgraphs.words import Word
 
@@ -251,12 +245,6 @@ def all_masks_bounds(w: Word, L: int, k_max: int) -> list[BoundCertificate]:
     return certificates
 
 
-def in_word_age(h: Graph, w: Word, L: int) -> bool:
-    """Does ``h`` embed in the word graph of the length-L prefix of ``w``?
-    (``ages.subsets_in_word_age``, the full vertex set.)"""
-    return (1 << h.n) - 1 in subsets_in_word_age(h, w, L)
-
-
 def rows_keyed_word_age(w: Word, L: int, k_max: int) -> dict[int, dict[bytes, Graph]]:
     """The levels of ``word_age``, with one state per gapped-factor pattern:
     its rows in index order map to its end mask, grown by the same move
@@ -319,20 +307,9 @@ def rescan_cofinality(members: dict[int, list[Graph]], k_max: int,
     return None
 
 
-def one_pass_recurrence(p: str, n: int) -> int | None:
-    """``words.recurrence_bound`` on the word ``p`` in one pass over its
-    positions: a window must reach a factor's first end, span each gap
-    between consecutive starts, and reach from its last start to the end."""
-    L = len(p)
-    latest: dict[str, int] = {}  # factor -> its latest start so far
-    m = n
-    for i in range(L - n + 1):
-        f = p[i:i + n]
-        prev = latest.get(f)
-        m = max(m, i + n if prev is None else i - prev + n - 1)
-        latest[f] = i
-    m = max([m] + [L - i for i in latest.values()])
-    return m if m <= L // 2 else None
+def factor_set(p: str, n: int) -> set[str]:
+    """The distinct length-n blocks of ``p``, sliced at every start."""
+    return {p[i:i + n] for i in range(len(p) - n + 1)}
 
 
 def scan_prime_age(w: Word, L: int, k_max: int) -> AgeApprox:

@@ -17,13 +17,13 @@ from wordgraphs.ages import (
     BoundCertificate,
     age_csv,
     age_enumerate,
-    age_includes,
     age_to_json,
     bound_scales,
     bounds_enumerate,
     bounds_to_json,
     jonsson_desk_check,
     jonsson_to_json,
+    missing_member,
     subsets_in_word_age,
     validate_bound_certificate,
     word_age,
@@ -49,7 +49,7 @@ from wordgraphs.graphs import (
 from wordgraphs.primes import is_prime
 from wordgraphs.wordgraph import graph_of_word
 from wordgraphs.words import (ContinuedFraction, WordError, explicit_word,
-                              factor_complexity, factors, fibonacci_word,
+                              factor_complexity, fibonacci_word,
                               mechanical_word, periodic_word, substitution_word)
 
 
@@ -198,7 +198,7 @@ def test_word_prime_age_matches_the_position_scan_on_dense_levels(seed):
     rng = random.Random(seed)
     L = rng.randint(280, 320)
     w = explicit_word("".join(rng.choice("01") for _ in range(L)))
-    assert len(factors(w, 8, L).factors) > 128
+    assert len(oracles.factor_set(w.prefix(L), 8)) > 128
     _assert_same_levels(word_prime_age(w, L, 12), oracles.scan_prime_age(w, L, 12))
 
 
@@ -315,16 +315,14 @@ def test_age_heredity(g):
                 assert canonical_key(delete_vertex(member, v)) in age.keys(size - 1)
 
 
-def test_age_includes_examples():
+def test_missing_member_examples():
     small = age_enumerate(path(5), 3)
     large = age_enumerate(path(9), 3)
-    assert age_includes(small, large).included_at_scale
+    assert missing_member(small, large) is None
     tri = age_enumerate(clique(3), 3)
-    res = age_includes(tri, large)
-    assert not res.included_at_scale
-    assert canonical_key(res.witness) == canonical_key(clique(3))
+    assert canonical_key(missing_member(tri, large)) == canonical_key(clique(3))
     with pytest.raises(GraphError):
-        age_includes(age_enumerate(path(9), 4), small)
+        missing_member(age_enumerate(path(9), 4), small)
 
 
 def test_sturmian_pair_ages_equal_at_five_distinct_at_six():
@@ -333,17 +331,18 @@ def test_sturmian_pair_ages_equal_at_five_distinct_at_six():
     # against exhaustive subset enumeration); the first divergence is k = 6.
     s1 = mechanical_word(ContinuedFraction((2,), (1,)), "slope")
     s2 = mechanical_word(ContinuedFraction((3,), (1,)), "slope")
-    assert factors(s1, 3, 60).factors != factors(s2, 3, 60).factors
+    assert oracles.factor_set(s1.prefix(60), 3) != \
+        oracles.factor_set(s2.prefix(60), 3)
     a1, a2 = word_age(s1, 60, 5), word_age(s2, 60, 5)
-    assert age_includes(a1, a2).included_at_scale
-    assert age_includes(a2, a1).included_at_scale
+    assert missing_member(a1, a2) is None
+    assert missing_member(a2, a1) is None
     b1, b2 = word_age(s1, 60, 6), word_age(s2, 60, 6)
-    r12, r21 = age_includes(b1, b2), age_includes(b2, b1)
-    assert not r12.included_at_scale and not r21.included_at_scale
+    g12, g21 = missing_member(b1, b2), missing_member(b2, b1)
+    assert g12 is not None and g21 is not None
     # witnesses re-validate against both word graphs
     g1, g2 = graph_of_word(s1, 60), graph_of_word(s2, 60)
-    assert embeds(r12.witness, g1) and not embeds(r12.witness, g2)
-    assert embeds(r21.witness, g2) and not embeds(r21.witness, g1)
+    assert embeds(g12, g1) and not embeds(g12, g2)
+    assert embeds(g21, g2) and not embeds(g21, g1)
 
 
 def test_bounds_of_all_ones_word():
@@ -688,6 +687,16 @@ def test_jonsson_is_not_degenerate_below_size_four(capsys, argv):
     assert main(["jonsson", "--fib", "--length", "10"] + argv) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["degenerate"] is False and doc["note"] == ""
+
+
+def test_jonsson_refuses_n_max_past_k_max():
+    # m(n) is reported only for orders the age reached: at k = 4 the table
+    # would give m(5) = m(6) = 3, where L = 300 and k = 20 give 10 and 14
+    with pytest.raises(GraphError, match="n_max 6 exceeds k_max 4"):
+        jonsson_desk_check(fibonacci_word(), 60, 4, n_max=6)
+    for k_max in range(8):
+        with pytest.raises(GraphError):
+            jonsson_desk_check(fibonacci_word(), 30, k_max, n_max=k_max + 1)
 
 
 def test_jonsson_degenerate_short_word():

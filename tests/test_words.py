@@ -17,7 +17,6 @@ from wordgraphs.words import (
     explicit_word,
     factor_complexity,
     factor_last_starts,
-    factors,
     fibonacci_word,
     golden_slope,
     mechanical_word,
@@ -217,12 +216,12 @@ def test_reverse_star_examples():
 # -- factors -------------------------------------------------------------------
 
 
-def test_factors_examples():
-    assert factors(periodic_word("01"), 2, 6).factors == {"01", "10"}
-    assert factors(periodic_word("1"), 3, 10).factors == {"111"}
-    assert factors(fibonacci_word(), 2, 13).factors == {"00", "01", "10"}
+def test_factor_last_starts_examples():
+    assert factor_last_starts(periodic_word("01"), 6, 2)[-1].keys() == {"01", "10"}
+    assert factor_last_starts(periodic_word("1"), 10, 3)[-1].keys() == {"111"}
+    assert factor_last_starts(fibonacci_word(), 13, 2)[-1].keys() == {"00", "01", "10"}
     with pytest.raises(WordError):
-        factors(periodic_word("1"), 5, 3)
+        factor_last_starts(periodic_word("1"), 3, 5)
 
 
 @given(bit_words)
@@ -230,7 +229,7 @@ def test_factor_complexity_counts_the_factor_sets(bits):
     w = explicit_word(bits)
     L = len(bits)
     assert factor_complexity(w, L, L // 2) == [
-        len(factors(w, n, L).factors) for n in range(1, L // 2 + 1)]
+        len(oracles.factor_set(bits, n)) for n in range(1, L // 2 + 1)]
 
 
 def test_factor_complexity():
@@ -264,7 +263,7 @@ def test_factor_last_starts_match_the_factor_sets_and_a_scan(seed):
     w, L = explicit_word(p), len(p)
     levels = factor_last_starts(w, L, n_max)
     assert [set(level) for level in levels] == [
-        factors(w, n, L).factors for n in range(1, n_max + 1)]
+        oracles.factor_set(p, n) for n in range(1, n_max + 1)]
     assert levels == [_scanned_last_starts(p, n) for n in range(1, n_max + 1)]
     sizes = list(map(len, levels))
     assert sizes[0] <= words._MASK_LEVEL_LIMIT < sizes[-1]
@@ -316,10 +315,11 @@ def test_recurrence_bound_matches_window_scan(bits):
 def test_word_diagnostics_across_the_level_switch(seed, monkeypatch):
     # a random word's levels outgrow the mask limit before length 12, and
     # Fibonacci's, with n + 1 factors, at length 128: the diagnostics read
-    # masks below that level and the positional pass from it on.  A
-    # periodic word holds at most its period's 80 to 120 factors, so its
-    # 40 levels are all masks.
-    one_pass = words._positional_recurrence
+    # masks below that level and the positional pass from it on, and are
+    # held to the masks read at every level, with the limit raised past
+    # each level's count.  A periodic word holds at most its period's 80 to
+    # 120 factors, so its 40 levels are all masks.
+    limit, one_pass = words._MASK_LEVEL_LIMIT, words._positional_recurrence
     rng = random.Random(seed)
     L = rng.randint(2000, 3000)
     bits = "".join(rng.choice("01") for _ in range(L))
@@ -327,16 +327,18 @@ def test_word_diagnostics_across_the_level_switch(seed, monkeypatch):
     for p, n_max, switches in ((bits, 12, True), ((pattern * L)[:L], 40, False),
                                (fibonacci_word().prefix(L), 130 + seed, True)):
         w = explicit_word(p)
-        sizes = [len(factors(w, n, L).factors) for n in range(1, n_max + 1)]
-        assert (max(sizes) > words._MASK_LEVEL_LIMIT) == switches
-        first = next((n for n, size in enumerate(sizes, 1)
-                      if size > words._MASK_LEVEL_LIMIT), n_max + 1)
+        sizes = [len(oracles.factor_set(p, n)) for n in range(1, n_max + 1)]
+        assert (max(sizes) > limit) == switches
+        first = next((n for n, size in enumerate(sizes, 1) if size > limit),
+                     n_max + 1)
+        monkeypatch.setattr(words, "_MASK_LEVEL_LIMIT", max(sizes))
+        by_masks = recurrence_bound(w, L, n_max)
+        monkeypatch.setattr(words, "_MASK_LEVEL_LIMIT", limit)
         passes = []
         monkeypatch.setattr(words, "_positional_recurrence",
                             lambda p, n: passes.append(n) or one_pass(p, n))
         assert factor_complexity(w, L, n_max) == sizes
-        assert recurrence_bound(w, L, n_max) == [
-            oracles.one_pass_recurrence(p, n) for n in range(1, n_max + 1)]
+        assert recurrence_bound(w, L, n_max) == by_masks
         assert passes == list(range(first, n_max + 1))
 
 
@@ -346,7 +348,7 @@ def test_recurrence_bound_window_property():
     m = recurrence_bound(w, L, 3)[2]
     assert m is not None
     p = w.prefix(L)
-    fac = factors(w, 3, L).factors
+    fac = oracles.factor_set(p, 3)
     for a in range(0, L - m + 1, 7):
         window = p[a:a + m]
         assert {window[i:i + 3] for i in range(m - 2)} == fac
