@@ -37,14 +37,15 @@ of maximum degree, so the bounds of size k are the step's classes from
 level k - 1 that are not members and pass the same deletion check
 (:func:`_deletion_keys`).
 
-The prime members of a word-graph age (``word_prime_age``) are read off
-the distinct factors, with no walk: every prime sits on a window, the word
-graph of its factor (the first letter flipped after a gap) up to a swap of
-its first two vertices, so a level classifies one graph per normal form.
-The Jónsson desk check reads containment off the same classified windows:
-a host's members are its own class and those of its three windows one
-order down, each a window of the word too, so no host is read again.  No
-word route builds the prefix graph.
+The Jónsson desk check reads the prime members of a word-graph age off the
+distinct factors, with no walk (:func:`_prime_age`): every prime sits on a
+window, the word graph of its factor (the first letter flipped after a gap)
+up to a swap of its first two vertices, so a level keys one graph per
+normal form, by its realizer and not by canonical labelling, so the check
+alone runs past the canonical search's cap.  Containment is read off the
+same keyed windows: a host's members are its own class and those of its
+three windows one order down, each a window of the word too, so no host is
+read again.  No word route builds the prefix graph.
 
 Everything about an infinite age is reported at a finite scale and says so:
 a bound certificate records the prefix length at which the non-membership
@@ -78,6 +79,7 @@ from .graphs import (
     extend_level,
 )
 from .primes import is_prime
+from .realizers import build_realizer, realizer_key
 from .wordgraph import _prefix_bits, _word_rows, letter_masks
 from .words import Word, factor_last_starts
 
@@ -111,13 +113,17 @@ def _deletion_keys(g: Graph,
     return tuple(sorted(keys))
 
 
+def _check_order(order: int, k_max: int) -> None:
+    if k_max > order:
+        raise GraphError("k_max exceeds the source order")
+
+
 def _start_levels(order: int, k_max: int) -> dict[int, dict[CanonKey, Graph]]:
     """Level 0, the empty graph, of an age of an ``order``-vertex source.
     Every member is canonically keyed, so no age reaches past CORE_WIDTH."""
     if k_max > CORE_WIDTH:
         raise GraphError(f"k_max {k_max} exceeds {CORE_WIDTH}, the canonical key's cap")
-    if k_max > order:
-        raise GraphError("k_max exceeds the source order")
+    _check_order(order, k_max)
     return {0: {canonical_key(Graph(0, ())): Graph(0, ())}}
 
 
@@ -218,40 +224,9 @@ def word_age(w: Word, L: int, k_max: int) -> AgeApprox:
                      levels=levels)
 
 
-def word_prime_age(w: Word, L: int, k_max: int) -> AgeApprox:
-    """The prime members of :func:`word_age`, read off the word's distinct
-    factors: the keys and canonical forms, in order, of word_age's levels
-    filtered by :func:`~wordgraphs.primes.is_prime`.
-
-    Window lemma: a prime induced subgraph of order k >= 3 of the prefix
-    graph sits on an interval of k consecutive indices, or on one index, a
-    gap, and an interval of k - 1 consecutive indices.  Proof: if its indices
-    have a gap, let P be the chosen vertices before the last gap.  Every
-    later chosen vertex t is at least two indices past all of P, so it sees
-    all of P (letter 0 at t) or none of it (letter 1), and P is a module.
-    It is not the whole set, so by primality it is one vertex.  Graphs of
-    order <= 2 are prime by convention, and every one of them is a window:
-    a pair of indices is consecutive or has a gap.
-
-    A window of order k is fixed by its shape and the factor f of length
-    k - 1 at its last k - 1 indices (a pair is decided by its larger index).
-    On an interval it is the word graph of u = f, its first index playing
-    vertex -1.  After a gap, which needs a start of f >= 1, it is the word
-    graph of u = f with f[0] flipped: the lone index sees the next one iff
-    f[0] = 0, as they are not consecutive, and every later one as vertex -1
-    does.  Swapping vertices -1 and 0 of u's word graph flips u[1]: vertex 1
-    sees -1 iff u[1] = 0 and 0 iff u[1] = 1, and every later vertex sees the
-    two alike.  So a window is isomorphic to the word graph of u[0] + "0" +
-    u[2:], and a level classifies one such graph per normal form (u[0],
-    u[2:]), at most 2 p(k - 3) of them (p the factor complexity), read off
-    :func:`~wordgraphs.words.factor_last_starts`.
-    """
-    return _prime_age(w, L, k_max)[0]
-
-
 def _forms(f: str, gap: bool) -> tuple[str, ...]:
     """The normal forms of the windows over the factor ``f`` (see
-    :func:`word_prime_age`): the interval window's, u[0] + "0" + u[2:] for
+    :func:`_prime_age`): the interval window's, u[0] + "0" + u[2:] for
     u = f, and if ``gap`` the gap window's, for u = f with f[0] flipped.
     An empty factor has one window, a single vertex.  The one owner of the
     normal-form rule."""
@@ -275,18 +250,48 @@ def _drops(u: str) -> tuple[str, ...]:
     return (u[:-1], *_forms(u[1:], True)) if u else ()
 
 
-def _prime_age(w: Word, L: int, k_max: int) -> tuple[AgeApprox, dict[str, CanonKey]]:
-    """:func:`word_prime_age`, and the class key of every window form."""
+def _prime_age(w: Word, L: int, k_max: int) -> tuple[
+        dict[int, set[tuple[int, ...]]], dict[str, tuple[int, ...] | None]]:
+    """The prime members of :func:`word_age`, read off the word's distinct
+    factors: per order 0..``k_max`` the set of their classes' keys, and the
+    key of every window form, None if its graph is not prime.  A prime's
+    key is :func:`~wordgraphs.realizers.realizer_key` of the realizer of
+    its form, a complete invariant of prime permutation graphs, so no class
+    is canonically labelled; the empty graph's key is the empty permutation.
+
+    Window lemma: a prime induced subgraph of order k >= 3 of the prefix
+    graph sits on an interval of k consecutive indices, or on one index, a
+    gap, and an interval of k - 1 consecutive indices.  Proof: if its indices
+    have a gap, let P be the chosen vertices before the last gap.  Every
+    later chosen vertex t is at least two indices past all of P, so it sees
+    all of P (letter 0 at t) or none of it (letter 1), and P is a module.
+    It is not the whole set, so by primality it is one vertex.  Graphs of
+    order <= 2 are prime by convention, and every one of them is a window:
+    a pair of indices is consecutive or has a gap.
+
+    A window of order k is fixed by its shape and the factor f of length
+    k - 1 at its last k - 1 indices (a pair is decided by its larger index).
+    On an interval it is the word graph of u = f, its first index playing
+    vertex -1.  After a gap, which needs a start of f >= 1, it is the word
+    graph of u = f with f[0] flipped: the lone index sees the next one iff
+    f[0] = 0, as they are not consecutive, and every later one as vertex -1
+    does.  Swapping vertices -1 and 0 of u's word graph flips u[1]: vertex 1
+    sees -1 iff u[1] = 0 and 0 iff u[1] = 1, and every later vertex sees the
+    two alike.  So a window is isomorphic to the word graph of u[0] + "0" +
+    u[2:], and a level keys one such graph per normal form (u[0], u[2:]), at
+    most 2 p(k - 3) of them (p the factor complexity), read off
+    :func:`~wordgraphs.words.factor_last_starts`.
+    """
     _prefix_bits(w, L)  # a bad prefix length is the word graph's error
-    levels = _start_levels(L + 1, k_max)
-    key_of: dict[str, CanonKey] = {}
-    for k, words in enumerate(_window_forms(w, L, k_max), 1):
-        forms: dict[CanonKey, Graph] = {}
-        for u in sorted(words):
-            key_of[u] = _classify(_trusted(k, _word_rows(u)), forms)[0]
-        levels[k] = dict(sorted((key, g) for key, g in forms.items() if is_prime(g)))
-    return AgeApprox(source_desc=json.dumps({"word_prefix": L}), k_max=k_max,
-                     levels=levels), key_of
+    _check_order(L + 1, k_max)
+    levels: dict[int, set[tuple[int, ...]]] = {0: {()}}
+    key_of: dict[str, tuple[int, ...] | None] = {}
+    for k, forms in enumerate(_window_forms(w, L, k_max), 1):
+        for u in forms:
+            prime = is_prime(_trusted(k, _word_rows(u)))
+            key_of[u] = realizer_key(build_realizer(u)) if prime else None
+        levels[k] = {key_of[u] for u in forms} - {None}
+    return levels, key_of
 
 
 def subsets_in_word_age(h: Graph, w: Word, L: int) -> dict[int, int]:
@@ -427,19 +432,22 @@ class JonssonReport:
 
 
 def jonsson_desk_check(w: Word, L: int, k_max: int, n_max: int = 5) -> JonssonReport:
-    """Per-level counts of :func:`word_prime_age`, and the cofinality table
-    m(n): the least m such that every member of order at most n embeds in
-    every member of order at least m, within the approximation (None if no
-    m at the scale works).  An ``n_max`` above ``k_max`` is a
-    :class:`GraphError`: the table covers only the orders the age reached.
+    """Per-level counts of the prime members of :func:`word_age`, and the
+    cofinality table m(n): the least m such that every member of order at
+    most n embeds in every member of order at least m, within the
+    approximation (None if no m at the scale works).  An ``n_max`` above
+    ``k_max`` is a :class:`GraphError`: the table covers only the orders the
+    age reached.  The members are keyed by their realizers
+    (:func:`_prime_age`), so unlike ``word_age`` the check takes any
+    ``k_max`` up to the source order.
 
-    Containment is read off the word's own classified windows, with no
-    embedding search and no second read of any factor.  Drop lemma: let u
-    be the normal form of a window W of order j + 1 of the word, over the
-    factor f, on indices t0 < t1 < ... < tj.  The word graph of u has
-    exactly three windows of order j: less its last vertex it is the word
-    graph of u[:-1], less its first that of u[1:], and less its second the
-    gap window over u[1:] (leaving out any later vertex leaves two or more
+    Containment is read off the word's own keyed windows, with no embedding
+    search and no second read of any factor.  Drop lemma: let u be the
+    normal form of a window W of order j + 1 of the word, over the factor
+    f, on indices t0 < t1 < ... < tj.  The word graph of u has exactly three
+    windows of order j: less its last vertex it is the word graph of
+    u[:-1], less its first that of u[1:], and less its second the gap
+    window over u[1:] (leaving out any later vertex leaves two or more
     before a gap).  Their normal forms (:func:`_drops`) are u[:-1] and x +
     "0" + u[3:] for x = 0 and 1, and each is a window form of the word at
     order j: W less tj is a window of W's shape over f[:-1], with the form
@@ -460,14 +468,14 @@ def jonsson_desk_check(w: Word, L: int, k_max: int, n_max: int = 5) -> JonssonRe
     """
     if n_max > k_max:  # m(n) only for sizes the age reached
         raise GraphError(f"n_max {n_max} exceeds k_max {k_max}")
-    age, key_of = _prime_age(w, L, k_max)
+    levels, key_of = _prime_age(w, L, k_max)
     # no prime has order 3, so only an age reaching size 4 can show its
     # members stopping at size 2
-    degenerate = k_max >= 4 and not any(age.levels[k] for k in range(3, k_max + 1))
+    degenerate = k_max >= 4 and not any(levels[k] for k in range(3, k_max + 1))
     # one bit per prime of order 1..n_max; the empty
     # graph lies in every host, and the empty host holds nothing else
     bit = {key: 1 << i for i, key in enumerate(
-        key for n in range(1, n_max + 1) for key in age.levels.get(n, {}))}
+        key for n in range(1, n_max + 1) for key in levels[n])}
     members: dict[str, int] = {}
     common = {0: 0}
     # key_of goes up the orders, so a form's drops come before it
@@ -475,16 +483,16 @@ def jonsson_desk_check(w: Word, L: int, k_max: int, n_max: int = 5) -> JonssonRe
         members[u] = bit.get(key, 0)
         for v in _drops(u):
             members[u] |= members[v]
-        if key in age.levels[len(u) + 1]:
+        if key is not None:
             common[len(u) + 1] = common.get(len(u) + 1, -1) & members[u]
     cofinality: dict[int, int | None] = {}
     need = 0  # the bits of the members of order at most n
     for n in range(n_max + 1):
-        need |= sum(bit.get(key, 0) for key in age.levels.get(n, {}))
+        need |= sum(bit.get(key, 0) for key in levels[n])
         worst = max((m + 1 for m, mask in common.items() if need & ~mask), default=0)
         cofinality[n] = worst if worst <= k_max else None
-    return JonssonReport(level_counts=age.level_counts(), cofinality=cofinality,
-                         degenerate=degenerate)
+    return JonssonReport(level_counts={k: len(keys) for k, keys in levels.items()},
+                         cofinality=cofinality, degenerate=degenerate)
 
 
 # -- serialization ---------------------------------------------------------------

@@ -127,8 +127,9 @@ def brute_is_prime(g: Graph) -> bool:
 
 
 def prime_members(age: AgeApprox) -> AgeApprox:
-    """``age`` with only the members :func:`brute_is_prime` accepts: a prime
-    age built without ``ages.word_prime_age``."""
+    """``age`` with only the members :func:`brute_is_prime` accepts: of a
+    word age, the prime levels built with no window, normal form or
+    realizer key, the desk check's oracle."""
     return replace(age, levels={
         size: {key: g for key, g in level.items() if brute_is_prime(g)}
         for size, level in age.levels.items()})
@@ -313,10 +314,11 @@ def factor_set(p: str, n: int) -> set[str]:
 
 
 def scan_prime_age(w: Word, L: int, k_max: int) -> AgeApprox:
-    """``ages.word_prime_age`` with each level's windows found by a scan
-    over every position of the prefix, deduped by (gap shape, factor) and
-    sliced out of the prefix graph by index sets, in place of the factor
-    read: no factor masks, no normal forms and no word graphs of factors."""
+    """The prime members of ``ages.word_age``, canonically keyed, with each
+    level's windows found by a scan over every position of the prefix,
+    deduped by (gap shape, factor) and sliced out of the prefix graph by
+    index sets: the oracle of ``ages._prime_age``, with no factor masks,
+    no normal forms, no word graphs of factors and no realizer keys."""
     source = graph_of_word(w, L)
     bits = w.prefix(L)  # the letter at index t is bits[t - 1]
     levels = {0: {canonical_key(Graph(0, ())): Graph(0, ())}}

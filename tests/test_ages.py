@@ -27,13 +27,11 @@ from wordgraphs.ages import (
     subsets_in_word_age,
     validate_bound_certificate,
     word_age,
-    word_prime_age,
 )
 from wordgraphs.cli import main
 from wordgraphs.graph6 import to_graph6
 from wordgraphs.graphs import (
     GraphError,
-    _classify,
     canonical_key,
     clique,
     complete_bipartite,
@@ -150,23 +148,41 @@ def test_word_age_rejects_k_max_beyond_source():
         word_age(explicit_word("0110"), 4, 6)
 
 
-def _assert_same_levels(fast, slow):
-    assert fast == slow
-    assert all(list(fast.levels[k].items()) == list(level.items())
-               for k, level in slow.levels.items())
+def _prime_classes(w, L, k):
+    """Per order, the canonical keys of the classes that ``_prime_age``
+    keys: a form is keyed iff its graph is prime, and its key and its
+    canonical key name the same class (one of each per class)."""
+    levels, key_of = ages._prime_age(w, L, k)
+    assert list(levels) == list(range(k + 1)) and levels[0] == {()}
+    canon_of = {size: {} for size in range(1, k + 1)}
+    for u, key in key_of.items():
+        g = graph_of_word(u)
+        assert (key is None) == (not is_prime(g)), u
+        if key is not None:
+            canon = canonical_key(g)
+            assert canon_of[g.n].setdefault(key, canon) == canon, u
+    for size, canon in canon_of.items():
+        assert set(canon) == levels[size]
+        assert len(set(canon.values())) == len(canon)
+    return {0: {canonical_key(empty_graph(0))},
+            **{size: set(canon.values()) for size, canon in canon_of.items()}}
+
+
+def _assert_prime_age_is_the_scan(w, L, k):
+    """The keyed classes are the windows the position scan slices out of
+    the prefix graph."""
+    scan = oracles.scan_prime_age(w, L, k)
+    assert _prime_classes(w, L, k) == \
+        {size: set(level) for size, level in scan.levels.items()}
 
 
 def _assert_windows_give_the_prime_members(w, L, k):
-    """The window walk's levels are the full walk's prime members,
-    keys, forms and order alike, and the position scan's windows."""
-    fast = word_prime_age(w, L, k)
-    slow = word_age(w, L, k)
-    assert (fast.source_desc, fast.k_max) == (slow.source_desc, slow.k_max)
-    assert list(fast.levels) == list(slow.levels)
-    for size, level in slow.levels.items():
-        assert list(fast.levels[size].items()) == \
-            [(key, g) for key, g in level.items() if is_prime(g)]
-    _assert_same_levels(fast, oracles.scan_prime_age(w, L, k))
+    """The keyed classes are the full walk's prime members and the position
+    scan's windows."""
+    assert _prime_classes(w, L, k) == \
+        {size: {key for key, g in level.items() if is_prime(g)}
+         for size, level in word_age(w, L, k).levels.items()}
+    _assert_prime_age_is_the_scan(w, L, k)
 
 
 @settings(max_examples=40, deadline=None)
@@ -199,7 +215,7 @@ def test_word_prime_age_matches_the_position_scan_on_dense_levels(seed):
     L = rng.randint(280, 320)
     w = explicit_word("".join(rng.choice("01") for _ in range(L)))
     assert len(oracles.factor_set(w.prefix(L), 8)) > 128
-    _assert_same_levels(word_prime_age(w, L, 12), oracles.scan_prime_age(w, L, 12))
+    _assert_prime_age_is_the_scan(w, L, 12)
 
 
 def test_word_prime_age_matches_the_position_scan_on_every_short_word():
@@ -207,30 +223,30 @@ def test_word_prime_age_matches_the_position_scan_on_every_short_word():
         for bits in itertools.product("01", repeat=n):
             w = explicit_word("".join(bits))
             for k in range(n + 2):
-                _assert_same_levels(word_prime_age(w, n, k),
-                                    oracles.scan_prime_age(w, n, k))
+                _assert_prime_age_is_the_scan(w, n, k)
 
 
 def test_word_prime_age_classifies_one_window_per_normal_form(monkeypatch):
     # level 1 is one vertex and level 2 one edge and one non-edge; from
     # level 3 on, a normal form (u[0], u[2:]) holds one letter and a factor
-    # of length k - 3, so level k classifies at most 2 p(k - 3) windows
+    # of length k - 3, so level k tests at most 2 p(k - 3) windows for
+    # primality and keys no more
     w, L, k = fibonacci_word(), 300, 12
     classified = []
 
-    def counted(g, forms):
+    def counted(g):
         classified.append(g)
-        return _classify(g, forms)
+        return is_prime(g)
 
     def never(*args):
         raise AssertionError("the factor read walks no patterns")
 
-    monkeypatch.setattr(ages, "_classify", counted)
+    monkeypatch.setattr(ages, "is_prime", counted)
     monkeypatch.setattr(ages, "_extend_patterns", never)
     monkeypatch.setattr(ages, "add_vertex", never)
-    word_prime_age(w, L, k)
+    key_of = ages._prime_age(w, L, k)[1]
     p = [1] + factor_complexity(w, L, k - 3)
-    assert len(classified) <= 1 + 2 + 2 * sum(p) == 113
+    assert len(key_of) == len(classified) <= 1 + 2 + 2 * sum(p) == 113
 
 
 def test_window_identities_on_every_short_factor():
@@ -258,7 +274,7 @@ def test_word_prime_age_edges_match_word_age():
     _assert_windows_give_the_prime_members(explicit_word(""), 0, 0)
 
 
-@pytest.mark.parametrize("route", [word_age, word_prime_age, bounds_enumerate])
+@pytest.mark.parametrize("route", [word_age, jonsson_desk_check, bounds_enumerate])
 @pytest.mark.parametrize("w, L, k_max, error, message", [
     (fibonacci_word(), -1, 0, GraphError, "prefix length must be a nonnegative integer"),
     (fibonacci_word(), -1, 2, GraphError, "prefix length must be a nonnegative integer"),
@@ -269,17 +285,19 @@ def test_word_prime_age_edges_match_word_age():
         "k_max-past-one-vertex"])
 def test_word_routes_keep_their_errors(route, w, L, k_max, error, message):
     """A bad prefix length raises the word graph builder's own error, before
-    the order check; bounds_enumerate checks L >= k_max first."""
+    the order check; bounds_enumerate checks L >= k_max first, and the
+    desk check's table stops at k_max."""
     if route is bounds_enumerate and L < k_max:
         error, message = GraphError, "prefix length must be at least k_max"
+    args = (w, L, k_max, k_max) if route is jonsson_desk_check else (w, L, k_max)
     with pytest.raises(ValueError) as raised:
-        route(w, L, k_max)
+        route(*args)
     assert type(raised.value) is error
     assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("route, k_max", [
-    (word_prime_age, 12), (word_age, 5), (bounds_enumerate, 4)])
+    (jonsson_desk_check, 12), (word_age, 5), (bounds_enumerate, 4)])
 def test_word_routes_never_build_the_prefix_graph(route, k_max):
     # the 20,001-vertex prefix graph alone holds about 50 MiB of rows
     w = fibonacci_word()
@@ -540,7 +558,7 @@ def test_jonsson_fibonacci_at_size_eight():
     # at this scale the table stops: a five-vertex prime member misses one
     # of the eight-vertex prime members (m(5) first exists at k_max = 10)
     assert rep.cofinality[5] is None
-    age = word_prime_age(fibonacci_word(), 60, 8)
+    age = oracles.scan_prime_age(fibonacci_word(), 60, 8)
     assert any(not embeds(s, h) for s in age.levels[5].values()
                for h in age.levels[8].values())
 
@@ -646,9 +664,10 @@ def test_drops_are_the_vertex_deletions_of_a_form():
     (explicit_word("0110100"), 7, 8, 8),
 ])
 def test_jonsson_reads_the_factors_once(monkeypatch, w, L, k_max, n_max):
-    """One desk check reads the word's factors once and classifies what
-    word_prime_age classifies, and nothing more: hosts are never re-read."""
-    calls = {"factor_last_starts": 0, "_classify": 0}
+    """One desk check reads the word's factors once and tests for primality
+    what _prime_age tests, and nothing more: hosts are never re-read, and
+    no class is canonically labelled."""
+    calls = {"factor_last_starts": 0, "is_prime": 0}
 
     def counted(name):
         real = getattr(ages, name)
@@ -658,21 +677,25 @@ def test_jonsson_reads_the_factors_once(monkeypatch, w, L, k_max, n_max):
             return real(*args)
         return call
 
+    def never(*args):
+        raise AssertionError("a class was canonically labelled")
+
     for name in calls:
         monkeypatch.setattr(ages, name, counted(name))
-    word_prime_age(w, L, k_max)
+    monkeypatch.setattr("wordgraphs.graphs._canonical_cached", never)
+    ages._prime_age(w, L, k_max)
     assert calls["factor_last_starts"] == 1
-    classified = calls["_classify"]
-    calls.update(factor_last_starts=0, _classify=0)
+    classified = calls["is_prime"]
+    calls.update(factor_last_starts=0, is_prime=0)
     jonsson_desk_check(w, L, k_max, n_max)
-    assert calls == {"factor_last_starts": 1, "_classify": classified}
+    assert calls == {"factor_last_starts": 1, "is_prime": classified}
 
 
 def test_jonsson_reports_what_its_route_holds():
     # the route reads prime members only, and the report says so
     for w in (fibonacci_word(), periodic_word("011"), periodic_word("1")):
         rep = jonsson_desk_check(w, 30, 5, n_max=3)
-        assert rep.level_counts == word_prime_age(w, 30, 5).level_counts()
+        assert rep.level_counts == oracles.scan_prime_age(w, 30, 5).level_counts()
         assert jonsson_to_json(rep)["prime_only"] is True
 
 

@@ -136,7 +136,7 @@ def test_bounds_length_zero_is_not_the_default(capsys):
     assert captured.out == "" and "at least k_max" in captured.err
 
 
-@pytest.mark.parametrize("command", ["age", "bounds", "jonsson"])
+@pytest.mark.parametrize("command", ["age", "bounds"])
 def test_k_max_past_the_canonical_cap_exits_2_before_any_work(
         capsys, monkeypatch, command):
     # every member of size k_max is canonically keyed, so a k_max past
@@ -149,6 +149,26 @@ def test_k_max_past_the_canonical_cap_exits_2_before_any_work(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: k_max 65 exceeds 64, the canonical key's cap\n"
+
+
+def test_jonsson_runs_past_the_canonical_cap(capsys, monkeypatch):
+    # the desk check keys its members by their realizers, so it has no
+    # canonical cap, and past it adds levels without changing the rest
+    def never(*args):
+        raise AssertionError("a member was canonically labelled")
+
+    monkeypatch.setattr("wordgraphs.graphs._canonical_cached", never)
+    argv = ["jonsson", "--periodic", "011", "--length", "100", "--n-max", "6"]
+    code, out = run(capsys, *argv, "--k-max", "66")
+    assert code == 0
+    past = json.loads(out)
+    code, out = run(capsys, *argv, "--k-max", "64")
+    assert code == 0
+    below = json.loads(out)
+    assert past["cofinality"] == below["cofinality"]
+    assert {k: past["level_counts"][k] for k in below["level_counts"]} \
+        == below["level_counts"]
+    assert [past["level_counts"][str(k)] for k in (65, 66)] == [6, 6]
 
 
 def test_bound_that_a_doubled_prefix_holds_exits_2(capsys):

@@ -14,12 +14,15 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from oracles import Poset, intersection_order
 from wordgraphs import realizers
-from wordgraphs.graphs import Graph, GraphError, clique, empty_graph, induced_subgraph
+from wordgraphs.graphs import (Graph, GraphError, canonical_key, clique, empty_graph,
+                               induced_subgraph)
+from wordgraphs.primes import is_prime
 from wordgraphs.realizers import (
     Realizer,
     build_realizer,
     realizer_for_word_graph,
     realizer_from_json,
+    realizer_key,
     realizer_to_json,
     validate_realizer,
 )
@@ -189,6 +192,28 @@ def test_builder_matches_reference_on_every_word_up_to_twelve():
 @given(st.text(alphabet="01", min_size=13, max_size=700))
 def test_builder_matches_reference_on_long_words(word):
     assert build_realizer(word) == oracles.reference_realizer(word)
+
+
+def test_realizer_key_splits_prime_permutation_graphs_as_canonical_key():
+    # every permutation graph of order 4..7, realized by the identity and
+    # the permutation: the realizer key is a complete invariant of the
+    # prime ones, so it splits them exactly as canonical_key does.  A key
+    # that drops one of its four symmetries splits some class at order 6
+    for n in range(4, 8):
+        key_of_class, class_of_key = {}, {}
+        for second in itertools.permutations(range(n)):
+            at = {v: i for i, v in enumerate(second)}
+            rows = tuple(sum(1 << b for b in range(n)
+                             if b != a and (a < b) == (at[a] < at[b]))
+                         for a in range(n))
+            g, r = Graph(n, rows), Realizer(tuple(range(n)), second)
+            assert validate_realizer(r, g)
+            if not is_prime(g):
+                continue
+            key, canon = realizer_key(r), canonical_key(g)
+            assert key_of_class.setdefault(canon, key) == key, second
+            assert class_of_key.setdefault(key, canon) == canon, second
+        assert len(key_of_class) == len(class_of_key) > 0
 
 
 class _PopsBottom(deque):

@@ -303,12 +303,30 @@ def test_recurrence_bound_examples():
         recurrence_bound(periodic_word("01"), 10, 11)
 
 
+def _assert_recurrence_matches_scan(bits):
+    w = explicit_word(bits)
+    assert recurrence_bound(w, len(bits), len(bits)) == [
+        scan_recurrence(bits, n) for n in range(1, len(bits) + 1)], bits
+
+
 @settings(max_examples=25, deadline=None)
 @given(bit_words)
 def test_recurrence_bound_matches_window_scan(bits):
-    w = explicit_word(bits)
-    assert recurrence_bound(w, len(bits), len(bits)) == [
-        scan_recurrence(bits, n) for n in range(1, len(bits) + 1)]
+    _assert_recurrence_matches_scan(bits)
+
+
+def test_positional_recurrence_matches_window_scan(monkeypatch):
+    # with the mask limit at 0 every level takes the positional pass, here
+    # on words short enough to scan: every word of 1 to 8 letters, and
+    # seeded random words of up to 40
+    monkeypatch.setattr(words, "_MASK_LEVEL_LIMIT", 0)
+    for n in range(1, 9):
+        for letters in itertools.product("01", repeat=n):
+            _assert_recurrence_matches_scan("".join(letters))
+    rng = random.Random(35)
+    for _ in range(25):
+        _assert_recurrence_matches_scan(
+            "".join(rng.choice("01") for _ in range(rng.randint(9, 40))))
 
 
 @pytest.mark.parametrize("seed", range(4))
