@@ -40,12 +40,14 @@ level k - 1 that are not members and pass the same deletion check
 The Jónsson desk check reads the prime members of a word-graph age off the
 distinct factors, with no walk (:func:`_prime_age`): every prime sits on a
 window, the word graph of its factor (the first letter flipped after a gap)
-up to a swap of its first two vertices, so a level keys one graph per
-normal form, by its realizer and not by canonical labelling, so the check
-alone runs past the canonical search's cap.  Containment is read off the
-same keyed windows: a host's members are its own class and those of its
-three windows one order down, each a window of the word too, so no host is
-read again.  No word route builds the prefix graph.
+up to a swap of its first two vertices, so a level reads one normal form
+per window.  Whether a form is prime is a proved rule on the form
+(:func:`_prime_form`), with no module search and no graph built, and a
+prime form is keyed by its realizer, not by canonical labelling, so the
+check alone runs past the canonical search's cap.  Containment is read off
+the same keyed windows: a host's members are its own class and those of
+its three windows one order down, each a window of the word too, so no
+host is read again.  No word route builds the prefix graph.
 
 Everything about an infinite age is reported at a finite scale and says so:
 a bound certificate records the prefix length at which the non-membership
@@ -78,9 +80,8 @@ from .graphs import (
     embeds,
     extend_level,
 )
-from .primes import is_prime
 from .realizers import build_realizer, realizer_key
-from .wordgraph import _prefix_bits, _word_rows, letter_masks
+from .wordgraph import _prefix_bits, letter_masks
 from .words import Word, factor_last_starts
 
 
@@ -250,14 +251,67 @@ def _drops(u: str) -> tuple[str, ...]:
     return (u[:-1], *_forms(u[1:], True)) if u else ()
 
 
+def _prime_form(u: str) -> bool:
+    """Whether the word graph of the window form ``u`` is prime: iff
+    len(u) < 2, or t = u[2:] is neither y^m nor y^(m - 2) + u[0] + y, for y
+    the flip of u[0] and m = len(t).  So order k = len(u) + 1 <= 2 is prime
+    (the convention of :func:`~wordgraphs.primes.is_prime`), order 3 never
+    (t is empty), order 4 except (0, "1") and (1, "0"), and order k >= 5
+    except (0, 1^m), (0, 1^(m-2)01), (1, 0^m) and (1, 0^(m-2)10).
+
+    Proof, for any u of n - 1 >= 2 letters, as flipping u[1] keeps the
+    class (the swap of :func:`_prime_age`).  At n = 3 some vertex sees both
+    others or neither, as three degrees of 1 cannot sum to an even number,
+    and the other two are a module.  Let n >= 4, number the vertices by
+    index 0..n-1, and let a_j = u[j - 1] be the letter at index j >= 1: for
+    i < j, j sees i iff a_j = 1 and i = j - 1, or a_j = 0 and i <= j - 2.
+    Flipping every letter complements the graph, which keeps its modules,
+    and flips u[0] and t alike, which keeps the rule, so let a_(n-1) = 1.
+    Let M be a nontrivial module, 2 <= |M| < n.
+
+    (1) M holds n - 1: else for p = max M, p + 1 lies outside M and sees
+    p iff a_(p+1) = 1, but every smaller member of M iff a_(p+1) = 0.
+    (2) As a_(n-1) = 1, n - 1 sees n - 2 alone, so every vertex outside M
+    but n - 2 sees none of M, and n - 2, if outside, all of it.
+    (3) A vertex p that sees no vertex below it has p <= 1, as p >= 2
+    sees p - 1 or p - 2, and a_1 = 0 if p = 1.
+    (4) If n - 2 is in M, let j <= n - 3 be the largest index outside it.
+    As j sees none of M, a_(j+1) = 0 and every later letter is 1; then
+    every i < j sees j + 1, so lies in M.  So M is all but j, j sees
+    nothing, and by (3) j <= 1 and a_1 = 0: u = 0x1^m for a letter x, and
+    t = y^m.
+    (5) Else n - 2 sees all of M; let p = max(M - {n - 1}).  If p = n - 3,
+    then a_(n-2) = 1, so n - 2 sees nothing below p and M = {p, n - 1}.
+    Each vertex below p lies outside M, so does not see p, and by (3)
+    p <= 1: n = 4, a_1 = 0, u = 011 and t = y^m.  If p <= n - 4, then
+    p + 1 lies outside M and does not see p, so a_(p+1) = 0, it sees every
+    vertex below p, and M = {p, n - 1}; n - 2 sees p, so a_(n-2) = 0; each
+    index from p + 2 to n - 3 does not see p, so its letter is 1; and by
+    (3) p <= 1 and a_1 = 0.  So at n >= 5, u = 0x1^(n-5)01 and
+    t = y^(m-2)0y, and at n = 4, p = 0, u = 001 and t = y^m.
+
+    Conversely, both patterns end in y, so a_(n-1) = 1 gives u[0] = 0;
+    take u[1] = 0.  In u = 001^m no vertex sees index 1, as a_1 = a_2 = 0
+    and every later letter is 1, so all but index 1 is a module.  In
+    u = 001^(m-2)01, m >= 2, {1, n - 1} is a module: n - 2 sees both, as
+    a_(n-2) = 0 and 1 <= n - 4, and no other vertex sees either, as
+    a_1 = a_2 = 0, the letters at 3..n - 3 are 1 and n - 1 sees n - 2
+    alone.
+    """
+    y = "1" if u[:1] == "0" else "0"
+    m = len(u) - 2
+    return m < 0 or u[2:] not in (y * m, y * (m - 2) + u[:1] + y)
+
+
 def _prime_age(w: Word, L: int, k_max: int) -> tuple[
         dict[int, set[tuple[int, ...]]], dict[str, tuple[int, ...] | None]]:
     """The prime members of :func:`word_age`, read off the word's distinct
     factors: per order 0..``k_max`` the set of their classes' keys, and the
-    key of every window form, None if its graph is not prime.  A prime's
-    key is :func:`~wordgraphs.realizers.realizer_key` of the realizer of
-    its form, a complete invariant of prime permutation graphs, so no class
-    is canonically labelled; the empty graph's key is the empty permutation.
+    key of every window form, None if its graph is not prime by the rule of
+    :func:`_prime_form`.  A prime's key is
+    :func:`~wordgraphs.realizers.realizer_key` of the realizer of its form,
+    a complete invariant of prime permutation graphs, so no class is
+    canonically labelled; the empty graph's key is the empty permutation.
 
     Window lemma: a prime induced subgraph of order k >= 3 of the prefix
     graph sits on an interval of k consecutive indices, or on one index, a
@@ -288,8 +342,7 @@ def _prime_age(w: Word, L: int, k_max: int) -> tuple[
     key_of: dict[str, tuple[int, ...] | None] = {}
     for k, forms in enumerate(_window_forms(w, L, k_max), 1):
         for u in forms:
-            prime = is_prime(_trusted(k, _word_rows(u)))
-            key_of[u] = realizer_key(build_realizer(u)) if prime else None
+            key_of[u] = realizer_key(build_realizer(u)) if _prime_form(u) else None
         levels[k] = {key_of[u] for u in forms} - {None}
     return levels, key_of
 

@@ -29,22 +29,21 @@ def _encode_order(n: int) -> str:
 
 
 def _decode_order(s: str) -> tuple[int, int]:
+    """The order field N(n) at the start of ``s`` and its length: one byte
+    below 126, or 126 and three bytes, or 126, 126 and six bytes, each a
+    6-bit group offset by 63."""
     if not s:
         raise GraphError("empty graph6 string")
-    if s[0] != chr(126):
-        return ord(s[0]) - 63, 1
-    if len(s) >= 2 and s[1] != chr(126):
-        vals = [ord(c) - 63 for c in s[1:4]]
-        if len(vals) < 3 or any(not 0 <= v <= 63 for v in vals):
-            raise GraphError("truncated graph6 order field")
-        return (vals[0] << 12) | (vals[1] << 6) | vals[2], 4
-    vals = [ord(c) - 63 for c in s[2:8]]
-    if len(vals) < 6 or any(not 0 <= v <= 63 for v in vals):
-        raise GraphError("truncated graph6 order field")
+    start = 0 if s[0] != chr(126) else 1 if s[1:2] != chr(126) else 2
+    end = start + (1, 3, 6)[start]
+    vals = [ord(c) - 63 for c in s[start:end]]
+    if len(vals) < end - start or any(not 0 <= v <= 63 for v in vals):
+        raise GraphError("invalid graph6 order field: truncated, or a byte "
+                         "outside 63..126")
     n = 0
     for v in vals:
         n = (n << 6) | v
-    return n, 8
+    return n, end
 
 
 def to_graph6(g: Graph) -> str:

@@ -33,7 +33,11 @@ witness, beside the exhaustive-subset method.
 ``PRIME_MEMO_CAP`` (2^21) adjacency bits, n^2 for an entry of order n.  The
 verdict depends on the rows alone, never on labels, so every writer stores
 the value any other would and the memo is idempotent; order <= 2 is
-answered before it.  A census asks the same rows often: the prime guards of
+answered before it.  It serves the census and its ``verify`` checks, the
+``prime`` command and the catalogue's manifests only: no word route tests
+a graph here, as the Jónsson route decides a window's primality by a rule
+on its form (:func:`wordgraphs.ages._prime_form`), which the tests hold to
+this test.  A census asks the same rows often: the prime guards of
 :func:`is_critically_prime`, :func:`schmerl_trotter_pair` and
 :func:`prime_height` repeat the caller's test, and the small subgraphs of
 the pair scan and the height recursion recur.  The census through order 8

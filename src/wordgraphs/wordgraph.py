@@ -52,22 +52,17 @@ def _index_masks(bits: str) -> tuple[int, int]:
     return zeros << 1, ones << 1
 
 
-def _word_rows(bits: str) -> tuple[int, ...]:
-    """The rows of the backward word graph of ``bits``, on indices
-    0..len(bits); the row rule's only owner."""
+def graph_of_word(w: Word | str, L: int | None = None) -> Graph:
+    """Backward word graph on vertex labels -1, 0, ..., L-1; the row rule's
+    only owner."""
+    bits = _prefix_bits(w, L)
     zeros, ones = _index_masks(bits)
     # a 0 at index j joins j to every index below j - 1, a 1 only to j - 1
     rows = [(zeros >> 2 << 2) | (ones & 2)]  # index 0 has nothing below
     for i, letter in enumerate(bits, 1):
         below = 1 << (i - 1) if letter == "1" else (1 << (i - 1)) - 1
         rows.append(below | (zeros >> (i + 2) << (i + 2)) | (ones & (2 << i)))
-    return tuple(rows)
-
-
-def graph_of_word(w: Word | str, L: int | None = None) -> Graph:
-    """Backward word graph on vertex labels -1, 0, ..., L-1."""
-    bits = _prefix_bits(w, L)
-    return _trusted(len(bits) + 1, _word_rows(bits), tuple(range(-1, len(bits))))
+    return _trusted(len(bits) + 1, tuple(rows), tuple(range(-1, len(bits))))
 
 
 def graph_of_word_forward(w: Word | str, L: int | None = None) -> Graph:

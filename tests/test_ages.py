@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import bit_words, graphs
-from wordgraphs import ages
+from wordgraphs import ages, primes
 from wordgraphs.ages import (
     BoundCertificate,
     age_csv,
@@ -45,6 +45,7 @@ from wordgraphs.graphs import (
     path,
 )
 from wordgraphs.primes import is_prime
+from wordgraphs.realizers import build_realizer, realizer_key
 from wordgraphs.wordgraph import graph_of_word
 from wordgraphs.words import (ContinuedFraction, WordError, explicit_word,
                               factor_complexity, fibonacci_word,
@@ -233,15 +234,16 @@ def test_word_prime_age_classifies_one_window_per_normal_form(monkeypatch):
     # primality and keys no more
     w, L, k = fibonacci_word(), 300, 12
     classified = []
+    prime_form = ages._prime_form
 
-    def counted(g):
-        classified.append(g)
-        return is_prime(g)
+    def counted(u):
+        classified.append(u)
+        return prime_form(u)
 
     def never(*args):
         raise AssertionError("the factor read walks no patterns")
 
-    monkeypatch.setattr(ages, "is_prime", counted)
+    monkeypatch.setattr(ages, "_prime_form", counted)
     monkeypatch.setattr(ages, "_extend_patterns", never)
     monkeypatch.setattr(ages, "add_vertex", never)
     key_of = ages._prime_age(w, L, k)[1]
@@ -658,6 +660,52 @@ def test_drops_are_the_vertex_deletions_of_a_form():
     assert ages._drops("1") == ("", "") and ages._drops("") == ()
 
 
+@pytest.fixture
+def fresh_prime_memo(monkeypatch):
+    """An empty memo for ``is_prime``, so that a test neither fills the
+    process's memo nor reads what earlier tests left in it."""
+    monkeypatch.setattr(primes, "_PRIME_MEMO", {})
+    monkeypatch.setattr(primes, "_prime_memo_bits", 0)
+
+
+def test_prime_form_is_the_module_search(fresh_prime_memo):
+    """The rule holds on every normal form of orders 1 to 14, and on the
+    four families, their near misses and random forms of orders 65 to 130."""
+    forms = [u for n in range(14)
+             for u in map("".join, itertools.product("01", repeat=n)) if u[1:2] != "1"]
+    rng = random.Random(37)
+    flip = {"0": "1", "1": "0"}
+    for k in rng.sample(range(65, 131), 12):
+        m = k - 3
+        for b, y in (("0", "1"), ("1", "0")):
+            for t in (y * m, y * (m - 2) + b + y):
+                i = rng.randrange(m)
+                forms += [b + "0" + t, flip[b] + "0" + t,
+                          b + "0" + t[:i] + flip[t[i]] + t[i + 1:]]
+        forms += ["".join(rng.choice("01") for _ in range(k - 1)) for _ in range(2)]
+    assert [u for u in forms if ages._prime_form(u) != is_prime(graph_of_word(u))] == []
+
+
+def test_prime_forms_merge_only_in_two_pairs():
+    """Realizer keys of the prime forms of one order are distinct but for
+    (0, 0^(m-2)10) ~ (1, 0^(m-1)1) and (0, 1^(m-1)0) ~ (1, 1^(m-2)01), one
+    pair at k = 5; at k = 4 the two prime forms are both the path P4.  So
+    word graphs hold 2^(k-2) - 6 prime classes of order k >= 6."""
+    for k in range(4, 17):
+        m = k - 3
+        forms = {}
+        for bits in itertools.product("01", repeat=k - 2):
+            u = bits[0] + "0" + "".join(bits[1:])
+            if ages._prime_form(u):
+                forms.setdefault(realizer_key(build_realizer(u)), set()).add(u)
+        merged = {frozenset(us) for us in forms.values() if len(us) > 1}
+        assert merged == ({frozenset({"000", "101"})} if k == 4 else {
+            frozenset({"00" + "0" * (m - 2) + "10", "10" + "0" * (m - 1) + "1"}),
+            frozenset({"00" + "1" * (m - 1) + "0", "10" + "1" * (m - 2) + "01"})}), k
+        if k >= 6:
+            assert len(forms) == 2 ** (k - 2) - 6
+
+
 @pytest.mark.parametrize("w, L, k_max, n_max", [
     (fibonacci_word(), 300, 20, 7),
     (substitution_word({"0": "01", "1": "10"}, "0"), 400, 14, 6),
@@ -667,7 +715,7 @@ def test_jonsson_reads_the_factors_once(monkeypatch, w, L, k_max, n_max):
     """One desk check reads the word's factors once and tests for primality
     what _prime_age tests, and nothing more: hosts are never re-read, and
     no class is canonically labelled."""
-    calls = {"factor_last_starts": 0, "is_prime": 0}
+    calls = {"factor_last_starts": 0, "_prime_form": 0}
 
     def counted(name):
         real = getattr(ages, name)
@@ -685,10 +733,17 @@ def test_jonsson_reads_the_factors_once(monkeypatch, w, L, k_max, n_max):
     monkeypatch.setattr("wordgraphs.graphs._canonical_cached", never)
     ages._prime_age(w, L, k_max)
     assert calls["factor_last_starts"] == 1
-    classified = calls["is_prime"]
-    calls.update(factor_last_starts=0, is_prime=0)
+    classified = calls["_prime_form"]
+    calls.update(factor_last_starts=0, _prime_form=0)
     jonsson_desk_check(w, L, k_max, n_max)
-    assert calls == {"factor_last_starts": 1, "is_prime": classified}
+    assert calls == {"factor_last_starts": 1, "_prime_form": classified}
+
+
+def test_jonsson_leaves_the_prime_memo_alone(fresh_prime_memo):
+    # primality of a window is a rule on its form, so no graph reaches
+    # is_prime or its memo
+    jonsson_desk_check(fibonacci_word(), 300, 20, 7)
+    assert primes._PRIME_MEMO == {} and primes._prime_memo_bits == 0
 
 
 def test_jonsson_reports_what_its_route_holds():

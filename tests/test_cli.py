@@ -357,6 +357,16 @@ def test_empty_graph6_file_exits_2(capsys, tmp_path, command):
 
 
 @pytest.mark.parametrize("command", ["prime", "detect"])
+def test_graph6_order_byte_outside_the_format_exits_2(capsys, tmp_path, command):
+    bad = tmp_path / "bad.g6"
+    bad.write_text(chr(127) + "?" * 336 + "\n")
+    argv = [command, "--g6", str(bad)] + (["--n", "3"] if command == "detect" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid graph6 order field" in captured.err
+
+
+@pytest.mark.parametrize("command", ["prime", "detect"])
 def test_missing_graph6_file_exits_2(capsys, tmp_path, command):
     # --g6 always names a file; a missing one is never read as graph6 text
     missing = tmp_path / "C~"

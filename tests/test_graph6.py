@@ -53,6 +53,16 @@ def test_rejects_bad_body():
         from_graph6("B" + chr(30))  # character below offset
 
 
+@pytest.mark.parametrize("line", ["!" + "?" * 78, chr(127) + "?" * 336,
+                                  "~?!?", "~?", "~~?????"],
+                         ids=["below-63", "byte-127", "18-bit-below-63",
+                              "18-bit-truncated", "36-bit-truncated"])
+def test_rejects_order_field_outside_the_format(line):
+    # a first byte below 63 once read as order -30, and 127 as order 64
+    with pytest.raises(GraphError, match="invalid graph6 order field"):
+        from_graph6(line)
+
+
 @settings(max_examples=30, deadline=None)
 @given(graphs(max_n=9))
 def test_agrees_with_networkx_oracle(g):
