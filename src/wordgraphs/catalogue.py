@@ -98,6 +98,8 @@ def detect_unavoidable(g: Graph, n: int) -> set[tuple[str, bool]]:
     certificate: the subgraph of g induced on the image, in the member's
     vertex order, must equal the member bit for bit.
     """
+    if n < 1:
+        raise GraphError(f"--n must be at least 1, got {n}")
     hits = set()
     for family in FAMILIES:
         for complemented in (False, True):

@@ -6,18 +6,21 @@ counted as prime here, which makes the height arithmetic come out right
 (h of a single edge is 2, sitting at level 2 above the one- and zero-vertex
 graphs).  That convention lives in :func:`is_prime` only.
 
-The primality test needs only n - 1 pair closures.  It grows the smallest
-module containing {0, x} by splitter closure for every other vertex x; a
-proper closure is a nontrivial module through 0.  A closure grows in waves
-from the vertices just added: every vertex still outside agrees with 0 on
-the mask, so a new member y forces in exactly the outside vertices that
-tell y from 0, and each vertex is read once.  If none is proper, it
-refines V - {0} into the maximal modules that avoid 0: start from the
-neighbours and non-neighbours of 0, split a part whenever an outside vertex
-sees some but not all of it, and recheck only the new pieces.  A module
-avoiding 0 is never split, and every final part is a module, so a final
-part of two or more vertices exists exactly when such a module does
-(Ehrenfeucht, Gabow, McConnell & Sullivan, J. Algorithms 1994).
+The primality test first looks for a nontrivial module through 0: a
+proper closure of {0, x}, the smallest module holding both.  A closure
+grows in waves from the vertices just added: every vertex still outside
+agrees with 0 on the mask, so a new member y forces in exactly the outside
+vertices that tell y from 0, and each vertex is read once.  So the closure
+of {0, x} is 0 with all that x reaches in one fixed digraph on V - {0},
+and two sweeps of it answer every x: the closure of {0, 1}, and, when that
+is full, the vertices that reach 1, as those are the x whose closures are
+full (proved in :func:`_first_closure_through_0`).  If no closure through
+0 is proper, it refines V - {0} into the maximal modules that avoid 0:
+start from the neighbours and non-neighbours of 0, split a part whenever
+an outside vertex sees some but not all of it, and recheck only the new
+pieces.  A module avoiding 0 is never split, and every final part is a
+module, so a final part of two or more vertices exists exactly when such a
+module does (Ehrenfeucht, Gabow, McConnell & Sullivan, J. Algorithms 1994).
 
 The witness is the first proper pair closure in lexicographic pair order,
 read from the same two steps with no scan over all n(n-1)/2 pairs: the
@@ -133,13 +136,46 @@ def _splits_uniform(g: Graph, part: int, outside: int) -> list[int]:
 
 
 def _first_closure_through_0(g: Graph) -> int | None:
-    """The proper pair closure of {0, x} for the least such x, or None."""
+    """The proper pair closure of {0, x} for the least such x, or None;
+    g has at least two vertices.
+
+    Let D be the digraph on V - {0} with y -> z iff z lies in
+    ``(rows[y] ^ rows[0]) - {0, y}``.  The closure of {0, x} is {0} plus
+    the vertices x reaches in D: by :func:`_pair_closure`, a member y
+    forces in exactly the outside vertices that tell y from 0, and those
+    are y's out-neighbours in D, so the closure is the least set holding
+    x that is closed under D's arcs.  Hence if the closure of {0, 1} is
+    full, that of {0, x} is full iff x reaches 1: if it does, x reaches
+    all that 1 reaches, which is V - {0}, and if it does not, 1 is left
+    out.  So one forward sweep from 1 and, when it reaches all of V - {0},
+    one backward sweep to 1 answer every x, and the answer is the closure
+    of the least vertex left out of the backward sweep.
+
+    Rows are symmetric and loop-free, so y -> z iff y ~ z differs from
+    z ~ 0: z's predecessors are ``rows[z]`` when z is not adjacent to 0,
+    and V - {0, z} - ``rows[z]`` when it is.  Each sweep reads every
+    reached vertex's row once.
+    """
     full = (1 << g.n) - 1
-    for x in range(1, g.n):
-        mask = _pair_closure(g, 0, x)
-        if mask != full:
-            return mask
-    return None
+    mask = _pair_closure(g, 0, 1)
+    if mask != full:
+        return mask
+    rows = g.rows
+    rest = full ^ 1
+    outside = rest ^ 2  # not yet known to reach 1
+    new = 2
+    while new and outside:
+        preds = 0
+        while new:  # each vertex of the wave, lowest first
+            low = new & -new
+            row = rows[low.bit_length() - 1]
+            preds |= row ^ rest ^ low if rows[0] & low else row
+            new ^= low
+        new = preds & outside
+        outside ^= new
+    if not outside:
+        return None
+    return _pair_closure(g, 0, (outside & -outside).bit_length() - 1)
 
 
 def _modules_avoiding_0(g: Graph) -> Iterator[int]:

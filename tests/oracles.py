@@ -372,6 +372,16 @@ def pair_closure(g: Graph, u: int, v: int) -> int:
     return mask
 
 
+def first_closure_through_0(g: Graph) -> int | None:
+    """First proper closure of {0, x} over x = 1..n-1, as a bitmask, or None."""
+    full = (1 << g.n) - 1
+    for x in range(1, g.n):
+        mask = pair_closure(g, 0, x)
+        if mask != full:
+            return mask
+    return None
+
+
 def pair_scan_module(g: Graph) -> int | None:
     """First proper pair closure in lexicographic pair order, as a bitmask.
 

@@ -236,6 +236,15 @@ def test_catalogue_and_detect(capsys, tmp_path):
     assert doc["families_not_generated"] == ["half_graph_clique_plus"]
 
 
+def test_detect_rejects_n_below_one(capsys, tmp_path):
+    g6file = tmp_path / "p4.g6"
+    g6file.write_text(to_graph6(path(4)) + "\n")
+    assert main(["detect", "--g6", str(g6file), "--n", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --n must be at least 1, got 0\n"
+
+
 def test_catalogue_g6_out_is_the_member(capsys, tmp_path):
     g6file = tmp_path / "chain.g6"
     code, out = run(capsys, "catalogue", "--family", "chain_word_prime", "--n", "6",

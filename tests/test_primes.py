@@ -208,6 +208,32 @@ def test_pair_closure_matches_round_robin_oracle_on_101_vertices(twin_of):
     _assert_closures_match_oracle(_fibonacci_with_twin(twin_of))
 
 
+def test_first_closure_through_0_matches_scan_on_small_classes():
+    # orders 0 and 1 have no pair through vertex 0
+    for level in enumerate_graphs(7)[2:]:
+        for g in level:
+            assert primes._first_closure_through_0(g) == oracles.first_closure_through_0(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=9, min_n=1), st.data())
+def test_first_closure_through_0_matches_scan_with_a_relabelled_twin(g, data):
+    # the relabelling moves the twin pair, so the least x outside the backward
+    # sweep is not always the last vertex
+    v = data.draw(st.integers(min_value=0, max_value=g.n - 1))
+    true_twin = data.draw(st.booleans())
+    twin = add_vertex(g, g.rows[v] | (true_twin << v))
+    order = data.draw(st.permutations(range(twin.n)))
+    h = Graph(twin.n, oracles.reorder_pairs(twin, order))
+    assert primes._first_closure_through_0(h) == oracles.first_closure_through_0(h)
+
+
+@pytest.mark.parametrize("twin_of", [0, 99])
+def test_first_closure_through_0_matches_scan_on_101_vertices(twin_of):
+    g = _fibonacci_with_twin(twin_of)
+    assert primes._first_closure_through_0(g) == oracles.first_closure_through_0(g)
+
+
 def test_fibonacci_word_graph_of_length_100_is_prime():
     g = graph_of_word(fibonacci_word(), 100)
     assert g.n == 101
