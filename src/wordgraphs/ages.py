@@ -43,11 +43,12 @@ window, the word graph of its factor (the first letter flipped after a gap)
 up to a swap of its first two vertices, so a level reads one normal form
 per window.  Whether a form is prime is a proved rule on the form
 (:func:`_prime_form`), with no module search and no graph built, and a
-prime form is keyed by its realizer, not by canonical labelling, so the
-check alone runs past the canonical search's cap.  Containment is read off
-the same keyed windows: a host's members are its own class and those of
-its three windows one order down, each a window of the word too, so no
-host is read again.  No word route builds the prefix graph.
+prime form is keyed by itself, up to two proved merges (:func:`_prime_key`),
+not by canonical labelling, so the check alone runs past the canonical
+search's cap.  Containment is read off the same keyed windows: a host's
+members are its own class and those of its three windows one order down,
+each a window of the word too, so no host is read again.  No word route
+builds the prefix graph.
 
 Everything about an infinite age is reported at a finite scale and says so:
 a bound certificate records the prefix length at which the non-membership
@@ -80,7 +81,6 @@ from .graphs import (
     embeds,
     extend_level,
 )
-from .realizers import build_realizer, realizer_key
 from .wordgraph import _prefix_bits, letter_masks
 from .words import Word, factor_last_starts
 
@@ -303,15 +303,83 @@ def _prime_form(u: str) -> bool:
     return m < 0 or u[2:] not in (y * m, y * (m - 2) + u[:1] + y)
 
 
+def _prime_key(u: str) -> str:
+    """The key of the class of the word graph of the prime window form
+    ``u``: u itself, but (1, s01) goes to (0, s10) for a constant word s,
+    and 101 to 000.  So with m = len(u) - 2 >= 2, (1, 0^(m-1)1) goes to
+    (0, 0^(m-2)10) and (1, 1^(m-2)01) to (0, 1^(m-1)0), both send 1001 to
+    0010, and two prime forms of one order have isomorphic graphs iff they
+    have the same key: 2^(k-2) - 6 classes at each order k >= 6.
+
+    Proof.  Call an order v_0..v_(n-1) of a graph's vertices a word order
+    spelling b if each v_j, j >= 1, sees among v_0..v_(j-1) exactly
+    v_(j-1) (b_j = 1) or exactly v_0..v_(j-2) (b_j = 0).  Then i -> v_i
+    maps the word graph of b onto the graph, so the forms of a class are
+    the normal forms (b_1, b_3..b_(n-1)) of the word orders of any one of
+    its graphs.  Number the vertices and letters as in :func:`_prime_form`.
+    Swapping vertices 0 and 1 flips a_2 alone and keeps every form (the
+    swap of :func:`_prime_age`).  Flipping every letter complements the
+    graph and every word its orders spell, and maps the forms of each pair
+    onto those of the other pair.
+
+    If: at n >= 5, in the word graph of 01^(n-3)0, of the form
+    (0, 1^(m-1)0), the order 1, 2, ..., n - 1, 0 spells 1^(n-3)01, of the
+    form (1, 1^(m-2)01).  Complementing gives the other pair.  At n = 4
+    both prime forms, 000 and 101, are the path P4.
+
+    Only if: below n = 4 the prime forms "", 0 and 1 are three graphs.  At
+    n >= 4 the last vertex of a word order fixes its form.  For j >= 3,
+    v_j has degree 1 or j - 1 >= 2 in the graph on v_0..v_j, which gives
+    b_j and makes v_(j-1) its one neighbour or non-neighbour there, so
+    v_(n-1) fixes v_(n-2), ..., v_2 and b_3..b_(n-1), and b_1 is whether
+    the two left are adjacent.  So a second form in the class of G(u)
+    needs a word order of G(u) that ends at a vertex q < n - 1, as 0..n-1
+    spells u, and q has degree 1 or n - 2.  At n = 5 the prime forms 1011,
+    0010, 1001 and 0000 have 4, 5, 5 and 6 edges.  Let n >= 6, and by
+    complementing let q have degree 1.  Vertex i sees below it i - 1 if
+    a_i = 1, else 0..i-2: none iff i = 0, or i = 1 and a_1 = 0, and one
+    iff a_i = 1 or i = 2.  Above it, it sees i + 1 iff a_(i+1) = 1, and
+    each j >= i + 2 with a_j = 0.
+    (a) If q sees nothing below, swap so that q = 0.  If a_1 = 1, then
+    a_j = 1 for all j, G(u) is a path, and the order n - 1, ..., 0 ends
+    at 0 and spells u.  Else one r >= 2 has a_r = 0 and is q's neighbour,
+    so r comes next and has degree 1 or n - 3 in G - 0, the word graph of
+    u[1:] on 1..n-1.  There r has degree r - 2 + [r <= n - 2], so r = 2
+    or r = n - 2, where u is not prime, or r = n - 1: u = 01^(n-3)0, the
+    form of "If".
+    (b) Else q sees one vertex below and none above: a_(q+1) = 0 and
+    a_j = 1 for j >= q + 2.  Swap so that a_q = 1.  Then p = q - 1 comes
+    next.  In G - q it sees its vertices below and q + 1 alone above, so
+    its degree there is 1, which needs p = 0, or p = 1 and a_1 = 0, or
+    n - 3, which needs p = n - 3 and a_p = 0.  At p = 0, u = 101^(n-3), a
+    path up to the swap, as in (a).  At p = 1, u = 0101^(n-4); 1's
+    neighbour in G - 2 is 3, and in the path 0, 3, 4, ..., n - 1 that is
+    left, 3 has degree 2, which is 1 or n - 4 only at n = 6, where the
+    order 0, 4, 5, 3, 1, 2 spells u itself.  At p = n - 3, q = n - 2, and
+    n - 1 sees all of G - {n - 3, n - 2}, the word graph of a_1..a_(n-4)
+    and n - 1; p's non-neighbour n - 4 comes next.  Down j = n - 4, ...,
+    3, the graph left has j + 2 vertices, j has degree 1 + its degree
+    below, which is 1 or j iff a_j = 0, and its non-neighbour j - 1 comes
+    next.  Then 2 has degree 2, and its non-neighbour sees n - 1, so must
+    see nothing else of the last three: a_1 = 0.  So u = 0^(n-3)10 up to
+    the swap, of the form (0, 0^(m-2)10), and 0, n - 1, 1, 2, ..., n - 2
+    spells 110^(n-4)1, of the form (1, 0^(m-1)1): the complement of "If".
+    So a prime form's class holds the form alone, or it and its partner.
+    """
+    if len(u) >= 4 and u[:2] == "10" and u[-2:] == "01" and len(set(u[2:-2])) < 2:
+        return "00" + u[2:-2] + "10"
+    return "000" if u == "101" else u
+
+
 def _prime_age(w: Word, L: int, k_max: int) -> tuple[
-        dict[int, set[tuple[int, ...]]], dict[str, tuple[int, ...] | None]]:
+        dict[int, set[str]], dict[str, str | None]]:
     """The prime members of :func:`word_age`, read off the word's distinct
     factors: per order 0..``k_max`` the set of their classes' keys, and the
     key of every window form, None if its graph is not prime by the rule of
-    :func:`_prime_form`.  A prime's key is
-    :func:`~wordgraphs.realizers.realizer_key` of the realizer of its form,
-    a complete invariant of prime permutation graphs, so no class is
-    canonically labelled; the empty graph's key is the empty permutation.
+    :func:`_prime_form`.  A prime's key is its form up to the two merges of
+    :func:`_prime_key`, proved to name its class, so no class is
+    canonically labelled and no graph is built; the empty graph's key is
+    "-", as the single vertex's form is "".
 
     Window lemma: a prime induced subgraph of order k >= 3 of the prefix
     graph sits on an interval of k consecutive indices, or on one index, a
@@ -338,11 +406,11 @@ def _prime_age(w: Word, L: int, k_max: int) -> tuple[
     """
     _prefix_bits(w, L)  # a bad prefix length is the word graph's error
     _check_order(L + 1, k_max)
-    levels: dict[int, set[tuple[int, ...]]] = {0: {()}}
-    key_of: dict[str, tuple[int, ...] | None] = {}
+    levels: dict[int, set[str]] = {0: {"-"}}
+    key_of: dict[str, str | None] = {}
     for k, forms in enumerate(_window_forms(w, L, k_max), 1):
         for u in forms:
-            key_of[u] = realizer_key(build_realizer(u)) if _prime_form(u) else None
+            key_of[u] = _prime_key(u) if _prime_form(u) else None
         levels[k] = {key_of[u] for u in forms} - {None}
     return levels, key_of
 
@@ -490,7 +558,7 @@ def jonsson_desk_check(w: Word, L: int, k_max: int, n_max: int = 5) -> JonssonRe
     most n embeds in every member of order at least m, within the
     approximation (None if no m at the scale works).  An ``n_max`` above
     ``k_max`` is a :class:`GraphError`: the table covers only the orders the
-    age reached.  The members are keyed by their realizers
+    age reached.  The members are keyed by their window forms
     (:func:`_prime_age`), so unlike ``word_age`` the check takes any
     ``k_max`` up to the source order.
 

@@ -38,8 +38,6 @@ def subdivided_star(n: int) -> Graph:
 
     Vertex order: center, then subdivision vertex and leaf per spoke.
     """
-    if n < 1:
-        raise GraphError("need at least one spoke")
     edges = []
     for i in range(n):
         s, leaf = 1 + 2 * i, 2 + 2 * i
@@ -48,21 +46,15 @@ def subdivided_star(n: int) -> Graph:
 
 
 def line_of_k2n(n: int) -> Graph:
-    if n < 1:
-        raise GraphError("need n >= 1")
     return line_graph(complete_bipartite(2, n))
 
 
 def line_of_subdivided_star(n: int) -> Graph:
-    if n < 1:
-        raise GraphError("need n >= 1")
     return line_graph(subdivided_star(n))
 
 
 def half_graph(n: int) -> Graph:
     """Bipartite u_1..u_n, v_1..v_n with u_i ~ v_j iff i <= j."""
-    if n < 1:
-        raise GraphError("need height >= 1")
     edges = [(i, n + j) for i in range(n) for j in range(n) if i <= j]
     return from_edges(2 * n, edges)
 
@@ -85,8 +77,11 @@ FAMILIES = tuple(_GENERATORS)
 
 
 def family_member(family: str, n: int, complemented: bool = False) -> Graph:
+    """Member ``n`` of ``family``; the one owner of the least parameter, 1."""
     if family not in _GENERATORS:
         raise GraphError(f"unknown family {family!r}")
+    if n < 1:
+        raise GraphError(f"--n must be at least 1, got {n}")
     g = _GENERATORS[family](n)
     return complement(g) if complemented else g
 
@@ -98,8 +93,6 @@ def detect_unavoidable(g: Graph, n: int) -> set[tuple[str, bool]]:
     certificate: the subgraph of g induced on the image, in the member's
     vertex order, must equal the member bit for bit.
     """
-    if n < 1:
-        raise GraphError(f"--n must be at least 1, got {n}")
     hits = set()
     for family in FAMILIES:
         for complemented in (False, True):

@@ -492,7 +492,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     for name in _COUNTS:
         value = getattr(args, name, None)
         if value is not None and value < 0:
-            raise WordError(f"{name} must be nonnegative")
+            raise WordError(f"--{name.replace('_', '-')} must be nonnegative")
     for name in _PATHS:
         if getattr(args, name, None) == "":
             raise WordError(f"--{name.replace('_', '-')} must not be empty")

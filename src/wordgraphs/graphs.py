@@ -286,7 +286,7 @@ def make(family: str, *params: int) -> Graph:
 # builds the canonical form only for a class not seen before: this step and
 # the word-age pattern step an extension each.  The prime windows' factor
 # read (:func:`~wordgraphs.ages._prime_age`) keys its classes by their
-# realizers instead, with no canonical lookup.
+# window forms instead, with no canonical lookup.
 # The census (:func:`enumerate_graphs`) iterates this step; the bound
 # candidates (:func:`~wordgraphs.ages.bounds_enumerate`) and the generic age
 # route (:func:`~wordgraphs.ages.age_enumerate`) filter it.

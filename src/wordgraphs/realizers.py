@@ -27,10 +27,6 @@ stays independent of how the realizer was built.  The intersection of two
 linear orders is transitive by construction, so validation builds no order
 relation; the tests build one from every realizer they make, as an oracle
 that visits the order's pairs one by one.
-
-A prime graph has only four realizers, read as permutations π, π⁻¹ and
-their reverse-complements, so :func:`realizer_key`, the least of them,
-keys its isomorphism class with no canonical search.
 """
 
 from __future__ import annotations
@@ -93,32 +89,6 @@ def build_realizer(word: str) -> Realizer:
     if flipped:
         return Realizer(tuple(reversed(first)), tuple(reversed(second)))
     return Realizer(tuple(first), tuple(second))
-
-
-def realizer_key(r: Realizer) -> tuple[int, ...]:
-    """The least of π, π⁻¹ and their reverse-complements, where π lists the
-    positions in ``r.first`` of the elements of ``r.second`` in turn: a
-    complete isomorphism invariant of the prime graph that ``r`` realizes.
-
-    Proof.  A realizer (L1, L2) of g is fixed by the pair of transitive
-    orientations P = L1 ∩ L2 of g and Q = L1 ∩ L2⁻¹ of its complement, as
-    L1 = P ∪ Q and L2 = P ∪ Q⁻¹.  By Gallai's theorem (Transitiv
-    orientierbare Graphen, 1967) a prime comparability graph has exactly
-    two transitive orientations, one the reverse of the other, and the
-    complement of a prime graph is prime.  So a prime g of order >= 3 has
-    exactly four realizers, from (P^±1, Q^±1): (L1, L2), the two orders
-    swapped, both reversed, and both at once, whose permutations are π,
-    π⁻¹, rc(π) and rc(π⁻¹) (rc reverses the sequence and maps each x to
-    n - 1 - x).  Below order 3 a graph has one or two realizers, among the
-    same four.  The set, and so its least member, does not change under
-    relabelling, and π fixes g up to isomorphism: positions i < j of π are
-    adjacent iff π[i] < π[j].
-    """
-    at = {v: i for i, v in enumerate(r.first)}
-    pi = tuple(at[v] for v in r.second)
-    inverse = tuple(sorted(range(len(pi)), key=pi.__getitem__))
-    top = len(pi) - 1
-    return min(p for q in (pi, inverse) for p in (q, tuple(top - x for x in reversed(q))))
 
 
 # -- validation ---------------------------------------------------------------

@@ -28,7 +28,10 @@ rule, which are checked against brute force or the extension route on their
 own.  ``are_isomorphic`` compares canonical keys, for tests that only need
 a yes or no, and ``prime_members`` cuts an age to its brute-force primes:
 the desk check's oracle is ``rescan_cofinality`` over
-``prime_members(word_age(...))``.
+``prime_members(word_age(...))``.  ``realizer_key``, the least of the four
+realizers that Gallai's theorem leaves a prime permutation graph, keys its
+class with no canonical search: the independent oracle of the prime window
+keys of ``ages._prime_key``.
 """
 
 from __future__ import annotations
@@ -128,8 +131,8 @@ def brute_is_prime(g: Graph) -> bool:
 
 def prime_members(age: AgeApprox) -> AgeApprox:
     """``age`` with only the members :func:`brute_is_prime` accepts: of a
-    word age, the prime levels built with no window, normal form or
-    realizer key, the desk check's oracle."""
+    word age, the prime levels built with no window or normal form, the
+    desk check's oracle."""
     return replace(age, levels={
         size: {key: g for key, g in level.items() if brute_is_prime(g)}
         for size, level in age.levels.items()})
@@ -318,7 +321,7 @@ def scan_prime_age(w: Word, L: int, k_max: int) -> AgeApprox:
     level's windows found by a scan over every position of the prefix,
     deduped by (gap shape, factor) and sliced out of the prefix graph by
     index sets: the oracle of ``ages._prime_age``, with no factor masks,
-    no normal forms, no word graphs of factors and no realizer keys."""
+    no normal forms and no word graphs of factors."""
     source = graph_of_word(w, L)
     bits = w.prefix(L)  # the letter at index t is bits[t - 1]
     levels = {0: {canonical_key(Graph(0, ())): Graph(0, ())}}
@@ -578,6 +581,32 @@ def reference_realizer(word: str) -> Realizer:
     for j, bit in enumerate(word):
         builder.insert_step(j, bit)
     return Realizer(tuple(builder._logical(0)), tuple(builder._logical(1)))
+
+
+def realizer_key(r: Realizer) -> tuple[int, ...]:
+    """The least of π, π⁻¹ and their reverse-complements, where π lists the
+    positions in ``r.first`` of the elements of ``r.second`` in turn: a
+    complete isomorphism invariant of the prime graph that ``r`` realizes.
+
+    Proof.  A realizer (L1, L2) of g is fixed by the pair of transitive
+    orientations P = L1 ∩ L2 of g and Q = L1 ∩ L2⁻¹ of its complement, as
+    L1 = P ∪ Q and L2 = P ∪ Q⁻¹.  By Gallai's theorem (Transitiv
+    orientierbare Graphen, 1967) a prime comparability graph has exactly
+    two transitive orientations, one the reverse of the other, and the
+    complement of a prime graph is prime.  So a prime g of order >= 3 has
+    exactly four realizers, from (P^±1, Q^±1): (L1, L2), the two orders
+    swapped, both reversed, and both at once, whose permutations are π,
+    π⁻¹, rc(π) and rc(π⁻¹) (rc reverses the sequence and maps each x to
+    n - 1 - x).  Below order 3 a graph has one or two realizers, among the
+    same four.  The set, and so its least member, does not change under
+    relabelling, and π fixes g up to isomorphism: positions i < j of π are
+    adjacent iff π[i] < π[j].
+    """
+    at = {v: i for i, v in enumerate(r.first)}
+    pi = tuple(at[v] for v in r.second)
+    inverse = tuple(sorted(range(len(pi)), key=pi.__getitem__))
+    top = len(pi) - 1
+    return min(p for q in (pi, inverse) for p in (q, tuple(top - x for x in reversed(q))))
 
 
 @dataclass(frozen=True)

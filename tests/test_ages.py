@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import bit_words, graphs
-from wordgraphs import ages, primes
+from wordgraphs import ages, primes, realizers
 from wordgraphs.ages import (
     BoundCertificate,
     age_csv,
@@ -45,7 +45,7 @@ from wordgraphs.graphs import (
     path,
 )
 from wordgraphs.primes import is_prime
-from wordgraphs.realizers import build_realizer, realizer_key
+from wordgraphs.realizers import build_realizer
 from wordgraphs.wordgraph import graph_of_word
 from wordgraphs.words import (ContinuedFraction, WordError, explicit_word,
                               factor_complexity, fibonacci_word,
@@ -154,7 +154,7 @@ def _prime_classes(w, L, k):
     keys: a form is keyed iff its graph is prime, and its key and its
     canonical key name the same class (one of each per class)."""
     levels, key_of = ages._prime_age(w, L, k)
-    assert list(levels) == list(range(k + 1)) and levels[0] == {()}
+    assert list(levels) == list(range(k + 1)) and levels[0] == {"-"}
     canon_of = {size: {} for size in range(1, k + 1)}
     for u, key in key_of.items():
         g = graph_of_word(u)
@@ -687,17 +687,24 @@ def test_prime_form_is_the_module_search(fresh_prime_memo):
 
 
 def test_prime_forms_merge_only_in_two_pairs():
-    """Realizer keys of the prime forms of one order are distinct but for
+    """Prime forms of one order share a class, by the realizer key of
+    Gallai's theorem, iff they share a ``_prime_key``: only
     (0, 0^(m-2)10) ~ (1, 0^(m-1)1) and (0, 1^(m-1)0) ~ (1, 1^(m-2)01), one
-    pair at k = 5; at k = 4 the two prime forms are both the path P4.  So
-    word graphs hold 2^(k-2) - 6 prime classes of order k >= 6."""
-    for k in range(4, 17):
+    pair at k = 5, merge, and at k = 4 the two prime forms are both the
+    path P4.  So word graphs hold 2^(k-2) - 6 prime classes of order
+    k >= 6."""
+    for k in range(4, 19):
         m = k - 3
-        forms = {}
+        forms, keys = {}, {}
         for bits in itertools.product("01", repeat=k - 2):
             u = bits[0] + "0" + "".join(bits[1:])
             if ages._prime_form(u):
-                forms.setdefault(realizer_key(build_realizer(u)), set()).add(u)
+                key = oracles.realizer_key(build_realizer(u))
+                forms.setdefault(key, set()).add(u)
+                assert keys.setdefault(ages._prime_key(u), key) == key, u
+        assert len(keys) == len(forms), k
+        # a class's key is one of its own forms
+        assert all(key in forms[oracle] for key, oracle in keys.items()), k
         merged = {frozenset(us) for us in forms.values() if len(us) > 1}
         assert merged == ({frozenset({"000", "101"})} if k == 4 else {
             frozenset({"00" + "0" * (m - 2) + "10", "10" + "0" * (m - 1) + "1"}),
@@ -713,8 +720,8 @@ def test_prime_forms_merge_only_in_two_pairs():
 ])
 def test_jonsson_reads_the_factors_once(monkeypatch, w, L, k_max, n_max):
     """One desk check reads the word's factors once and tests for primality
-    what _prime_age tests, and nothing more: hosts are never re-read, and
-    no class is canonically labelled."""
+    what _prime_age tests, and nothing more: hosts are never re-read, no
+    class is canonically labelled, and no realizer is built."""
     calls = {"factor_last_starts": 0, "_prime_form": 0}
 
     def counted(name):
@@ -728,9 +735,13 @@ def test_jonsson_reads_the_factors_once(monkeypatch, w, L, k_max, n_max):
     def never(*args):
         raise AssertionError("a class was canonically labelled")
 
+    def no_realizer(*args):
+        raise AssertionError("a realizer was built")
+
     for name in calls:
         monkeypatch.setattr(ages, name, counted(name))
     monkeypatch.setattr("wordgraphs.graphs._canonical_cached", never)
+    monkeypatch.setattr(realizers.Realizer, "__post_init__", no_realizer)
     ages._prime_age(w, L, k_max)
     assert calls["factor_last_starts"] == 1
     classified = calls["_prime_form"]

@@ -35,8 +35,8 @@ def test_subdivided_star_shapes():
     s3 = subdivided_star(3)
     assert (s3.n, oracles.edge_count(s3)) == (7, 6)
     assert s3.degree(0) == 3  # center
-    with pytest.raises(GraphError):
-        subdivided_star(0)
+    with pytest.raises(GraphError, match="--n must be at least 1, got 0"):
+        family_member("subdivided_star", 0)
 
 
 def test_line_of_k2n_shapes():

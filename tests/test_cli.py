@@ -7,7 +7,7 @@ import pytest
 import oracles
 from wordgraphs import ages, cli
 from wordgraphs.ages import BoundCertificate
-from wordgraphs.catalogue import family_member
+from wordgraphs.catalogue import FAMILIES, family_member
 from wordgraphs.cli import main
 from wordgraphs.graph6 import from_graph6, to_graph6
 from wordgraphs.graphs import canonical_key, path
@@ -152,7 +152,7 @@ def test_k_max_past_the_canonical_cap_exits_2_before_any_work(
 
 
 def test_jonsson_runs_past_the_canonical_cap(capsys, monkeypatch):
-    # the desk check keys its members by their realizers, so it has no
+    # the desk check keys its members by their window forms, so it has no
     # canonical cap, and past it adds levels without changing the rest
     def never(*args):
         raise AssertionError("a member was canonically labelled")
@@ -240,6 +240,16 @@ def test_detect_rejects_n_below_one(capsys, tmp_path):
     g6file = tmp_path / "p4.g6"
     g6file.write_text(to_graph6(path(4)) + "\n")
     assert main(["detect", "--g6", str(g6file), "--n", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --n must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_catalogue_rejects_n_below_one(capsys, family):
+    # family_member owns the least parameter, so every family names the
+    # flag, and none builds a degenerate member
+    assert main(["catalogue", "--family", family, "--n", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --n must be at least 1, got 0\n"
@@ -386,11 +396,11 @@ def test_missing_graph6_file_exits_2(capsys, tmp_path, command):
 
 
 @pytest.mark.parametrize("argv,config,message", [
-    (["age", "--fib", "--k-max", "-1"], None, "k_max must be nonnegative"),
+    (["age", "--fib", "--k-max", "-1"], None, "--k-max must be nonnegative"),
     (["jonsson", "--fib", "--length", "10", "--k-max", "3", "--n-max", "-1"], None,
-     "n_max must be nonnegative"),
-    (["word", "--fib", "--complexity", "-2"], None, "complexity must be nonnegative"),
-    (["age", "--fib", "--length", "5"], {"k_max": -1}, "k_max must be nonnegative"),
+     "--n-max must be nonnegative"),
+    (["word", "--fib", "--complexity", "-2"], None, "--complexity must be nonnegative"),
+    (["age", "--fib", "--length", "5"], {"k_max": -1}, "--k-max must be nonnegative"),
     (["age", "--fib"], {"length": 2.5}, "length must be an integer"),
     (["word", "--fib"], {"length": None}, "length must be an integer"),
     (["age", "--fib"], {"fmt": "dot"}, "fmt must be one of: csv, json"),
