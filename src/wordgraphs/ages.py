@@ -115,8 +115,9 @@ def _deletion_keys(g: Graph,
 
 
 def _check_order(order: int, k_max: int) -> None:
-    if k_max > order:
-        raise GraphError("k_max exceeds the source order")
+    if not 0 <= k_max <= order:
+        raise GraphError("k_max must be nonnegative" if k_max < 0
+                         else "k_max exceeds the source order")
 
 
 def _start_levels(order: int, k_max: int) -> dict[int, dict[CanonKey, Graph]]:
@@ -240,8 +241,8 @@ def _window_forms(w: Word, L: int, k_max: int) -> list[set[str]]:
     """Per order k = 1..k_max, the normal forms of the windows over each
     length-(k - 1) factor; the gap window needs a start of the factor >= 1."""
     # the empty factor starts at every index 0..L
-    return [{u for f, last in starts.items() for u in _forms(f, last > 0)}
-            for starts in ([{"": L}] + factor_last_starts(w, L, k_max - 1))[:k_max]]
+    return [{u for f, last in starts.items() for u in _forms(f, last > 0)} for starts in
+            ([{"": L}] + factor_last_starts(w, L, max(k_max - 1, 0)))[:k_max]]
 
 
 def _drops(u: str) -> tuple[str, ...]:

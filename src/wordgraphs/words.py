@@ -17,20 +17,22 @@ identical floor sequences, which pins the exact prefix by monotonicity of
 
 The letter masks (bit i of mask c set iff the letter at i is c) have one
 owner, ``_letter_masks``; the word graph compilers in
-:mod:`~wordgraphs.wordgraph` read them too.  The distinct factors (by
-:func:`factor_last_starts`, their one reader), the complexity p(n) and the
-recurrence bounds R(n) are read off one walk over the levels' start masks:
-bit i of a factor's mask is set when the factor starts at i, and a
+:mod:`~wordgraphs.wordgraph` read them too.  The distinct factors of every
+length up to n_max are read in one pass (by :func:`factor_last_starts`,
+their one reader): each distinct slice of length n_max, kept at its last
+start, holds every shorter level as its prefixes.  The complexity p(n) and
+the recurrence bounds R(n) are read off a walk over the levels' start
+masks: bit i of a factor's mask is set when the factor starts at i, and a
 length-(n+1) factor's mask is its length-n prefix's mask ANDed with the
-next letter's mask shifted right by n.  Each nonzero mask is a factor,
-read at its last start; R(n) takes each factor's first start, last start
-and longest gap between starts off its mask.  A level costs about p(n)
-big-integer operations on L bits, against L interpreted steps for a pass
-over the positions, so the words the generators give (p(n) = n + 1 for
-Sturmian words, about 3n for Thue-Morse) cost little.  From the first
-level holding more than ``_MASK_LEVEL_LIMIT`` factors on, the positional
-pass is taken instead, which also bounds the masks' memory on a dense
-word.
+next letter's mask shifted right by n.  p(n) counts the masks; R(n) takes
+each factor's first start, last start and longest gap between starts off
+its mask.  A level costs about p(n) big-integer operations on L bits,
+against L interpreted steps for a pass over the positions, so the words
+the generators give (p(n) = n + 1 for Sturmian words, about 3n for
+Thue-Morse) cost little.  The walk stops at the first level holding more
+than ``_MASK_LEVEL_LIMIT`` factors, which bounds the masks' memory on a
+dense word; from there p(n) counts the levels of the one factor pass and
+R(n) takes a pass over the positions per level.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 _MAX_CF_DEPTH = 512
 
@@ -260,62 +263,83 @@ def _letter_masks(p: str) -> tuple[int, int]:
 
 
 # Masks or positions.  Timed level by level on seeded periodic and random
-# words, a recurrence bound's masks cost 0.6 of a pass at 128 factors and a
-# whole pass near 200 (L = 10**4) or 300 (L = 10**5), and a complexity
-# level, which only builds its masks, 0.06 of a pass at 128.  The limit
-# sits below both crossings, admits a random word's 128 factors of length
-# 7, and keeps a level's masks to at most 128 * (L + 1) bits.
+# words, a recurrence bound's masks cost 0.6 of a pass over the positions
+# at 128 factors and a whole pass near 200 (L = 10**4) or 300 (L = 10**5),
+# and a complexity level, which only builds its masks, 0.06 of a pass at
+# 128.  The limit sits below both crossings, admits a random word's 128
+# factors of length 7, and keeps a level's masks to at most 128 * (L + 1)
+# bits.  Past it, a recurrence bound takes a pass per level, and the
+# complexity counts the levels of the one pass of ``_factor_levels``.
 _MASK_LEVEL_LIMIT = 128
 
 
-def _by_level(p: str, n_max: int, from_masks, from_pass) -> list:
-    """``from_masks(masks, n)`` for n = 1, 2, ..., where ``masks`` are the
+def _prefix(w: Word, L: int, n_max: int) -> str:
+    """``w.prefix(L)``, read for factor lengths up to ``n_max``, which
+    must lie in 0..L."""
+    if not 0 <= n_max <= L:
+        raise WordError(f"factor length {n_max} is outside 0..{L}")
+    return w.prefix(L)
+
+
+def _mask_levels(p: str, n_max: int) -> Iterator[tuple[int, list[int]]]:
+    """``(n, masks)`` for n = 1, 2, ..., n_max, where ``masks`` are the
     start masks of the distinct length-n factors of ``p`` (bit i set when
-    the factor starts at i) in no order, up to the first level holding more
-    than ``_MASK_LEVEL_LIMIT`` factors, then ``from_pass(n)`` up to
-    ``n_max``."""
-    if n_max > len(p):
-        raise WordError("factor length exceeds prefix length")
+    the factor starts at i) in no order, stopping before the first level
+    holding more than ``_MASK_LEVEL_LIMIT`` factors."""
     letters = _letter_masks(p)
     masks = [(1 << (len(p) + 1)) - 1]  # the empty factor starts everywhere
-    out = []
     for n in range(1, n_max + 1):
         # a factor's starts: its prefix's, where the next letter follows
         shifted = [m >> (n - 1) for m in letters]
         masks = [x for mask in masks for s in shifted if (x := mask & s)]
         if len(masks) > _MASK_LEVEL_LIMIT:
-            break
-        out.append(from_masks(masks, n))
-    return out + [from_pass(n) for n in range(len(out) + 1, n_max + 1)]
+            return
+        yield n, masks
+
+
+def _factor_levels(p: str, n_max: int, first: int = 1) -> Iterator[dict[str, int]]:
+    """Each distinct length-n factor of ``p`` mapped to its last start, for
+    n = first..n_max, in one pass over the positions: the slice p[i:i +
+    n_max] at every start i (shorter near the end), each distinct slice at
+    its last start, sorted by start; level n is {f[:n]: i} over the slices
+    of length >= n.
+
+    Exact: a length-n factor is the first n letters of the slice at each of
+    its starts, and in start order its largest start is written last."""
+    last = {p[i:i + n_max]: i for i in range(len(p))}
+    slices = sorted((i, f) for f, i in last.items())
+    return ({f[:n]: i for i, f in slices if len(f) >= n} for n in range(first, n_max + 1))
 
 
 def factor_last_starts(w: Word, L: int, n_max: int) -> list[dict[str, int]]:
     """Each distinct length-n factor of prefix(L) mapped to its last start,
     n = 1..n_max."""
-    p = w.prefix(L)
-    return _by_level(p, n_max, lambda masks, n: {
-        p[i:i + n]: i for i in (mask.bit_length() - 1 for mask in masks)},
-        lambda n: {p[i:i + n]: i for i in range(L - n + 1)})
+    return list(_factor_levels(_prefix(w, L, n_max), n_max))
 
 
 def factor_complexity(w: Word, L: int, n_max: int) -> list[int]:
-    """p(n) = number of distinct length-n factors of prefix(L), n = 1..n_max."""
+    """p(n) = number of distinct length-n factors of prefix(L), n = 1..n_max:
+    the mask levels, then, if the mask walk stopped at the limit, the rest
+    counted one level at a time off the one pass."""
     if n_max > L // 2:
         raise WordError("n_max beyond L/2; counts would not have stabilized")
-    p = w.prefix(L)
-    return _by_level(p, n_max, lambda masks, n: len(masks),
-                     lambda n: len({p[i:i + n] for i in range(L - n + 1)}))
+    p = _prefix(w, L, n_max)
+    counts = [len(masks) for _, masks in _mask_levels(p, n_max)]
+    if len(counts) < n_max:  # the mask walk stopped at the limit
+        counts += map(len, _factor_levels(p, n_max, len(counts) + 1))
+    return counts
 
 
 def recurrence_bound(w: Word, L: int, n_max: int) -> list[int | None]:
     """R(n) for n = 1..n_max: the least m with every length-n factor in every
     length-m window of prefix(L), reported only when m <= L // 2 (else None),
     so the certificate is supported by many windows; the whole prefix
-    trivially contains its own factors, which certifies nothing.
+    trivially contains its own factors, which certifies nothing.  Read off
+    the mask levels, then a pass over the positions per level.
     """
-    p = w.prefix(L)
-    return _by_level(p, n_max, lambda masks, n: _mask_recurrence(masks, n, L),
-                     lambda n: _positional_recurrence(p, n))
+    p = _prefix(w, L, n_max)
+    out = [_mask_recurrence(masks, n, L) for n, masks in _mask_levels(p, n_max)]
+    return out + [_positional_recurrence(p, n) for n in range(len(out) + 1, n_max + 1)]
 
 
 def _mask_recurrence(masks: list[int], n: int, L: int) -> int | None:
@@ -364,9 +388,7 @@ def _positional_recurrence(p: str, n: int) -> int | None:
         if need > m:
             m = need
         latest[f] = i
-    for i in latest.values():
-        if L - i > m:
-            m = L - i
+    m = max(m, L - min(latest.values()))
     return m if m <= L // 2 else None
 
 

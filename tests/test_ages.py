@@ -210,8 +210,8 @@ def test_word_prime_age_matches_filtered_word_age_fixed(w, L, k):
 @pytest.mark.parametrize("seed", range(3))
 def test_word_prime_age_matches_the_position_scan_on_dense_levels(seed):
     # a random word of about 300 letters holds more than 128 factors of each
-    # length from 8 on, so levels 9..12 read their factors off the
-    # positional pass of words.factor_last_starts, not off masks
+    # length from 8 on, so levels 9..12 are dense: each holds more factors
+    # than a level of factor masks may (words._MASK_LEVEL_LIMIT)
     rng = random.Random(seed)
     L = rng.randint(280, 320)
     w = explicit_word("".join(rng.choice("01") for _ in range(L)))
@@ -296,6 +296,17 @@ def test_word_routes_keep_their_errors(route, w, L, k_max, error, message):
         route(*args)
     assert type(raised.value) is error
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("route, args", [
+    (word_age, (fibonacci_word(), 20, -1)),
+    (age_enumerate, (graph_of_word(fibonacci_word(), 20), -1)),
+    (bounds_enumerate, (fibonacci_word(), 20, -1)),
+    (jonsson_desk_check, (fibonacci_word(), 20, -1, -1)),
+], ids=["word_age", "age_enumerate", "bounds_enumerate", "jonsson_desk_check"])
+def test_age_routes_refuse_a_negative_k_max(route, args):
+    with pytest.raises(GraphError, match="k_max must be nonnegative"):
+        route(*args)
 
 
 @pytest.mark.parametrize("route, k_max", [

@@ -252,8 +252,7 @@ def _scanned_last_starts(p: str, n: int) -> dict[str, int]:
 def test_factor_last_starts_match_the_factor_sets_and_a_scan(seed):
     # Fibonacci holds n + 1 factors of length n, so its levels outgrow the
     # mask limit at length 128; a random word of about 300 letters, near
-    # length 8.  Both read masks below that level and the positional pass
-    # from it on.
+    # length 8.  The one factor pass reads them all the same way.
     if seed is None:
         p, n_max = fibonacci_word().prefix(300), 140
     else:
@@ -271,12 +270,32 @@ def test_factor_last_starts_match_the_factor_sets_and_a_scan(seed):
 
 @given(bit_words)
 def test_factor_last_starts_on_short_words(bits):
-    L = len(bits)
-    assert factor_last_starts(explicit_word(bits), L, L) == [
-        _scanned_last_starts(bits, n) for n in range(1, L + 1)]
-    assert factor_last_starts(explicit_word(bits), L, 0) == []
+    # every n_max: below L the slices of the one pass repeat, so a level is
+    # right only if they are read in start order
+    w, L = explicit_word(bits), len(bits)
+    scanned = [_scanned_last_starts(bits, n) for n in range(1, L + 1)]
+    for n_max in range(L + 1):
+        assert factor_last_starts(w, L, n_max) == scanned[:n_max], n_max
     with pytest.raises(WordError):
-        factor_last_starts(explicit_word(bits), L, L + 1)
+        factor_last_starts(w, L, L + 1)
+
+
+def test_factor_last_starts_read_no_letter_mask(monkeypatch):
+    def never(p):
+        raise AssertionError("a letter mask was read")
+
+    monkeypatch.setattr(words, "_letter_masks", never)
+    for p, n_max in ((fibonacci_word().prefix(300), 140), ("0110100110010110", 9),
+                     ("0", 1), ("", 0)):
+        assert factor_last_starts(explicit_word(p), len(p), n_max) == [
+            _scanned_last_starts(p, n) for n in range(1, n_max + 1)]
+
+
+@pytest.mark.parametrize("reader", [factor_last_starts, factor_complexity,
+                                    recurrence_bound])
+def test_factor_readers_refuse_a_negative_length(reader):
+    with pytest.raises(WordError, match="factor length -1 is outside 0..10"):
+        reader(fibonacci_word(), 10, -1)
 
 
 def test_recurrence_bound_examples():
@@ -333,11 +352,14 @@ def test_positional_recurrence_matches_window_scan(monkeypatch):
 def test_word_diagnostics_across_the_level_switch(seed, monkeypatch):
     # a random word's levels outgrow the mask limit before length 12, and
     # Fibonacci's, with n + 1 factors, at length 128: the diagnostics read
-    # masks below that level and the positional pass from it on, and are
-    # held to the masks read at every level, with the limit raised past
-    # each level's count.  A periodic word holds at most its period's 80 to
-    # 120 factors, so its 40 levels are all masks.
+    # masks below that level, and from it on the complexity counts the
+    # levels of one factor pass and the recurrence takes a positional pass
+    # per level; both are held to the masks read at every level, with the
+    # limit raised past each level's count.  A periodic word holds at most
+    # its period's 80 to 120 factors, so its 40 levels are all masks, and
+    # the factor pass never runs.
     limit, one_pass = words._MASK_LEVEL_LIMIT, words._positional_recurrence
+    factor_pass = words._factor_levels
     rng = random.Random(seed)
     L = rng.randint(2000, 3000)
     bits = "".join(rng.choice("01") for _ in range(L))
@@ -352,12 +374,15 @@ def test_word_diagnostics_across_the_level_switch(seed, monkeypatch):
         monkeypatch.setattr(words, "_MASK_LEVEL_LIMIT", max(sizes))
         by_masks = recurrence_bound(w, L, n_max)
         monkeypatch.setattr(words, "_MASK_LEVEL_LIMIT", limit)
-        passes = []
+        passes, entries = [], []
         monkeypatch.setattr(words, "_positional_recurrence",
                             lambda p, n: passes.append(n) or one_pass(p, n))
+        monkeypatch.setattr(words, "_factor_levels",
+                            lambda *args: entries.append(args) or factor_pass(*args))
         assert factor_complexity(w, L, n_max) == sizes
         assert recurrence_bound(w, L, n_max) == by_masks
         assert passes == list(range(first, n_max + 1))
+        assert len(entries) == switches
 
 
 def test_recurrence_bound_window_property():
